@@ -1,10 +1,11 @@
 """Two certified proofs that positivity forces the trivial deformation.
 
 Route A builds the affine inequality system from all products with
-sigma[1,1] and runs exact Fourier-Motzkin elimination; the certificate
-stores, for each unknown, two nonnegative-weight combinations of the
-original inequalities summing literally to "a >= 0" and "-a >= 0", and is
-re-checked by plain weighted summation.  Route B replays the structured
+sigma[1,1] and settles it by sign propagation with Farkas weights, falling
+back to exact Fourier-Motzkin elimination for any unknown it leaves open;
+the certificate stores, for each unknown, two nonnegative-weight
+combinations of the original inequalities summing literally to "a >= 0"
+and "-a >= 0", and is re-checked by plain weighted summation.  Route B replays the structured
 argument (collapse products for upper bounds, the expansion rule for lower
 bounds) and checks every closed-form display termwise.
 """

@@ -6,11 +6,15 @@ zero.
 
 Route A (`build_constraints` + `certify_uniqueness`) is generic: expand every
 product sigma[1,1] * sigma[mu] symbolically, collect one affine inequality
-">= 0" per coefficient, and run exact Fourier-Motzkin elimination to compute
-the feasible interval of every unknown.  The elimination history yields, for
-each unknown, nonnegative-weight combinations of the original constraints
-that literally sum to "a >= 0" and "-a >= 0"; these are stored in the
-certificate and can be re-checked by plain weighted summation
+">= 0" per coefficient, and settle the unknowns by sign propagation with
+Farkas weights, falling back to exact Fourier-Motzkin elimination for any
+unknown it leaves open.  Propagation chains single rows: once every other
+term of a row is known to be <= 0, the row bounds its last unknown.  Every
+constraint here has at most two unknowns with coefficients +-1, and at
+n = 3..8 propagation alone settles every unknown.  Either engine yields,
+for each unknown, nonnegative-weight combinations of the original
+constraints that literally sum to "a >= 0" and "-a >= 0"; these are stored
+in the certificate and can be re-checked by plain weighted summation
 (`verify_certificate`), independently of the search.
 
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
@@ -26,6 +30,7 @@ would raise `QuadraticTermError` and is treated as a bug, never ignored.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,7 +47,7 @@ DEFAULT_ROW_LIMIT = 200_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Elimination exceeded the configured intermediate-constraint ceiling."""
+    """The constraint count or an elimination exceeded the working-row ceiling."""
 
 
 class MismatchError(RuntimeError):
@@ -218,6 +223,58 @@ def _interval(rows, var: int):
     return lo, hi, lo_row, hi_row
 
 
+# ---------------------------------------------------------------------------
+# Sign propagation with Farkas weights
+
+
+def _nonpos(p: int, c) -> tuple:
+    """The sign fact that makes the term c * a_p nonpositive."""
+    return (p, -1 if c > 0 else 1)
+
+
+def _propagate(rows):
+    """Every sign fact reachable by chaining single rows, with its weights.
+
+    A fact s * a >= 0 (one unknown a, sign s) follows from a row with
+    constant 0 once all its other terms are known to be <= 0: for
+    c * a + sum c_j a_j >= 0 and c_j a_j <= 0 the row gives sign(c) * a >= 0.
+    The fact's weights are the row's combination plus |c_j| times the stored
+    weights of each fact used, all divided by |c|, so they sum literally to
+    s * a.  Rows wait, indexed by the facts they lack, and fire when at most
+    one is missing; first in, first out, so each fact gets a shallow proof.
+    Returns {(unknown position, sign): combination}.
+
+    The derivations hold on the feasible set; they certify anything only if
+    that set is nonempty, which the caller has to establish.
+    """
+    facts = {}
+    missing = [len(r.lin) for r in rows]        # terms not yet known <= 0
+    waiting = {}                                # fact -> rows lacking it
+    live = [i for i, r in enumerate(rows) if not r.const]
+    for i in live:
+        for p, c in rows[i].lin.items():
+            waiting.setdefault(_nonpos(p, c), []).append(i)
+    queue = deque(i for i in live if missing[i] <= 1)
+    while queue:
+        r = rows[queue.popleft()]
+        for p, c in r.lin.items():
+            fact = _nonpos(p, -c)                   # c * a_p >= 0
+            others = [(q, v) for q, v in r.lin.items() if q != p]
+            if fact in facts or any(_nonpos(q, v) not in facts for q, v in others):
+                continue
+            scale = 1 / abs(c)
+            combo = {i: w * scale for i, w in r.combo.items()}
+            for q, v in others:
+                for i, w in facts[_nonpos(q, v)].items():
+                    combo[i] = combo.get(i, 0) + abs(v) * scale * w
+            facts[fact] = combo
+            for i in waiting.get(fact, ()):
+                missing[i] -= 1
+                if missing[i] <= 1:
+                    queue.append(i)
+    return facts
+
+
 @dataclass(frozen=True)
 class BoundProof:
     unknown: object
@@ -236,35 +293,59 @@ class Certificate:
     stats: dict
 
 
-def _scaled_weights(row: _Row, scale: Fraction):
-    return tuple(sorted((i, w * scale) for i, w in row.combo.items() if w * scale))
+def _scaled_weights(combo, scale=Fraction(1)):
+    return tuple(sorted((i, w * scale) for i, w in combo.items() if w * scale))
 
 
 def certify_uniqueness(system: ConstraintSystem,
                        max_rows: int = DEFAULT_ROW_LIMIT) -> Certificate:
     """Decide whether the feasible set of the system is exactly the origin.
 
-    For each unknown the exact feasible interval is computed by eliminating
-    all other unknowns.  The conclusion is UniqueZero iff every interval is
-    [0, 0]; the eliminations' combination history then provides the two
-    Farkas-style weight lists per unknown.
+    Sign propagation (`_propagate`) settles every unknown it can, carrying
+    the Farkas weights of each deduction.  Any unknown it leaves open gets
+    its exact feasible interval by eliminating all other unknowns
+    (Fourier-Motzkin).  The conclusion is UniqueZero iff every unknown is
+    pinned to [0, 0]; the two weight lists per unknown form the certificate.
     """
+    return _certify(system, max_rows, propagate=True)
+
+
+def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certificate:
+    """`certify_uniqueness`, or with `propagate=False` the pure-FM decision."""
+    if len(system.constraints) > max_rows:
+        raise ResourceLimitError(
+            f"{len(system.constraints)} constraints exceed the ceiling of "
+            f"{max_rows} working rows; raise the ceiling to proceed")
     base = _rows_from_system(system)
-    nvars = len(system.unknowns)
+    facts = {}
+    # with the origin feasible the feasible set is nonempty, so a derived
+    # fact is a real bound; otherwise FM decides, reporting infeasibility
+    if propagate and all(r.const >= 0 for r in base):
+        facts = _propagate(base)
     intervals = {}
     bounds = []
     peak = [len(base)]
+    fm_unknowns = 0
     for k, key in enumerate(system.unknowns):
+        if (k, 1) in facts and (k, -1) in facts:
+            intervals[key] = (Fraction(0), Fraction(0))
+            bounds.append(BoundProof(key, "lower", _scaled_weights(facts[(k, 1)])))
+            bounds.append(BoundProof(key, "upper", _scaled_weights(facts[(k, -1)])))
+            continue
+        fm_unknowns += 1
         rows = _project_onto(list(base), k, max_rows, peak)
         lo, hi, lo_row, hi_row = _interval(rows, k)
         intervals[key] = (lo, hi)
         if lo == 0 and hi == 0:
-            bounds.append(BoundProof(key, "lower",
-                                     _scaled_weights(lo_row, Fraction(1) / lo_row.lin[k])))
-            bounds.append(BoundProof(key, "upper",
-                                     _scaled_weights(hi_row, Fraction(1) / -hi_row.lin[k])))
+            bounds.append(BoundProof(key, "lower", _scaled_weights(
+                lo_row.combo, Fraction(1) / lo_row.lin[k])))
+            bounds.append(BoundProof(key, "upper", _scaled_weights(
+                hi_row.combo, Fraction(1) / -hi_row.lin[k])))
+    nvars = len(system.unknowns)
     stats = {"unknowns": nvars, "constraints": len(system.constraints),
-             "peak_working_rows": peak[0]}
+             "peak_working_rows": peak[0],
+             "propagated_unknowns": nvars - fm_unknowns,
+             "fm_unknowns": fm_unknowns}
     if all(iv == (Fraction(0), Fraction(0)) for iv in intervals.values()):
         return Certificate(system.n, system.mode, CONCLUSION_UNIQUE_ZERO,
                            system.unknowns, tuple(bounds), None, stats)
@@ -315,10 +396,10 @@ def _find_witness(system: ConstraintSystem, intervals, max_rows: int) -> dict:
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     """Re-derive every claimed inequality by exact weighted summation.
 
-    Independent of the elimination: only the stored constraints and the
+    Independent of the search: only the stored constraints and the
     certificate's weight lists are used.  Returns False on any defect
-    (negative weight, bad index, sum not literally equal to the claimed
-    inequality, missing bound, bad witness).
+    (negative weight, bad index, malformed weight, sum not literally equal
+    to the claimed inequality, missing bound, bad witness).
     """
     try:
         if cert.unknowns != system.unknowns or cert.n != system.n \
@@ -348,7 +429,8 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
             return all(expr.evaluate(cert.witness) >= 0
                        for expr in system.constraints)
         return False
-    except Exception:
+    except (TypeError, ValueError, ZeroDivisionError):
+        # a weight or index of the wrong type or an unparsable weight string
         return False
 
 

@@ -418,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
     p.add_argument("--emit-certificate", metavar="PATH", default=None)
     p.add_argument("--max-rows", type=int, default=200_000,
-                   help="intermediate-constraint ceiling for elimination")
+                   help="working-row ceiling for route A (sign propagation "
+                        "with Farkas weights, falling back to FM for any "
+                        "unknown it leaves open): bounds the initial "
+                        "constraint count and every FM intermediate system")
     p.set_defaults(handler=_cmd_certify)
 
     p = common(sub.add_parser("check-positivity",

@@ -176,3 +176,49 @@ def test_quadratic_guard_is_active(table3):
     spec = DeformationSpec.symbolic(3, MODE_PER_PAIR)
     with pytest.raises(QuadraticTermError):
         deformed_product(spec, table3, (4, 2), (4, 2))
+
+
+def test_propagation_agrees_with_fm(table3, table4, table5, table6):
+    from osglines.certify import _certify
+    for table in (table3, table4, table5, table6):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(table, mode)
+            fast = certify_uniqueness(system)
+            slow = _certify(system, max_rows=200_000, propagate=False)
+            assert fast.conclusion == slow.conclusion == CONCLUSION_UNIQUE_ZERO
+            assert verify_certificate(system, fast)
+            assert verify_certificate(system, slow)
+            assert slow.stats["fm_unknowns"] == len(system.unknowns)
+
+
+def test_fm_settles_what_propagation_cannot():
+    # |x| + |y| <= 0 written as four rows: no row has a single open term
+    system = toy_system([AffineExpression(0, {"x": 1, "y": 1}),
+                         AffineExpression(0, {"x": 1, "y": -1}),
+                         AffineExpression(0, {"x": -1, "y": 1}),
+                         AffineExpression(0, {"x": -1, "y": -1})])
+    cert = certify_uniqueness(system)
+    assert cert.conclusion == CONCLUSION_UNIQUE_ZERO
+    assert verify_certificate(system, cert)
+    assert cert.stats["fm_unknowns"] == 2
+    assert cert.stats["propagated_unknowns"] == 0
+
+
+def test_infeasible_origin_skips_propagation():
+    # x >= 0 and -x >= 0 alone would settle x; x - 1 >= 0 makes it infeasible.
+    # x is the only unknown, so no FM fallback would run to notice.
+    rows = (AffineExpression(0, {"x": 1}), AffineExpression(0, {"x": -1}),
+            AffineExpression(-1, {"x": 1}))
+    system = ConstraintSystem(3, MODE_PER_PAIR, ("x",), rows,
+                              (((0, 0), (0, 0), 1),) * len(rows))
+    with pytest.raises(ValueError, match="infeasible"):
+        certify_uniqueness(system)
+
+
+def test_propagation_settles_every_unknown(table3, table4, table5):
+    for table in (table3, table4, table5):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(table, mode)
+            cert = certify_uniqueness(system)
+            assert cert.stats["fm_unknowns"] == 0
+            assert cert.stats["propagated_unknowns"] == len(system.unknowns)
