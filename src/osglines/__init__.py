@@ -25,8 +25,8 @@ from .expr import (ExpressionSyntaxError, evaluate_expression,
 from .pieri import pieri_tau1, pieri_tau11, tau1_case, tau11_case
 from .ring import (GenerationFailure, IDENTITY_PARTS, MultiplicationTable,
                    build_table, check_commutativity, diagonal_power,
-                   gw_constant, has_negative_constant, multiply,
-                   poincare_pairing, verify_identities)
+                   gw_constant, has_negative_constant, lazy_table,
+                   multiply, poincare_pairing, verify_identities)
 from .serialize import (load_certificate, load_spec, load_table,
                         save_certificate, save_spec, save_table)
 

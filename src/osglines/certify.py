@@ -411,14 +411,18 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
                 if bound.direction not in ("lower", "upper"):
                     return False
                 sign = 1 if bound.direction == "lower" else -1
-                target = AffineExpression(0, {bound.unknown: sign})
-                acc = AffineExpression(0)
+                target = {bound.unknown: sign}
+                constant = Fraction(0)
+                linear: dict = {}
                 for idx, w in bound.weights:
                     w = Fraction(w)
                     if w < 0 or not (0 <= idx < len(system.constraints)):
                         return False
-                    acc = acc + system.constraints[idx] * w
-                if acc != target:
+                    row = system.constraints[idx]
+                    constant += row.constant * w
+                    for k, v in row.linear.items():
+                        linear[k] = linear.get(k, 0) + v * w
+                if constant or {k: v for k, v in linear.items() if v} != target:
                     return False
                 seen.add((bound.unknown, bound.direction))
             return all((k, d) in seen for k in system.unknowns

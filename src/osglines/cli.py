@@ -7,6 +7,10 @@ hit its resource ceiling), 2 on usage errors.  In json mode the output is a
 single complete document, never a partial one; schema in
 `schemas/cli_output.schema.json`.
 
+`table` and `verify` touch every product and build the full table; `mult`,
+`gw`, `check-positivity` and `certify` use a table that assembles each
+product on first use (`ring.lazy_table`).
+
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
 directory for a default cache file.
@@ -28,7 +32,7 @@ from .deformation import MODE_PER_PAIR, MODES, check_positivity
 from .expr import ExpressionSyntaxError, evaluate_expression, parse_expression
 from .pieri import pieri_tau1, pieri_tau11
 from .ring import (IDENTITY_PARTS, build_table, check_commutativity,
-                   gw_constant, has_negative_constant, multiply,
+                   gw_constant, has_negative_constant, lazy_table, multiply,
                    poincare_pairing, verify_identities)
 from . import serialize
 
@@ -125,7 +129,7 @@ def _cmd_basis(args):
 
 
 def _cmd_mult(args):
-    table = _get_table(args)
+    table = lazy_table(args.n)
     ast = parse_expression(args.expression)
     result = evaluate_expression(ast, table)
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
@@ -144,8 +148,7 @@ def _cmd_pieri(args):
 
 
 def _cmd_gw(args):
-    table = _get_table(args)
-    value = gw_constant(table, args.lam, args.mu, args.nu, args.d)
+    value = gw_constant(lazy_table(args.n), args.lam, args.mu, args.nu, args.d)
     payload = {"command": "gw", "n": args.n, "lambda": list(args.lam),
                "mu": list(args.mu), "nu": list(args.nu), "d": args.d,
                "value": serialize.format_rational(value)}
@@ -249,8 +252,7 @@ def _rank(matrix) -> int:
 
 
 def _cmd_verify(args):
-    table = _get_table(args)
-    checks = _suite_checks(args, table)
+    checks = _suite_checks(args, build_table(args.n))
     passed = all(c["passed"] for c in checks)
     payload = {"command": "verify", "n": args.n, "suite": args.suite,
                "passed": passed, "checks": checks}
@@ -267,7 +269,7 @@ def _cmd_verify(args):
 def _cmd_certify(args):
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")
-    table = _get_table(args)
+    table = lazy_table(args.n)
     results = []
     cert_path = None
     if args.method in ("fm", "both"):
@@ -300,7 +302,7 @@ def _cmd_certify(args):
 
 
 def _cmd_check_positivity(args):
-    table = _get_table(args)
+    table = lazy_table(args.n)
     spec = serialize.load_spec(args.spec)
     if spec.n != args.n:
         raise ValueError(f"spec has n={spec.n}, invocation has n={args.n}")
@@ -361,10 +363,6 @@ def _cmd_table(args):
                           ("products", str(table.stored_products()))])
     _emit(args, payload, text, latex)
     return 0
-
-
-def _get_table(args):
-    return build_table(args.n)
 
 
 # ---------------------------------------------------------------------------

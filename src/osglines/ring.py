@@ -16,8 +16,13 @@ monomial columns are processed with higher tau[1,1]-powers first, which keeps
 the chosen representations canonical (e.g. a diagonal class (t,t) is always
 represented as the pure power tau[1,1]^t).
 
+A table from `lazy_table` solves every slice but stores no products: each is
+assembled the first time it is asked for and kept, with the M1/M11
+expansions of its column class memoised.  `build_table` is the same table
+filled column by column.
+
 Every structure constant is checked to be an integer and every stored product
-to be homogeneous; violations abort the build.
+to be homogeneous, whenever it is assembled; violations abort.
 """
 from __future__ import annotations
 
@@ -58,8 +63,9 @@ def _slice_coords(n: int, total: int) -> list[tuple[Index, int]]:
 class MultiplicationTable:
     """All structure constants for a given rank in the tau basis.
 
-    Immutable after construction; products are stored once per unordered
-    pair, keyed by basis position.
+    Products are stored once per unordered pair, keyed by basis position.  A
+    table that carries generator expressions assembles a missing product on
+    first request and keeps it; a loaded cache is complete and carries none.
     """
 
     def __init__(self, n: int, basis: list[Index], products: dict,
@@ -69,6 +75,7 @@ class MultiplicationTable:
         self.pos = {lam: i for i, lam in enumerate(self.basis)}
         self._products = products
         self.generator_expressions = generator_expressions
+        self._expansions: dict = {}  # class -> {(i, j): M1^i M11^j (tau[class])}
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
         lam, mu = tuple(lam), tuple(mu)
@@ -79,10 +86,37 @@ class MultiplicationTable:
         return (lam, mu) if self.pos[lam] <= self.pos[mu] else (mu, lam)
 
     def product(self, lam, mu) -> ClassVector:
-        return self._products[self._pair(lam, mu)]
+        pair = self._pair(lam, mu)
+        try:
+            return self._products[pair]
+        except KeyError:
+            prod = self._products[pair] = self._assemble(*pair)
+            return prod
+
+    def _expansion(self, mu: Index, mon: tuple[int, int]) -> dict:
+        """M1^i(M11^j(tau[mu])) as {(nu, d): coeff}, memoised per mu."""
+        h = self._expansions.get(mu)
+        if h is None:
+            h = self._expansions[mu] = {(0, 0): {(mu, 0): Fraction(1)}}
+        terms = h.get(mon)
+        if terms is None:
+            i, j = mon
+            if i:
+                terms = _apply(self.n, _tau1_raw, self._expansion(mu, (i - 1, j)))
+            else:
+                terms = _apply(self.n, _tau11_raw, self._expansion(mu, (0, j - 1)))
+            h[mon] = terms
+        return terms
+
+    def _assemble(self, lam: Index, mu: Index) -> ClassVector:
+        """tau[lam] * tau[mu] = sum_ij r_ij M1^i M11^j (tau[mu]), audited."""
+        acc = _combine(self.generator_expressions[lam],
+                       lambda mon: self._expansion(mu, mon))
+        _audit_product(self.n, lam, mu, acc)
+        return _as_vector(self.n, acc)
 
     def pairs(self):
-        """Stored (lam, mu) pairs in canonical order."""
+        """Every unordered (lam, mu) pair once, in canonical order."""
         for i, lam in enumerate(self.basis):
             for mu in self.basis[i:]:
                 yield lam, mu
@@ -91,26 +125,35 @@ class MultiplicationTable:
         return len(self._products)
 
 
-def _monomial_expansions(n: int, start: dict, up_to: int) -> dict:
-    """{(i, j): expansion of M1^i(M11^j(start))} for all i + 2j <= up_to."""
-    h = {(0, 0): start}
-    for j in range(1, up_to // 2 + 1):
-        h[(0, j)] = _apply(n, _tau11_raw, h[(0, j - 1)])
-    for j in range(0, up_to // 2 + 1):
-        for i in range(1, up_to - 2 * j + 1):
-            h[(i, j)] = _apply(n, _tau1_raw, h[(i - 1, j)])
-    return h
+def _combine(expr: dict, expansion) -> dict:
+    """sum over monomials m of expr[m] * expansion(m), zeros dropped."""
+    acc: dict = {}
+    for mon, r in expr.items():
+        for key, c in expansion(mon).items():
+            acc[key] = acc.get(key, Fraction(0)) + r * c
+    return {k: v for k, v in acc.items() if v}
 
 
-def _solve_slice(n: int, total: int, g: dict, targets: list[Index]) -> dict:
-    """Express each target class of degree `total` in the generator monomials."""
+def _as_vector(n: int, terms: dict) -> ClassVector:
+    vec: dict = {}
+    for (nu, d), c in terms.items():
+        vec.setdefault(nu, {})[d] = c
+    return ClassVector(n, {nu: QPolynomial(p) for nu, p in vec.items()})
+
+
+def _solve_slice(n: int, total: int, g, targets: list[Index]) -> dict:
+    """Express each target class of degree `total` in the generator monomials.
+
+    `g(mon)` is the expansion of the generator monomial `mon` applied to the
+    unit class.
+    """
     coords = _slice_coords(n, total)
     coord_pos = {c: i for i, c in enumerate(coords)}
     monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
 
     pivots = []  # (pivot row, reduced column, expression in original monomials)
     for mon in monomials:
-        vec = {coord_pos[key]: val for key, val in g[mon].items()}
+        vec = {coord_pos[key]: val for key, val in g(mon).items()}
         expr = {mon: Fraction(1)}
         for prow, pvec, pexpr in pivots:
             f = vec.get(prow)
@@ -162,37 +205,31 @@ def _audit_product(n: int, lam: Index, mu: Index, terms: dict):
                 f"product {lam}*{mu} has a non-integer constant {c} at {nu}, q^{d}")
 
 
+def lazy_table(n: int) -> MultiplicationTable:
+    """The multiplication table for rank n (n >= 3), products on demand.
+
+    Every graded slice is solved here, so a class outside the span of the
+    generator monomials still raises `GenerationFailure` at once.
+    """
+    check_rank(n, MIN_RING_RANK)
+    table = MultiplicationTable(n, enumerate_basis(n), {}, {})
+    unit = (0, 0)
+    for total in range(0, max_degree(n) + 1):
+        table.generator_expressions.update(_solve_slice(
+            n, total, lambda mon: table._expansion(unit, mon),
+            enumerate_degree(n, total)))
+    table._expansions.clear()
+    return table
+
+
 def build_table(n: int) -> MultiplicationTable:
     """Build the complete multiplication table for rank n (n >= 3)."""
-    check_rank(n, MIN_RING_RANK)
-    basis = enumerate_basis(n)
-    unit: dict = {((0, 0), 0): Fraction(1)}
-    g = _monomial_expansions(n, unit, max_degree(n))
-
-    gen_expr: dict = {}
-    for total in range(0, max_degree(n) + 1):
-        targets = enumerate_degree(n, total)
-        gen_expr.update(_solve_slice(n, total, g, targets))
-
-    pos = {lam: i for i, lam in enumerate(basis)}
-    products = {}
-    for mu in basis:
-        h = _monomial_expansions(n, {(tuple(mu), 0): Fraction(1)}, degree(mu))
-        for lam in basis:
-            if pos[lam] > pos[mu]:
-                continue
-            acc: dict = {}
-            for mon, r in gen_expr[lam].items():
-                for key, c in h[mon].items():
-                    acc[key] = acc.get(key, Fraction(0)) + r * c
-            acc = {k: v for k, v in acc.items() if v}
-            _audit_product(n, lam, mu, acc)
-            vec: dict = {}
-            for (nu, d), c in acc.items():
-                vec.setdefault(nu, {})[d] = c
-            products[(lam, mu)] = ClassVector(
-                n, {nu: QPolynomial(p) for nu, p in vec.items()})
-    return MultiplicationTable(n, basis, products, gen_expr)
+    table = lazy_table(n)
+    for mu in table.basis:
+        for lam in table.basis[:table.pos[mu] + 1]:
+            table.product(lam, mu)
+        table._expansions.pop(mu, None)
+    return table
 
 
 def multiply(table: MultiplicationTable, x: ClassVector, y: ClassVector) -> ClassVector:
@@ -328,22 +365,12 @@ def check_commutativity(table: MultiplicationTable) -> list:
     if table.generator_expressions is None:
         raise ValueError("commutativity recheck needs a freshly built table "
                          "(loaded caches carry no generator expressions)")
-    n = table.n
     bad = []
     for lam in table.basis:
-        h = _monomial_expansions(n, {(tuple(lam), 0): Fraction(1)}, max_degree(n))
-        for mu in table.basis:
-            if table.pos[lam] > table.pos[mu]:
-                continue
-            acc: dict = {}
-            for mon, r in table.generator_expressions[mu].items():
-                for key, c in h[mon].items():
-                    acc[key] = acc.get(key, Fraction(0)) + r * c
-            swapped: dict = {}
-            for (nu, d), c in acc.items():
-                if c:
-                    swapped.setdefault(nu, {})[d] = c
-            vec = ClassVector(n, {nu: QPolynomial(p) for nu, p in swapped.items()})
-            if vec != table.product(lam, mu):
+        for mu in table.basis[table.pos[lam]:]:
+            swapped = _combine(table.generator_expressions[mu],
+                               lambda mon: table._expansion(lam, mon))
+            if _as_vector(table.n, swapped) != table.product(lam, mu):
                 bad.append((lam, mu))
+        table._expansions.pop(lam, None)
     return bad

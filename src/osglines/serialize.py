@@ -4,10 +4,17 @@ Numbers are never floats: integers are JSON integers in the table format and
 decimal strings elsewhere; rationals are "p/q" strings.  Construction order
 of every document is canonical, so serializing the same mathematical object
 always yields identical bytes.
+
+Loading validates the document shape and turns every defect into a
+one-line `ValueError`.  Saving writes a temporary file in the target's
+directory and renames it over the target, so a reader never sees a
+half-written file, even in a shared cache directory.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from fractions import Fraction
 from importlib import resources
@@ -43,7 +50,40 @@ def _index(lam) -> list[int]:
 def _as_index(obj) -> tuple[int, int]:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"not an index pair: {obj!r}")
-    return (int(obj[0]), int(obj[1]))
+    return (_as_int(obj[0]), _as_int(obj[1]))
+
+
+def _as_int(x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"not an integer: {x!r}") from None
+
+
+def _field(obj, key: str, what: str, kind=None):
+    """obj[key], or ValueError if obj is not a dict, lacks key, or (when `kind`
+    is given) holds a value of another type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object: {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"{what} field {key!r} is not a {kind.__name__}")
+    return value
+
+
+def _write_atomic(path, text: str):
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def canonical_dumps(obj) -> str:
@@ -66,10 +106,12 @@ def class_vector_terms(v: ClassVector, *, integer: bool = False) -> list[dict]:
 
 def class_vector_from_terms(n: int, terms, *, parse=parse_rational) -> ClassVector:
     acc: dict = {}
+    if not isinstance(terms, list):
+        raise ValueError(f"terms must be a list, got {terms!r}")
     for t in terms:
-        nu = _as_index(t["nu"])
-        d = int(t["d"])
-        c = t["coeff"]
+        nu = _as_index(_field(t, "nu", "term"))
+        d = _as_int(_field(t, "d", "term"))
+        c = _field(t, "coeff", "term")
         c = Fraction(c) if isinstance(c, int) else parse(c)
         slot = acc.setdefault(nu, {})
         slot[d] = slot.get(d, Fraction(0)) + c
@@ -97,20 +139,26 @@ def table_to_dict(table: MultiplicationTable) -> dict:
 
 
 def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTable:
+    if not isinstance(data, dict):
+        raise ValueError("table document is not a JSON object")
     if data.get("version") != TABLE_FORMAT_VERSION:
         raise ValueError(f"unsupported table format version {data.get('version')!r}")
-    n = int(data["n"])
-    basis = [_as_index(b) for b in data["basis"]]
+    n = _as_int(_field(data, "n", "table"))
+    basis = [_as_index(b) for b in _field(data, "basis", "table", list)]
     expected = enumerate_basis(n)
     if basis != expected:
         raise ValueError("table basis does not match the canonical basis order")
     pos = {lam: i for i, lam in enumerate(basis)}
     products = {}
-    for entry in data["products"]:
-        lam, mu = _as_index(entry["lambda"]), _as_index(entry["mu"])
+    for entry in _field(data, "products", "table", list):
+        lam = _as_index(_field(entry, "lambda", "product"))
+        mu = _as_index(_field(entry, "mu", "product"))
+        if lam not in pos or mu not in pos:
+            raise ValueError(f"product pair {lam}, {mu} is not in the rank-{n} basis")
         if pos[lam] > pos[mu]:
             raise ValueError(f"product pair {lam}, {mu} out of canonical order")
-        products[(lam, mu)] = class_vector_from_terms(n, entry["terms"])
+        products[(lam, mu)] = class_vector_from_terms(
+            n, _field(entry, "terms", "product"))
     missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
                   if (lam, mu) not in products)
     if missing:
@@ -155,8 +203,7 @@ def revalidate_table(table: MultiplicationTable):
 
 
 def save_table(table: MultiplicationTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(table_to_dict(table)))
+    _write_atomic(path, canonical_dumps(table_to_dict(table)))
 
 
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
@@ -180,24 +227,27 @@ def spec_to_dict(spec: DeformationSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> DeformationSpec:
-    n = int(data["n"])
+    n = _as_int(_field(data, "n", "deformation spec"))
     mode = data.get("mode", MODE_PER_PAIR)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     entries = {}
-    for e in data.get("entries", []):
-        a = parse_rational(e["a"])
+    raw = data.get("entries", [])
+    if not isinstance(raw, list):
+        raise ValueError(f"spec entries must be a list, got {raw!r}")
+    for e in raw:
+        a = parse_rational(_field(e, "a", "spec entry"))
+        mu = _as_index(_field(e, "mu", "spec entry"))
         if mode == MODE_PER_PAIR:
-            key = (_as_index(e["lambda"]), _as_index(e["mu"]))
+            key = (_as_index(_field(e, "lambda", "spec entry")), mu)
         else:
-            key = _as_index(e["mu"])
+            key = mu
         entries[key] = entries.get(key, Fraction(0)) + a
     return DeformationSpec(n, mode, entries)
 
 
 def save_spec(spec: DeformationSpec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(spec_to_dict(spec)))
+    _write_atomic(path, canonical_dumps(spec_to_dict(spec)))
 
 
 def load_spec(path) -> DeformationSpec:
@@ -283,8 +333,7 @@ def certificate_from_dict(data: dict):
 
 
 def save_certificate(cert: Certificate, system: ConstraintSystem, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(certificate_to_dict(cert, system)))
+    _write_atomic(path, canonical_dumps(certificate_to_dict(cert, system)))
 
 
 def load_certificate(path):

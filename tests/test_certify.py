@@ -10,7 +10,8 @@ from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
                               build_constraints, certify_uniqueness,
                               replay_proof, verify_certificate)
 from osglines.deformation import MODE_PER_MU, MODE_PER_PAIR, pair_keys
-from osglines.ring import MultiplicationTable
+from osglines.ring import MultiplicationTable, lazy_table
+from osglines.serialize import save_certificate
 
 
 def test_unknown_inventory(table3):
@@ -222,3 +223,31 @@ def test_propagation_settles_every_unknown(table3, table4, table5):
             cert = certify_uniqueness(system)
             assert cert.stats["fm_unknowns"] == 0
             assert cert.stats["propagated_unknowns"] == len(system.unknowns)
+
+
+def test_lazy_table_gives_identical_proofs(tmp_path, table3, table4, table5, table6):
+    for eager in (table3, table4, table5, table6):
+        lazy = lazy_table(eager.n)
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            systems = [build_constraints(lazy, mode), build_constraints(eager, mode)]
+            assert systems[0] == systems[1]
+            dumps = []
+            for side, system in zip(("lazy", "eager"), systems):
+                path = tmp_path / f"{side}-{eager.n}-{mode}.json"
+                save_certificate(certify_uniqueness(system), system, path)
+                dumps.append(path.read_bytes())
+            assert dumps[0] == dumps[1]
+        fast, full = replay_proof(lazy), replay_proof(eager)
+        assert fast.steps == full.steps
+        assert fast.resolutions == full.resolutions
+        assert fast.conclusion == full.conclusion == CONCLUSION_UNIQUE_ZERO
+
+
+def test_certify_touches_few_products():
+    lazy = lazy_table(6)
+    system = build_constraints(lazy, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    assert cert.conclusion == CONCLUSION_UNIQUE_ZERO
+    assert verify_certificate(system, cert)
+    pairs = len(lazy.basis) * (len(lazy.basis) + 1) // 2
+    assert 0 < lazy.stored_products() < pairs

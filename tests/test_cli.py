@@ -186,3 +186,46 @@ def test_emit_certificate_requires_fm(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--n", "3", "--method", "replay",
                        "--emit-certificate", str(tmp_path / "c.json"))
     assert code == 2 and "fm method" in err
+
+
+def test_certify_large_rank(capsys, cli_schema):
+    code, doc = run_json(capsys, cli_schema, "certify", "--n", "10",
+                         "--method", "both")
+    assert code == 0 and doc["agree"] is True
+    assert [r["conclusion"] for r in doc["results"]] == ["UniqueZero"] * 2
+
+
+def _drop_product_lambda(doc):
+    doc["products"][3]["lambda"] = [9, 9]
+
+
+def _drop_term_nu(doc):
+    del doc["products"][5]["terms"][0]["nu"]
+
+
+def _drop_table_n(doc):
+    del doc["n"]
+
+
+def _drop_spec_mu(doc):
+    del doc["entries"][0]["mu"]
+
+
+@pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
+                                    _drop_table_n, _drop_spec_mu])
+def test_malformed_input_exits_two(capsys, tmp_path, mutate):
+    path = tmp_path / "doc.json"
+    if mutate is _drop_spec_mu:
+        serialize.save_spec(DeformationSpec(3, MODE_PER_PAIR,
+                                            {((5, 1), (0, 0)): 1}), path)
+        argv = ["check-positivity", "--n", "3", "--spec", str(path)]
+    else:
+        run(capsys, "table", "--n", "3", "--out", str(path))
+        argv = ["table", "--n", "3", "--load", str(path)]
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

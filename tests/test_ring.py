@@ -9,8 +9,8 @@ from osglines.basis import degree, enumerate_degree, max_degree
 from osglines.pieri import pieri_tau1, pieri_tau11
 from osglines.ring import (IDENTITY_PARTS, build_table,
                            check_commutativity, diagonal_power, gw_constant,
-                           has_negative_constant, multiply, poincare_pairing,
-                           verify_identities)
+                           has_negative_constant, lazy_table, multiply,
+                           poincare_pairing, verify_identities)
 
 
 def basis_vec(n, lam):
@@ -203,3 +203,25 @@ def test_table_round_trip_and_revalidation(tmp_path, table3):
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         serialize.load_table(bad, revalidate=True)
+
+
+def test_lazy_table_matches_eager(table3, table4, table5, table6):
+    for eager in (table3, table4, table5, table6):
+        lazy = lazy_table(eager.n)
+        assert lazy.stored_products() == 0
+        assert lazy.basis == eager.basis
+        assert lazy.generator_expressions == eager.generator_expressions
+        # ask in the opposite factor order: the table canonicalises the pair
+        for lam, mu in eager.pairs():
+            assert lazy.product(mu, lam) == eager.product(lam, mu), (lam, mu)
+        assert lazy.stored_products() == eager.stored_products()
+
+
+def test_lazy_table_audits_on_demand():
+    lazy = lazy_table(4)
+    lazy.generator_expressions[(1, 1)] = {
+        mon: r / 2 for mon, r in lazy.generator_expressions[(1, 1)].items()}
+    assert lazy.product((1, 0), (3, 0)) == pieri_tau1(4, (3, 0))
+    with pytest.raises(RuntimeError, match="non-integer"):
+        lazy.product((3, 0), (1, 1))
+    assert lazy.stored_products() == 1

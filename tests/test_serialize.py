@@ -56,3 +56,30 @@ def test_table_requires_known_version(tmp_path, table3):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="version"):
         serialize.load_table(path)
+
+
+@pytest.mark.parametrize("kind", ["table", "spec", "certificate"])
+def test_failed_save_leaves_target_intact(tmp_path, monkeypatch, table3, kind):
+    target = tmp_path / "shared.json"
+    target.write_text("previous contents\n")
+    if kind == "table":
+        save = lambda: serialize.save_table(table3, target)
+    elif kind == "spec":
+        save = lambda: serialize.save_spec(DeformationSpec.zero(3), target)
+    else:
+        system = build_constraints(table3, MODE_PER_PAIR)
+        cert = certify_uniqueness(system)
+        save = lambda: serialize.save_certificate(cert, system, target)
+
+    def fail(src, dst):
+        raise OSError("simulated failure while replacing the target")
+
+    monkeypatch.setattr(serialize.os, "replace", fail)
+    with pytest.raises(OSError, match="simulated"):
+        save()
+    assert target.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
+    monkeypatch.undo()
+    save()
+    assert target.read_text() != "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
