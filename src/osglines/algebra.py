@@ -1,11 +1,16 @@
-"""Exact coefficient arithmetic: q-polynomials, class vectors, affine forms.
+"""Exact coefficient arithmetic: class vectors, q-polynomials, affine forms.
+
+A `ClassVector` is one flat map {(index, q-exponent): coefficient}, the same
+shape the ring builds its products in, so a product is wrapped without being
+copied or regrouped.  `QPolynomial` is the type for a single q-coefficient:
+constructor input to `ClassVector` and the factor of `scale_poly`.
 
 Everything is over the rationals (`fractions.Fraction`); there is no floating
-point anywhere.  Coefficients of `QPolynomial` and `ClassVector` may also be
-`AffineExpression` values, which is how symbolic computations with unknown
-deformation coefficients are carried out.  Multiplying two expressions that
-both contain unknowns raises `QuadraticTermError`: nothing in this package is
-allowed to leave the affine world.
+point anywhere.  Coefficients may also be `AffineExpression` values, which is
+how symbolic computations with unknown deformation coefficients are carried
+out.  Multiplying two expressions that both contain unknowns raises
+`QuadraticTermError`: nothing in this package is allowed to leave the affine
+world.
 """
 from __future__ import annotations
 
@@ -29,12 +34,9 @@ def as_coeff(x):
     raise TypeError(f"not an exact coefficient: {x!r}")
 
 
-def _coeff_mul(a, b):
-    if isinstance(a, AffineExpression) or isinstance(b, AffineExpression):
-        if isinstance(a, AffineExpression):
-            return a * b
-        return b * a
-    return a * b
+def _check_exponent(d):
+    if not isinstance(d, int) or d < 0:
+        raise ValueError(f"q-exponent must be a nonnegative integer, got {d!r}")
 
 
 class AffineExpression:
@@ -134,8 +136,7 @@ class QPolynomial:
     def __init__(self, coeffs=None):
         c = {}
         for d, v in (coeffs or {}).items():
-            if not isinstance(d, int) or d < 0:
-                raise ValueError(f"q-exponent must be a nonnegative integer, got {d!r}")
+            _check_exponent(d)
             v = as_coeff(v)
             if v:
                 c[d] = v
@@ -158,13 +159,6 @@ class QPolynomial:
 
     def coefficient(self, d: int):
         return self._c.get(d, Fraction(0))
-
-    def max_exponent(self) -> int:
-        """Largest exponent with a nonzero coefficient (-1 for the zero polynomial)."""
-        return max(self._c) if self._c else -1
-
-    def shifted(self, k: int) -> "QPolynomial":
-        return QPolynomial({d + k: v for d, v in self._c.items()})
 
     def __bool__(self):
         return bool(self._c)
@@ -201,10 +195,10 @@ class QPolynomial:
             for d1, v1 in self._c.items():
                 for d2, v2 in other._c.items():
                     d = d1 + d2
-                    c[d] = c.get(d, Fraction(0)) + _coeff_mul(v1, v2)
+                    c[d] = c.get(d, Fraction(0)) + v1 * v2
             return QPolynomial(c)
         other = as_coeff(other)
-        return QPolynomial({d: _coeff_mul(v, other) for d, v in self._c.items()})
+        return QPolynomial({d: v * other for d, v in self._c.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -220,22 +214,40 @@ class QPolynomial:
 
 
 class ClassVector:
-    """Finitely supported combination of basis classes with QPolynomial coefficients."""
+    """Finitely supported combination of basis classes times powers of q.
 
-    __slots__ = ("n", "_t")
+    Stored as one flat dict `flat` mapping (index, q-exponent) to a nonzero
+    coefficient; treat it as read-only.  The constructor takes
+    {index: QPolynomial} and validates both indices and exponents.
+    """
+
+    __slots__ = ("n", "flat")
 
     def __init__(self, n: int, terms=None):
-        t = {}
+        flat = {}
         for lam, poly in (terms or {}).items():
             lam = (int(lam[0]), int(lam[1]))
             if not is_valid(n, lam):
                 raise ValueError(f"index {lam} is not valid for rank {n}")
             if not isinstance(poly, QPolynomial):
                 poly = QPolynomial(poly)
-            if poly:
-                t[lam] = poly
+            for d, c in poly._c.items():
+                flat[(lam, d)] = c
         self.n = n
-        self._t = t
+        self.flat = flat
+
+    @classmethod
+    def _wrap(cls, n: int, flat: dict) -> "ClassVector":
+        """Wrap `flat` as it is, without copying or checking it.
+
+        Only for dicts whose every index passed `is_valid(n, index)`, whose
+        exponents are nonnegative integers and whose coefficients are nonzero
+        exact coefficients; the vector takes ownership of the dict.
+        """
+        vec = cls.__new__(cls)
+        vec.n = n
+        vec.flat = flat
+        return vec
 
     @classmethod
     def zero(cls, n: int) -> "ClassVector":
@@ -252,44 +264,38 @@ class ClassVector:
         Index pairs outside the valid set contribute nothing; the expansion
         formulas rely on this zero convention.
         """
-        acc: dict[Index, dict[int, object]] = {}
+        acc: dict = {}
         for lam, coeff, d in terms:
             lam = (int(lam[0]), int(lam[1]))
             if not is_valid(n, lam):
                 continue
-            poly = acc.setdefault(lam, {})
-            poly[d] = poly.get(d, Fraction(0)) + as_coeff(coeff)
-        return cls(n, {lam: QPolynomial(p) for lam, p in acc.items()})
-
-    def items(self):
-        return sorted(self._t.items(), key=lambda kv: index_sort_key(kv[0]))
+            _check_exponent(d)
+            key = (lam, d)
+            acc[key] = acc.get(key, Fraction(0)) + as_coeff(coeff)
+        return cls._wrap(n, {k: v for k, v in acc.items() if v})
 
     def flat_items(self):
         """(index, q-exponent, coefficient) triples in canonical order."""
-        for lam, poly in self.items():
-            for d, c in poly.items():
-                yield lam, d, c
+        for (lam, d), c in sorted(self.flat.items(),
+                                  key=lambda kv: (index_sort_key(kv[0][0]), kv[0][1])):
+            yield lam, d, c
 
     def coefficient(self, lam, d: int):
-        poly = self._t.get(tuple(lam))
-        return poly.coefficient(d) if poly is not None else Fraction(0)
-
-    def support(self):
-        return set(self._t)
+        return self.flat.get((tuple(lam), d), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not self.flat
 
     def __bool__(self):
-        return bool(self._t)
+        return bool(self.flat)
 
     def __eq__(self, other):
         if not isinstance(other, ClassVector):
             return NotImplemented
-        return self.n == other.n and self._t == other._t
+        return self.n == other.n and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self.n, frozenset((k, v) for k, v in self._t.items())))
+        return hash((self.n, frozenset(self.flat.items())))
 
     def _check_rank(self, other: "ClassVector"):
         if self.n != other.n:
@@ -299,13 +305,13 @@ class ClassVector:
         if not isinstance(other, ClassVector):
             return NotImplemented
         self._check_rank(other)
-        t = dict(self._t)
-        for lam, poly in other._t.items():
-            t[lam] = t[lam] + poly if lam in t else poly
-        return ClassVector(self.n, t)
+        flat = dict(self.flat)
+        for key, c in other.flat.items():
+            flat[key] = flat.get(key, Fraction(0)) + c
+        return ClassVector._wrap(self.n, {k: c for k, c in flat.items() if c})
 
     def __neg__(self):
-        return ClassVector(self.n, {lam: -p for lam, p in self._t.items()})
+        return ClassVector._wrap(self.n, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ClassVector):
@@ -313,28 +319,26 @@ class ClassVector:
         return self + (-other)
 
     def scale(self, coeff) -> "ClassVector":
-        coeff = as_coeff(coeff)
-        return ClassVector(self.n, {lam: p * coeff for lam, p in self._t.items()})
+        return self.scale_poly(QPolynomial.constant(coeff))
 
     def scale_poly(self, poly: QPolynomial) -> "ClassVector":
-        return ClassVector(self.n, {lam: p * poly for lam, p in self._t.items()})
+        acc: dict = {}
+        for (lam, d), c in self.flat.items():
+            for e, p in poly._c.items():
+                key = (lam, d + e)
+                acc[key] = acc.get(key, Fraction(0)) + c * p
+        return ClassVector._wrap(self.n, {k: c for k, c in acc.items() if c})
 
     def homogeneous_degree(self):
         """Common value of degree(index) + 2n*q_exponent, or None if mixed or zero."""
-        deg = None
-        for lam, d, _ in self.flat_items():
-            total = degree(lam) + 2 * self.n * d
-            if deg is None:
-                deg = total
-            elif deg != total:
-                return None
-        return deg
+        degrees = {degree(lam) + 2 * self.n * d for lam, d in self.flat}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def max_q_exponent(self) -> int:
-        return max((p.max_exponent() for p in self._t.values()), default=-1)
+        return max((d for _, d in self.flat), default=-1)
 
     def __repr__(self):
-        if not self._t:
+        if not self.flat:
             return "0"
         parts = []
         for lam, d, c in self.flat_items():

@@ -471,10 +471,6 @@ def _symbolic_sigma(spec, lam, zeroed) -> ClassVector:
     return vec
 
 
-def _expect(n, terms) -> ClassVector:
-    return ClassVector.from_terms(n, terms)
-
-
 def _unknown(key) -> AffineExpression:
     return AffineExpression.unknown(key)
 
@@ -517,10 +513,10 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     # multiplier powers of tau[1,1]
     powers = {t: diagonal_power(table, t) for t in range(0, n)}
     for t in range(1, n - 1):
-        check("diagonal-power", t, powers[t], _expect(n, [((t, t), 1, 0)]),
-              [])
+        check("diagonal-power", t, powers[t],
+              ClassVector.from_terms(n, [((t, t), 1, 0)]), [])
     check("diagonal-power", n - 1, powers[n - 1],
-          _expect(n, [((n, n - 2), 1, 0)]), [])
+          ClassVector.from_terms(n, [((n, n - 2), 1, 0)]), [])
 
     def settle_degree(d_lam):
         """Combine the recorded sign facts for all unknowns of one degree."""
@@ -552,12 +548,13 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
         sig = _symbolic_sigma(spec, lam, zeroed)
         engine = to_sigma(spec, multiply(table, powers[t], sig))
         if lam[0] >= n + 2:
-            expected = _expect(n, [((lam[1] + t, 0), 1, 1),
-                                   ((t, t), -_unknown(a_key), 1)])
+            expected = ClassVector.from_terms(n, [((lam[1] + t, 0), 1, 1),
+                                                  ((t, t), -_unknown(a_key), 1)])
             check("collapse-upper", lam, engine, expected, [("nonpos", a_key)])
         else:
-            expected = _expect(n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1),
-                                   ((n, n - 2), -_unknown(a_key), 1)])
+            expected = ClassVector.from_terms(
+                n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1),
+                    ((n, n - 2), -_unknown(a_key), 1)])
             check("near-diagonal-upper", lam, engine, expected, [("nonpos", a_key)])
         nonpos.add(a_key)
 
@@ -567,7 +564,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
         a_key = (lam, (0, 0))
         engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
                                          _symbolic_sigma(spec, pred, zeroed)))
-        expected = _expect(n, [(lam, 1, 0), ((0, 0), _unknown(a_key), 1)])
+        expected = ClassVector.from_terms(n, [(lam, 1, 0), ((0, 0), _unknown(a_key), 1)])
         check("pieri-lower", lam, engine, expected, [("nonneg", a_key)])
         nonneg.add(a_key)
 
@@ -581,8 +578,8 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
             kappas = enumerate_degree(n, d_lam - 2 * n)
             engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
                                              _symbolic_sigma(spec, pred, zeroed)))
-            expected = _expect(n, [(lam, 1, 0)] +
-                               [(kap, _unknown((lam, kap)), 1) for kap in kappas])
+            expected = ClassVector.from_terms(
+                n, [(lam, 1, 0)] + [(kap, _unknown((lam, kap)), 1) for kap in kappas])
             check("pieri-lower", lam, engine, expected,
                   [("nonneg", (lam, kap)) for kap in kappas])
             nonneg.update((lam, kap) for kap in kappas)
@@ -620,7 +617,8 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
                                   -(_unknown(b[i]) + _unknown(b[i + 1])), 1))
                     deductions.append(("pair-nonpos", b[i], b[i + 1]))
                     pair_sums.append((b[i], b[i + 1]))
-            check("pair-upper", lam, engine, _expect(n, terms), deductions)
+            check("pair-upper", lam, engine, ClassVector.from_terms(n, terms),
+                  deductions)
         if not settle_degree(d_lam):
             raise MismatchError("conclusion", f"degree {d_lam} unknowns not all settled")
 

@@ -33,7 +33,7 @@ from .expr import ExpressionSyntaxError, evaluate_expression, parse_expression
 from .pieri import pieri_tau1, pieri_tau11
 from .ring import (IDENTITY_PARTS, build_table, check_commutativity,
                    gw_constant, has_negative_constant, lazy_table, multiply,
-                   poincare_pairing, verify_identities)
+                   pairing_rank, verify_identities)
 from . import serialize
 
 SUITES = ("identities", "assoc", "pairing", "betti", "negativity")
@@ -107,10 +107,6 @@ def _emit(args, payload: dict, text_lines, latex: str):
             sys.stdout.write(line + "\n")
 
 
-def _vector_payload(v: ClassVector):
-    return serialize.class_vector_terms(v)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -133,7 +129,7 @@ def _cmd_mult(args):
     ast = parse_expression(args.expression)
     result = evaluate_expression(ast, table)
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
-               "terms": _vector_payload(result)}
+               "terms": serialize.class_vector_terms(result)}
     _emit(args, payload, [render_vector_text(result)], render_vector_latex(result))
     return 0
 
@@ -142,7 +138,8 @@ def _cmd_pieri(args):
     fn = pieri_tau1 if args.cls == "1" else pieri_tau11
     result = fn(args.n, args.with_index)
     payload = {"command": "pieri", "n": args.n, "class": args.cls,
-               "with": list(args.with_index), "terms": _vector_payload(result)}
+               "with": list(args.with_index),
+               "terms": serialize.class_vector_terms(result)}
     _emit(args, payload, [render_vector_text(result)], render_vector_latex(result))
     return 0
 
@@ -189,10 +186,7 @@ def _suite_checks(args, table):
         for d in range(0, max_degree(n) + 1):
             rows = enumerate_degree(n, d)
             cols = enumerate_degree(n, max_degree(n) - d)
-            square = len(rows) == len(cols)
-            full = square and _rank(
-                [[poincare_pairing(table, r, c) for c in cols] for r in rows]
-            ) == len(rows)
+            full = len(rows) == len(cols) == pairing_rank(table, rows, cols)
             checks.append({"name": f"pairing-degree-{d}", "passed": full,
                            "detail": f"{len(rows)}x{len(cols)}"})
     elif args.suite == "betti":
@@ -230,25 +224,6 @@ def _suite_checks(args, table):
         checks.append({"name": "special-rows-nonnegative", "passed": clean,
                        "detail": "tau[1,0] and tau[1,1] rows"})
     return checks
-
-
-def _rank(matrix) -> int:
-    m = [row[:] for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def _cmd_verify(args):

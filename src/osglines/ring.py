@@ -23,16 +23,17 @@ filled column by column.
 
 Every structure constant is checked to be an integer and every stored product
 to be homogeneous, whenever it is assembled; violations abort.
+`revalidate_table` runs the same check on a table loaded from a cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ClassVector, QPolynomial
+from .algebra import ClassVector
 from .basis import (Index, check_rank, degree, enumerate_basis, enumerate_degree,
                     is_valid, max_degree, top_class, MIN_RING_RANK)
-from .pieri import _tau1_raw, _tau11_raw
+from .pieri import _tau1_raw, _tau11_raw, pieri_tau1, pieri_tau11
 
 
 class GenerationFailure(RuntimeError):
@@ -112,8 +113,10 @@ class MultiplicationTable:
         """tau[lam] * tau[mu] = sum_ij r_ij M1^i M11^j (tau[mu]), audited."""
         acc = _combine(self.generator_expressions[lam],
                        lambda mon: self._expansion(mu, mon))
-        _audit_product(self.n, lam, mu, acc)
-        return _as_vector(self.n, acc)
+        defect = _product_defect(self.n, lam, mu, acc)
+        if defect:
+            raise RuntimeError(defect)
+        return ClassVector._wrap(self.n, acc)
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -134,11 +137,41 @@ def _combine(expr: dict, expansion) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def _as_vector(n: int, terms: dict) -> ClassVector:
-    vec: dict = {}
-    for (nu, d), c in terms.items():
-        vec.setdefault(nu, {})[d] = c
-    return ClassVector(n, {nu: QPolynomial(p) for nu, p in vec.items()})
+def _reduce(vec: dict, pivots) -> tuple[dict, dict]:
+    """Reduce the sparse vector `vec` against `pivots`, in order: the residual,
+    zeros dropped, and the combination of pivot expressions subtracted."""
+    vec = dict(vec)
+    combo: dict = {}
+    for prow, pvec, pexpr in pivots:
+        f = vec.get(prow)
+        if not f:
+            continue
+        for r, v in pvec.items():
+            vec[r] = vec.get(r, Fraction(0)) - f * v
+        for m, v in pexpr.items():
+            combo[m] = combo.get(m, Fraction(0)) + f * v
+    return {r: v for r, v in vec.items() if v}, combo
+
+
+def _pivots(vectors) -> list:
+    """Exact sparse Gaussian elimination; the number of pivots is the rank.
+
+    `vectors` yields (label, {row: value}) pairs with distinct labels.  A
+    nonzero residual becomes a pivot: its lowest row, the residual scaled to 1
+    there, and its expression in the labels.
+    """
+    pivots = []  # (pivot row, reduced vector, expression in the labels)
+    for label, vec in vectors:
+        vec, combo = _reduce(vec, pivots)
+        if not vec:
+            continue
+        expr = {label: Fraction(1), **{m: -v for m, v in combo.items()}}
+        prow = min(vec)
+        scale = Fraction(1) / vec[prow]
+        pivots.append((prow,
+                       {r: v * scale for r, v in vec.items()},
+                       {m: v * scale for m, v in expr.items() if v * scale}))
+    return pivots
 
 
 def _solve_slice(n: int, total: int, g, targets: list[Index]) -> dict:
@@ -147,62 +180,29 @@ def _solve_slice(n: int, total: int, g, targets: list[Index]) -> dict:
     `g(mon)` is the expansion of the generator monomial `mon` applied to the
     unit class.
     """
-    coords = _slice_coords(n, total)
-    coord_pos = {c: i for i, c in enumerate(coords)}
+    coord_pos = {c: i for i, c in enumerate(_slice_coords(n, total))}
     monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
-
-    pivots = []  # (pivot row, reduced column, expression in original monomials)
-    for mon in monomials:
-        vec = {coord_pos[key]: val for key, val in g(mon).items()}
-        expr = {mon: Fraction(1)}
-        for prow, pvec, pexpr in pivots:
-            f = vec.get(prow)
-            if f:
-                for r, v in pvec.items():
-                    vec[r] = vec.get(r, Fraction(0)) - f * v
-                    if not vec[r]:
-                        del vec[r]
-                for m, v in pexpr.items():
-                    expr[m] = expr.get(m, Fraction(0)) - f * v
-        vec = {r: v for r, v in vec.items() if v}
-        if not vec:
-            continue
-        prow = min(vec)
-        scale = Fraction(1) / vec[prow]
-        pivots.append((prow,
-                       {r: v * scale for r, v in vec.items()},
-                       {m: v * scale for m, v in expr.items() if v * scale}))
-
+    pivots = _pivots((mon, {coord_pos[key]: val for key, val in g(mon).items()})
+                     for mon in monomials)
     out = {}
     for lam in targets:
-        t = {coord_pos[(lam, 0)]: Fraction(1)}
-        r: dict = {}
-        for prow, pvec, pexpr in pivots:
-            f = t.get(prow)
-            if not f:
-                continue
-            for row, v in pvec.items():
-                t[row] = t.get(row, Fraction(0)) - f * v
-                if not t[row]:
-                    del t[row]
-            for m, v in pexpr.items():
-                r[m] = r.get(m, Fraction(0)) + f * v
-        if any(t.values()):
+        residual, r = _reduce({coord_pos[(lam, 0)]: Fraction(1)}, pivots)
+        if residual:
             raise GenerationFailure(
                 f"class {lam} (rank {n}) is not generated by the special classes")
         out[lam] = {m: v for m, v in r.items() if v}
     return out
 
 
-def _audit_product(n: int, lam: Index, mu: Index, terms: dict):
+def _product_defect(n: int, lam: Index, mu: Index, terms: dict):
+    """The first grading or integrality defect of lam * mu, or None."""
     want = degree(lam) + degree(mu)
     for (nu, d), c in terms.items():
         if degree(nu) + 2 * n * d != want:
-            raise RuntimeError(
-                f"product {lam}*{mu} has an inhomogeneous term {nu}, q^{d}")
+            return f"product {lam}*{mu} has an inhomogeneous term {nu}, q^{d}"
         if c.denominator != 1:
-            raise RuntimeError(
-                f"product {lam}*{mu} has a non-integer constant {c} at {nu}, q^{d}")
+            return f"product {lam}*{mu} has a non-integer constant {c} at {nu}, q^{d}"
+    return None
 
 
 def lazy_table(n: int) -> MultiplicationTable:
@@ -232,15 +232,44 @@ def build_table(n: int) -> MultiplicationTable:
     return table
 
 
+def revalidate_table(table: MultiplicationTable):
+    """Full invariant audit of a loaded table; raises ValueError on defects.
+
+    Checks grading, integrality, the unit law, and the two special-class
+    columns directly, then rebuilds the table from scratch and compares every
+    product, which catches arbitrary tampering.
+    """
+    n = table.n
+    for lam, mu in table.pairs():
+        defect = _product_defect(n, lam, mu, table.product(lam, mu).flat)
+        if defect:
+            raise ValueError(defect)
+    for lam in table.basis:
+        if table.product((0, 0), lam) != ClassVector.basis(n, lam):
+            raise ValueError(f"unit law fails at {lam}")
+        if table.product((1, 0), lam) != pieri_tau1(n, lam):
+            raise ValueError(f"tau[1,0] column disagrees with the rule at {lam}")
+        if table.product((1, 1), lam) != pieri_tau11(n, lam):
+            raise ValueError(f"tau[1,1] column disagrees with the rule at {lam}")
+    rebuilt = build_table(n)
+    for lam, mu in table.pairs():
+        if table.product(lam, mu) != rebuilt.product(lam, mu):
+            raise ValueError(f"cached product {lam}*{mu} disagrees with a "
+                             f"fresh rebuild")
+
+
 def multiply(table: MultiplicationTable, x: ClassVector, y: ClassVector) -> ClassVector:
     """Bilinear extension of the table; q-coefficients multiply through."""
     if x.n != table.n or y.n != table.n:
         raise ValueError("rank mismatch between table and operands")
-    out = ClassVector.zero(table.n)
-    for nu1, p1 in x.items():
-        for nu2, p2 in y.items():
-            out = out + table.product(nu1, nu2).scale_poly(p1 * p2)
-    return out
+    acc: dict = {}
+    for (nu1, d1), c1 in x.flat.items():
+        for (nu2, d2), c2 in y.flat.items():
+            c12 = c1 * c2
+            for (nu, d), c in table.product(nu1, nu2).flat.items():
+                key = (nu, d + d1 + d2)
+                acc[key] = acc.get(key, Fraction(0)) + c12 * c
+    return ClassVector._wrap(table.n, {k: v for k, v in acc.items() if v})
 
 
 def gw_constant(table: MultiplicationTable, lam, mu, nu, d: int) -> Fraction:
@@ -256,6 +285,13 @@ def gw_constant(table: MultiplicationTable, lam, mu, nu, d: int) -> Fraction:
 def poincare_pairing(table: MultiplicationTable, lam, mu) -> Fraction:
     """Coefficient of the top class in the classical part of tau[lam] * tau[mu]."""
     return table.product(lam, mu).coefficient(top_class(table.n), 0)
+
+
+def pairing_rank(table: MultiplicationTable, rows, cols) -> int:
+    """Rank of the matrix of Poincare pairings of `rows` against `cols`."""
+    return len(_pivots(
+        (lam, {j: poincare_pairing(table, lam, mu) for j, mu in enumerate(cols)})
+        for lam in rows))
 
 
 def has_negative_constant(table: MultiplicationTable):
@@ -288,10 +324,6 @@ class IdentityCheck:
     counterexamples: list = field(default_factory=list)
 
 
-def _expected(n, terms) -> ClassVector:
-    return ClassVector.from_terms(n, terms)
-
-
 def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
     """Exhaustively check one family of product identities for powers of tau[1,1].
 
@@ -321,9 +353,11 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
 
     if part == "diagonal-power":
         for t in range(1, n - 1):
-            record({"t": t}, powers[t], _expected(n, [((t, t), 1, 0)]))
+            record({"t": t}, powers[t],
+                   ClassVector.from_terms(n, [((t, t), 1, 0)]))
     elif part == "top-power":
-        record({"t": n - 1}, powers[n - 1], _expected(n, [((n, n - 2), 1, 0)]))
+        record({"t": n - 1}, powers[n - 1],
+               ClassVector.from_terms(n, [((n, n - 2), 1, 0)]))
     elif part in ("collapse", "collapse-boundary"):
         boundary = part == "collapse-boundary"
         for lam in enumerate_basis(n):
@@ -334,9 +368,10 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
                 continue
             got = multiply(table, powers[t], ClassVector.basis(n, lam))
             if boundary:
-                want = _expected(n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)])
+                want = ClassVector.from_terms(
+                    n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)])
             else:
-                want = _expected(n, [((lam[1] + t, 0), 1, 1)])
+                want = ClassVector.from_terms(n, [((lam[1] + t, 0), 1, 1)])
             record({"lambda": lam, "t": t}, got, want)
     else:
         boundary = part == "shift-boundary"
@@ -350,7 +385,7 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
                 terms = [((mu[0] + t, mu[1] + t), 1, 0)]
                 if boundary:
                     terms.append(((mu[0] + t + 1, mu[1] + t - 1), 1, 0))
-                record({"mu": mu, "t": t}, got, _expected(n, terms))
+                record({"mu": mu, "t": t}, got, ClassVector.from_terms(n, terms))
     return IdentityCheck(part, not bad, checked, bad)
 
 
@@ -370,7 +405,7 @@ def check_commutativity(table: MultiplicationTable) -> list:
         for mu in table.basis[table.pos[lam]:]:
             swapped = _combine(table.generator_expressions[mu],
                                lambda mon: table._expansion(lam, mon))
-            if _as_vector(table.n, swapped) != table.product(lam, mu):
+            if swapped != table.product(lam, mu).flat:
                 bad.append((lam, mu))
         table._expansions.pop(lam, None)
     return bad

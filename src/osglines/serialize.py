@@ -19,13 +19,11 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import ClassVector, QPolynomial
+from .algebra import AffineExpression, ClassVector, QPolynomial
 from .basis import enumerate_basis
-from .algebra import AffineExpression
 from .certify import Certificate, BoundProof, ConstraintSystem
 from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
-from .pieri import pieri_tau1, pieri_tau11
-from .ring import MultiplicationTable
+from .ring import MultiplicationTable, revalidate_table
 
 TABLE_FORMAT_VERSION = 1
 
@@ -169,39 +167,6 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
     return table
 
 
-def revalidate_table(table: MultiplicationTable):
-    """Full invariant audit of a loaded table; raises ValueError on defects.
-
-    Checks grading, integrality, the unit law, and the two special-class
-    columns directly, then rebuilds the table from scratch and compares every
-    product, which catches arbitrary tampering.
-    """
-    n = table.n
-    from .basis import degree
-    from .ring import build_table
-    unit = (0, 0)
-    for lam, mu in table.pairs():
-        prod = table.product(lam, mu)
-        want = degree(lam) + degree(mu)
-        for nu, d, c in prod.flat_items():
-            if degree(nu) + 2 * n * d != want:
-                raise ValueError(f"inhomogeneous product {lam}*{mu}")
-            if Fraction(c).denominator != 1:
-                raise ValueError(f"non-integer constant in {lam}*{mu}")
-    for lam in table.basis:
-        if table.product(unit, lam) != ClassVector.basis(n, lam):
-            raise ValueError(f"unit law fails at {lam}")
-        if table.product((1, 0), lam) != pieri_tau1(n, lam):
-            raise ValueError(f"tau[1,0] column disagrees with the rule at {lam}")
-        if table.product((1, 1), lam) != pieri_tau11(n, lam):
-            raise ValueError(f"tau[1,1] column disagrees with the rule at {lam}")
-    rebuilt = build_table(n)
-    for lam, mu in table.pairs():
-        if table.product(lam, mu) != rebuilt.product(lam, mu):
-            raise ValueError(f"cached product {lam}*{mu} disagrees with a "
-                             f"fresh rebuild")
-
-
 def save_table(table: MultiplicationTable, path):
     _write_atomic(path, canonical_dumps(table_to_dict(table)))
 
@@ -266,9 +231,18 @@ def _unknown_to_json(mode: str, key) -> dict:
 
 
 def _unknown_from_json(mode: str, obj):
+    mu = _as_index(_field(obj, "mu", "unknown"))
     if mode == MODE_PER_PAIR:
-        return (_as_index(obj["lambda"]), _as_index(obj["mu"]))
-    return _as_index(obj["mu"])
+        return (_as_index(_field(obj, "lambda", "unknown")), mu)
+    return mu
+
+
+def _entry(obj, key: str, what: str, items):
+    """items[obj[key]], or ValueError if obj[key] is not a position in items."""
+    i = _as_int(_field(obj, key, what))
+    if not 0 <= i < len(items):
+        raise ValueError(f"{what} field {key!r} is {i}, outside 0..{len(items) - 1}")
+    return items[i]
 
 
 def certificate_to_dict(cert: Certificate, system: ConstraintSystem) -> dict:
@@ -306,29 +280,42 @@ def certificate_to_dict(cert: Certificate, system: ConstraintSystem) -> dict:
 
 def certificate_from_dict(data: dict):
     """Rebuild (certificate, constraint system) from a self-contained dump."""
-    n = int(data["n"])
-    mode = data["mode"]
-    unknowns = tuple(_unknown_from_json(mode, u) for u in data["unknowns"])
+    n = _as_int(_field(data, "n", "certificate"))
+    mode = _field(data, "mode", "certificate")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    unknowns = tuple(_unknown_from_json(mode, u)
+                     for u in _field(data, "unknowns", "certificate", list))
     constraints = []
     provenance = []
-    for c in data["constraint_dump"]:
-        linear = {unknowns[t["unknown"]]: parse_rational(t["coeff"])
-                  for t in c["terms"]}
-        constraints.append(AffineExpression(parse_rational(c["constant"]), linear))
-        p = c["provenance"]
-        provenance.append((_as_index(p["mu"]), _as_index(p["nu"]), int(p["d"])))
+    for c in _field(data, "constraint_dump", "certificate", list):
+        linear = {_entry(t, "unknown", "constraint term", unknowns):
+                  parse_rational(_field(t, "coeff", "constraint term"))
+                  for t in _field(c, "terms", "constraint", list)}
+        constraints.append(AffineExpression(
+            parse_rational(_field(c, "constant", "constraint")), linear))
+        p = _field(c, "provenance", "constraint")
+        provenance.append((_as_index(_field(p, "mu", "provenance")),
+                           _as_index(_field(p, "nu", "provenance")),
+                           _as_int(_field(p, "d", "provenance"))))
     system = ConstraintSystem(n, mode, unknowns, tuple(constraints), tuple(provenance))
     bounds = tuple(
-        BoundProof(unknowns[b["unknown"]], b["direction"],
-                   tuple((w["constraint"], parse_rational(w["weight"]))
-                         for w in b["weights"]))
-        for b in data["bounds"])
-    witness = None
-    if data.get("witness") is not None:
-        witness = {unknowns[w["unknown"]]: parse_rational(w["value"])
-                   for w in data["witness"]}
-    cert = Certificate(n, mode, data["conclusion"], unknowns, bounds, witness,
-                       dict(data.get("stats", {})))
+        BoundProof(_entry(b, "unknown", "bound", unknowns),
+                   _field(b, "direction", "bound", str),
+                   tuple((_entry(w, "constraint", "weight", range(len(constraints))),
+                          parse_rational(_field(w, "weight", "weight")))
+                         for w in _field(b, "weights", "bound", list)))
+        for b in _field(data, "bounds", "certificate", list))
+    witness = _field(data, "witness", "certificate")
+    if witness is not None:
+        if not isinstance(witness, list):
+            raise ValueError("certificate field 'witness' is not a list")
+        witness = {_entry(w, "unknown", "witness entry", unknowns):
+                   parse_rational(_field(w, "value", "witness entry"))
+                   for w in witness}
+    cert = Certificate(n, mode, _field(data, "conclusion", "certificate", str),
+                       unknowns, bounds, witness,
+                       dict(_field(data, "stats", "certificate", dict)))
     return cert, system
 
 

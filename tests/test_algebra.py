@@ -121,6 +121,8 @@ def test_invalid_index_rejected():
 def test_from_terms_drops_invalid_indices():
     v = ClassVector.from_terms(3, [((2, 2), 1, 0), ((3, 1), 2, 0)])
     assert v == ClassVector(3, {(3, 1): QPolynomial.constant(2)})
+    with pytest.raises(ValueError, match="q-exponent"):
+        ClassVector.from_terms(3, [((3, 1), 1, -1)])
 
 
 def test_homogeneous_degree():

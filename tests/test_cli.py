@@ -229,3 +229,24 @@ def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# SHA-256 of outputs written by commit 3600cd5; the bytes must not drift.
+GOLDEN_DIGESTS = [
+    (("table", "--n", "3", "--out"),
+     "ca4310b45f2fcc9a533666e808c61858333a308e0c60e92e1b86e9a899266268"),
+    (("certify", "--n", "3", "--mode", "per-pair", "--emit-certificate"),
+     "3a97244b7674a65c4975e4082097bb0c1544117decddd168616a4c91f3f36f46"),
+    (("certify", "--n", "3", "--mode", "per-mu", "--emit-certificate"),
+     "924836d369ded6e3ed45d8029caa70eed9bac804357777f3b143d59b7f96fbf6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
+                         ids=["table", "certificate-per-pair", "certificate-per-mu"])
+def test_output_bytes_match_golden_digests(capsys, tmp_path, argv, digest):
+    import hashlib
+    path = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

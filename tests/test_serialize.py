@@ -83,3 +83,37 @@ def test_failed_save_leaves_target_intact(tmp_path, monkeypatch, table3, kind):
     save()
     assert target.read_text() != "previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set_first_term_unknown(doc):
+    next(c for c in doc["constraint_dump"] if c["terms"])["terms"][0]["unknown"] = 999
+
+
+def _set_first_bound_unknown(doc):
+    doc["bounds"][0]["unknown"] = 999
+
+
+def _drop_first_provenance(doc):
+    doc["constraint_dump"][0].pop("provenance")
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop("mode"), _drop("unknowns"), _set_first_term_unknown,
+    _set_first_bound_unknown, _drop_first_provenance,
+], ids=["no-mode", "no-unknowns", "term-unknown-999", "bound-unknown-999",
+        "no-provenance"])
+def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
+    import json
+    system = build_constraints(table3, MODE_PER_PAIR)
+    path = tmp_path / "cert.json"
+    serialize.save_certificate(certify_uniqueness(system), system, path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        serialize.load_certificate(path)
+    assert "\n" not in str(info.value)
