@@ -217,8 +217,10 @@ class ClassVector:
     """Finitely supported combination of basis classes times powers of q.
 
     Stored as one flat dict `flat` mapping (index, q-exponent) to a nonzero
-    coefficient; treat it as read-only.  The constructor takes
-    {index: QPolynomial} and validates both indices and exponents.
+    coefficient; treat it as read-only.  The constructor takes {index: value},
+    the value a QPolynomial, a {q-exponent: coefficient} dict or a bare
+    coefficient (a constant), and validates both indices and exponents; keys
+    that name the same index are summed.
     """
 
     __slots__ = ("n", "flat")
@@ -230,9 +232,14 @@ class ClassVector:
             if not is_valid(n, lam):
                 raise ValueError(f"index {lam} is not valid for rank {n}")
             if not isinstance(poly, QPolynomial):
-                poly = QPolynomial(poly)
+                poly = QPolynomial(poly if isinstance(poly, dict) else {0: poly})
             for d, c in poly._c.items():
-                flat[(lam, d)] = c
+                key = (lam, d)
+                if key in flat:
+                    c += flat.pop(key)
+                    if not c:
+                        continue
+                flat[key] = c
         self.n = n
         self.flat = flat
 

@@ -22,8 +22,10 @@ multiply sigma[lam] by the matching power of sigma[1,1] so that everything
 collapses into the quantum range, compare the engine's symbolic expansion
 with the closed-form display it is supposed to equal, and read off the sign
 deductions.  Degree 2n classes are settled first, higher degrees by
-induction.  Every displayed identity is checked termwise; a discrepancy
-raises `MismatchError` naming the step.
+induction: the Pieri-lower step multiplies sigma[1,1] by sigma[pred] =
+tau[pred], since pred lies below degree 2n or in a degree already settled.
+Every displayed identity is checked termwise; a discrepancy raises
+`MismatchError` naming the step.
 
 All symbolic work happens in affine expressions; a quadratic term anywhere
 would raise `QuadraticTermError` and is treated as a bug, never ignored.
@@ -36,8 +38,8 @@ from fractions import Fraction
 
 from .algebra import AffineExpression, ClassVector
 from .basis import degree, enumerate_degree, max_degree
-from .deformation import (DeformationSpec, MODE_PER_PAIR, MODES, mu_keys,
-                          pair_keys, deformed_product, to_sigma)
+from .deformation import (DeformationSpec, MODE_PER_PAIR, positivity_terms,
+                          to_sigma, to_tau)
 from .ring import MultiplicationTable, diagonal_power, multiply
 
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"
@@ -74,27 +76,22 @@ def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> 
     Constant coefficients are nonnegative by the expansion rules and are
     dropped; everything kept is genuinely affine in the unknowns.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n = table.n
-    spec = DeformationSpec.symbolic(n, mode)
-    unknowns = tuple(pair_keys(n) if mode == MODE_PER_PAIR else mu_keys(n))
+    spec = DeformationSpec.symbolic(table.n, mode)
     constraints = []
     provenance = []
-    for mu in table.basis:
-        prod = deformed_product(spec, table, (1, 1), mu)
-        for nu, d, coeff in prod.flat_items():
-            if not isinstance(coeff, AffineExpression):
-                coeff = AffineExpression(coeff)
-            if coeff.is_constant():
-                if coeff.constant < 0:
-                    raise RuntimeError(
-                        f"negative constant coefficient in sigma[1,1]*sigma[{mu}]: "
-                        f"{coeff.constant} at {nu}, q^{d}")
-                continue
-            constraints.append(coeff)
-            provenance.append((mu, nu, d))
-    return ConstraintSystem(n, mode, unknowns, tuple(constraints), tuple(provenance))
+    for mu, nu, d, coeff in positivity_terms(spec, table):
+        if not isinstance(coeff, AffineExpression):
+            coeff = AffineExpression(coeff)
+        if coeff.is_constant():
+            if coeff.constant < 0:
+                raise RuntimeError(
+                    f"negative constant coefficient in sigma[1,1]*sigma[{mu}]: "
+                    f"{coeff.constant} at {nu}, q^{d}")
+            continue
+        constraints.append(coeff)
+        provenance.append((mu, nu, d))
+    return ConstraintSystem(table.n, mode, tuple(spec.entries), tuple(constraints),
+                            tuple(provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +457,6 @@ class ReplayReport:
     resolutions: dict
 
 
-def _symbolic_sigma(spec, lam, zeroed) -> ClassVector:
-    """sigma[lam] in tau coordinates, with already-settled unknowns set to zero."""
-    n = spec.n
-    vec = ClassVector.basis(n, lam)
-    for mu, a in spec.corrections(lam):
-        if (lam, mu) in zeroed:
-            continue
-        vec = vec - ClassVector.basis(n, mu, d=1, coeff=a)
-    return vec
-
-
 def _unknown(key) -> AffineExpression:
     return AffineExpression.unknown(key)
 
@@ -496,7 +482,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     """
     n = table.n
     spec = DeformationSpec.symbolic(n, MODE_PER_PAIR)
-    unknowns = tuple(pair_keys(n))
+    unknowns = tuple(spec.entries)
     steps: list[ReplayStep] = []
     nonneg: set = set()
     nonpos: set = set()
@@ -545,7 +531,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     for lam in enumerate_degree(n, 2 * n):
         t = 2 * n - lam[0]
         a_key = (lam, (0, 0))
-        sig = _symbolic_sigma(spec, lam, zeroed)
+        sig = to_tau(spec, ClassVector.basis(n, lam))
         engine = to_sigma(spec, multiply(table, powers[t], sig))
         if lam[0] >= n + 2:
             expected = ClassVector.from_terms(n, [((lam[1] + t, 0), 1, 1),
@@ -563,7 +549,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
         lam = (n + 1 + j, n - 1 - j)
         a_key = (lam, (0, 0))
         engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
-                                         _symbolic_sigma(spec, pred, zeroed)))
+                                         ClassVector.basis(n, pred)))
         expected = ClassVector.from_terms(n, [(lam, 1, 0), ((0, 0), _unknown(a_key), 1)])
         check("pieri-lower", lam, engine, expected, [("nonneg", a_key)])
         nonneg.add(a_key)
@@ -576,8 +562,10 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
         for lam in enumerate_degree(n, d_lam):
             pred = (lam[0] - 1, lam[1] - 1)
             kappas = enumerate_degree(n, d_lam - 2 * n)
+            # sigma[pred] = tau[pred]: |pred| < 2n, or settle_degree(|pred|)
+            # has already forced every unknown of pred to zero
             engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
-                                             _symbolic_sigma(spec, pred, zeroed)))
+                                             ClassVector.basis(n, pred)))
             expected = ClassVector.from_terms(
                 n, [(lam, 1, 0)] + [(kap, _unknown((lam, kap)), 1) for kap in kappas])
             check("pieri-lower", lam, engine, expected,
@@ -585,7 +573,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
             nonneg.update((lam, kap) for kap in kappas)
 
             t = 2 * n - lam[0]
-            sig = _symbolic_sigma(spec, lam, zeroed)
+            sig = to_tau(spec, ClassVector.basis(n, lam))
             engine = to_sigma(spec, multiply(table, powers[t], sig))
             gap = lam[0] - lam[1]
             if lam[1] + t != 2 * n - 2:

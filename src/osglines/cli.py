@@ -26,8 +26,9 @@ from fractions import Fraction
 from .algebra import ClassVector
 from .basis import (betti_numbers, enumerate_basis, enumerate_degree,
                     max_degree, top_class)
-from .certify import (MismatchError, ResourceLimitError, build_constraints,
-                      certify_uniqueness, replay_proof, verify_certificate)
+from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
+                      build_constraints, certify_uniqueness, replay_proof,
+                      verify_certificate)
 from .deformation import MODE_PER_PAIR, MODES, check_positivity
 from .expr import ExpressionSyntaxError, evaluate_expression, parse_expression
 from .pieri import pieri_tau1, pieri_tau11
@@ -244,6 +245,8 @@ def _cmd_verify(args):
 def _cmd_certify(args):
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")
+    if args.max_rows < 1:
+        raise ValueError(f"--max-rows must be at least 1, got {args.max_rows}")
     table = lazy_table(args.n)
     results = []
     cert_path = None
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=MODE_PER_PAIR)
     p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
     p.add_argument("--emit-certificate", metavar="PATH", default=None)
-    p.add_argument("--max-rows", type=int, default=200_000,
+    p.add_argument("--max-rows", type=int, default=DEFAULT_ROW_LIMIT,
                    help="working-row ceiling for route A (sign propagation "
                         "with Farkas weights, falling back to FM for any "
                         "unknown it leaves open): bounds the initial "

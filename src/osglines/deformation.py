@@ -136,34 +136,30 @@ class DeformationSpec:
 
 def sigma_from_tau(spec: DeformationSpec) -> dict:
     """The deformed basis, each class expressed in tau coordinates."""
-    n = spec.n
-    out = {}
-    for lam in enumerate_basis(n):
-        vec = ClassVector.basis(n, lam)
+    return {lam: to_tau(spec, ClassVector.basis(spec.n, lam))
+            for lam in enumerate_basis(spec.n)}
+
+
+def _change_basis(spec: DeformationSpec, v: ClassVector, sign: int) -> ClassVector:
+    """Add sign * c * a at (mu, d + 1) for each term c q^d [lam] of `v` and
+    each correction (mu, a) of lam.  Correction classes are never corrected
+    themselves, so one pass is exact in both directions."""
+    flat = dict(v.flat)
+    for (lam, d), c in v.flat.items():
         for mu, a in spec.corrections(lam):
-            vec = vec - ClassVector.basis(n, mu, d=1, coeff=a)
-        out[lam] = vec
-    return out
+            key = (mu, d + 1)
+            flat[key] = flat.get(key, Fraction(0)) + sign * (c * a)
+    return ClassVector._wrap(v.n, {k: c for k, c in flat.items() if c})
 
 
 def to_tau(spec: DeformationSpec, v: ClassVector) -> ClassVector:
     """Rewrite a vector given in sigma coordinates in tau coordinates."""
-    acc = []
-    for lam, d, c in v.flat_items():
-        acc.append((lam, c, d))
-        for mu, a in spec.corrections(lam):
-            acc.append((mu, -(c * a), d + 1))
-    return ClassVector.from_terms(v.n, acc)
+    return _change_basis(spec, v, -1)
 
 
 def to_sigma(spec: DeformationSpec, v: ClassVector) -> ClassVector:
     """Rewrite a vector given in tau coordinates in sigma coordinates."""
-    acc = []
-    for lam, d, c in v.flat_items():
-        acc.append((lam, c, d))
-        for mu, a in spec.corrections(lam):
-            acc.append((mu, c * a, d + 1))
-    return ClassVector.from_terms(v.n, acc)
+    return _change_basis(spec, v, 1)
 
 
 def deformed_product(spec: DeformationSpec, table: MultiplicationTable,
@@ -174,6 +170,15 @@ def deformed_product(spec: DeformationSpec, table: MultiplicationTable,
     x = to_tau(spec, ClassVector.basis(spec.n, tuple(mu1)))
     y = to_tau(spec, ClassVector.basis(spec.n, tuple(mu2)))
     return to_sigma(spec, multiply(table, x, y))
+
+
+def positivity_terms(spec: DeformationSpec, table: MultiplicationTable):
+    """(mu, nu, d, c) for every term c q^d sigma[nu] of sigma[1,1] * sigma[mu],
+    over the basis mu, in canonical order: the coefficients the positivity
+    condition asks to be nonnegative."""
+    for mu in table.basis:
+        for nu, d, c in deformed_product(spec, table, (1, 1), mu).flat_items():
+            yield mu, nu, d, c
 
 
 @dataclass
@@ -187,10 +192,6 @@ def check_positivity(spec: DeformationSpec, table: MultiplicationTable) -> Posit
     coefficients in the sigma basis?"""
     if not spec.is_numeric():
         raise ValueError("positivity check needs a numeric deformation")
-    violations = []
-    for mu in table.basis:
-        prod = deformed_product(spec, table, (1, 1), mu)
-        for nu, d, c in prod.flat_items():
-            if c < 0:
-                violations.append((mu, nu, d, c))
+    violations = [(mu, nu, d, c) for mu, nu, d, c in positivity_terms(spec, table)
+                  if c < 0]
     return PositivityReport(not violations, violations)

@@ -102,7 +102,7 @@ def class_vector_terms(v: ClassVector, *, integer: bool = False) -> list[dict]:
     return out
 
 
-def class_vector_from_terms(n: int, terms, *, parse=parse_rational) -> ClassVector:
+def class_vector_from_terms(n: int, terms) -> ClassVector:
     acc: dict = {}
     if not isinstance(terms, list):
         raise ValueError(f"terms must be a list, got {terms!r}")
@@ -110,7 +110,7 @@ def class_vector_from_terms(n: int, terms, *, parse=parse_rational) -> ClassVect
         nu = _as_index(_field(t, "nu", "term"))
         d = _as_int(_field(t, "d", "term"))
         c = _field(t, "coeff", "term")
-        c = Fraction(c) if isinstance(c, int) else parse(c)
+        c = Fraction(c) if isinstance(c, int) else parse_rational(c)
         slot = acc.setdefault(nu, {})
         slot[d] = slot.get(d, Fraction(0)) + c
     return ClassVector(n, {nu: QPolynomial(p) for nu, p in acc.items()})

@@ -118,6 +118,20 @@ def test_invalid_index_rejected():
         ClassVector(3, {(2, 2): QPolynomial.constant(1)})
 
 
+def test_bare_coefficient_is_a_constant():
+    assert ClassVector(3, {(1, 0): 5}) == ClassVector(3, {(1, 0): QPolynomial.constant(5)})
+    assert ClassVector(3, {(1, 0): Fraction(1, 2)}).coefficient((1, 0), 0) == Fraction(1, 2)
+    with pytest.raises(TypeError, match="exact coefficient"):
+        ClassVector(3, {(1, 0): 0.5})
+
+
+def test_keys_naming_one_index_are_summed():
+    v = ClassVector(3, {(1, 0): QPolynomial({0: 2, 1: 1}), ("1", "0"): QPolynomial({0: 3})})
+    assert v == ClassVector(3, {(1, 0): QPolynomial({0: 5, 1: 1})})
+    w = ClassVector(3, {(1, 0): QPolynomial.constant(2), ("1", "0"): QPolynomial.constant(-2)})
+    assert w.is_zero() and w.flat == {}
+
+
 def test_from_terms_drops_invalid_indices():
     v = ClassVector.from_terms(3, [((2, 2), 1, 0), ((3, 1), 2, 0)])
     assert v == ClassVector(3, {(3, 1): QPolynomial.constant(2)})

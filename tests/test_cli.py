@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from osglines import serialize
 from osglines.cli import main
-from osglines.deformation import DeformationSpec, MODE_PER_PAIR
+from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,15 @@ def test_certify_resource_cap_is_math_failure(capsys, cli_schema):
     assert "error" in doc
     code, _, err = run(capsys, "certify", "--n", "3", "--max-rows", "1")
     assert code == 1 and "error" in err
+
+
+def test_certify_max_rows_below_one_is_usage_error(capsys):
+    for value in ("0", "-5"):
+        code, out, err = run(capsys, "certify", "--n", "3", "--max-rows", value)
+        assert code == 2 and out == ""
+        assert err == f"error: --max-rows must be at least 1, got {value}\n"
+    code, _, _ = run(capsys, "certify", "--n", "3", "--max-rows", "1")
+    assert code == 1
 
 
 def test_check_positivity(capsys, cli_schema, tmp_path):
@@ -250,3 +260,29 @@ def test_output_bytes_match_golden_digests(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, *argv, str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of `check-positivity --n 4 --format json` stdout as written by
+# commit 4a33cb3, one spec per coefficient mode.
+GOLDEN_POSITIVITY_DIGESTS = [
+    (DeformationSpec(4, MODE_PER_PAIR, {((7, 1), (0, 0)): -1,
+                                        ((7, 3), (1, 1)): Fraction(2, 3),
+                                        ((7, 5), (3, 1)): Fraction(-5, 2)}),
+     3, "281e306b65d946aadc9cd4fb2650720b6bd0c927fe3c22244d59c78785061a82"),
+    (DeformationSpec(4, MODE_PER_MU, {(0, 0): -1, (1, 1): Fraction(3, 4)}),
+     5, "a4c3c3be8f1fcce8308bc3178c2941c00b0d5f1d0eb527de5e1caa0b0064a693"),
+]
+
+
+@pytest.mark.parametrize("spec, violations, digest", GOLDEN_POSITIVITY_DIGESTS,
+                         ids=["check-positivity-per-pair", "check-positivity-per-mu"])
+def test_check_positivity_bytes_match_golden_digests(capsys, tmp_path, spec,
+                                                     violations, digest):
+    import hashlib
+    path = tmp_path / "spec.json"
+    serialize.save_spec(spec, path)
+    code, out, _ = run(capsys, "check-positivity", "--n", "4", "--format", "json",
+                       "--spec", str(path))
+    assert code == 0
+    assert len(json.loads(out)["violations"]) == violations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
