@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import Index, degree, index_sort_key, is_valid
+from .basis import Index, check_index, degree, index_sort_key, is_valid
 
 
 class QuadraticTermError(ArithmeticError):
@@ -228,9 +228,7 @@ class ClassVector:
     def __init__(self, n: int, terms=None):
         flat = {}
         for lam, poly in (terms or {}).items():
-            lam = (int(lam[0]), int(lam[1]))
-            if not is_valid(n, lam):
-                raise ValueError(f"index {lam} is not valid for rank {n}")
+            lam = check_index(n, lam)
             if not isinstance(poly, QPolynomial):
                 poly = QPolynomial(poly if isinstance(poly, dict) else {0: poly})
             for d, c in poly._c.items():
@@ -262,7 +260,10 @@ class ClassVector:
 
     @classmethod
     def basis(cls, n: int, lam: Index, d: int = 0, coeff=1) -> "ClassVector":
-        return cls(n, {tuple(lam): QPolynomial({d: coeff})})
+        _check_exponent(d)
+        coeff = as_coeff(coeff)
+        key = (check_index(n, lam), d)
+        return cls._wrap(n, {key: coeff} if coeff else {})
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "ClassVector":

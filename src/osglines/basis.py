@@ -7,6 +7,9 @@ Classes of IG(2, 2n+1) are indexed by pairs (l1, l2) of integers subject to
     l2 = -1   implies  l1 = 2n-1.
 
 The cohomological degree of an index is l1 + l2; the top degree is 4n-3.
+Each degree slice is generated directly, and the basis is the slices in
+order of degree.  `check_index` is the one place an index given from outside
+is validated.
 """
 from __future__ import annotations
 
@@ -38,6 +41,14 @@ def is_valid(n: int, lam) -> bool:
     return True
 
 
+def check_index(n: int, lam) -> Index:
+    """lam as a pair of ints; ValueError unless it is a class of rank n."""
+    lam = (int(lam[0]), int(lam[1]))
+    if not is_valid(n, lam):
+        raise ValueError(f"index {lam} is not valid for rank {n}")
+    return lam
+
+
 def degree(lam) -> int:
     return lam[0] + lam[1]
 
@@ -56,24 +67,17 @@ def top_class(n: int) -> Index:
 
 
 @lru_cache(maxsize=None)
-def _basis(n: int) -> tuple[Index, ...]:
-    out: list[Index] = []
-    for l1 in range(0, 2 * n):
-        if l1 <= n - 2:
-            lo, hi = 0, l1
-        elif l1 < 2 * n - 1:
-            lo, hi = 0, l1 - 1
-        else:
-            out.append((2 * n - 1, -1))
-            lo, hi = 0, 2 * n - 2
-        out.extend((l1, l2) for l2 in range(lo, hi + 1))
-    out.sort(key=index_sort_key)
-    return tuple(out)
+def _degree_slice(n: int, d: int) -> tuple[Index, ...]:
+    # l1 runs down from min(2n-1, d+1) (so l2 >= -1) to ceil(d/2) (so l1 >= l2):
+    # O(d) work, whatever the size of the basis
+    top = min(2 * n - 1, d + 1)
+    pairs = ((l1, d - l1) for l1 in range(top, (d + 1) // 2 - 1, -1))
+    return tuple(lam for lam in pairs if is_valid(n, lam))
 
 
 @lru_cache(maxsize=None)
-def _degree_slice(n: int, d: int) -> tuple[Index, ...]:
-    return tuple(lam for lam in _basis(n) if degree(lam) == d)
+def _basis(n: int) -> tuple[Index, ...]:
+    return tuple(classes_in_degrees(n, range(max_degree(n) + 1)))
 
 
 def enumerate_basis(n: int) -> list[Index]:
@@ -90,10 +94,12 @@ def enumerate_degree(n: int, d: int) -> list[Index]:
     return list(_degree_slice(n, d))
 
 
+def classes_in_degrees(n: int, degrees) -> list[Index]:
+    """The slices of the given degrees, concatenated in the order given."""
+    return [lam for d in degrees for lam in enumerate_degree(n, d)]
+
+
 def betti_numbers(n: int) -> list[int]:
     """Sizes of the degree slices, degrees 0..4n-3."""
     check_rank(n)
-    counts = [0] * (max_degree(n) + 1)
-    for lam in _basis(n):
-        counts[degree(lam)] += 1
-    return counts
+    return [len(_degree_slice(n, d)) for d in range(max_degree(n) + 1)]

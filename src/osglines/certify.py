@@ -32,8 +32,7 @@ would raise `QuadraticTermError` and is treated as a bug, never ignored.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from .algebra import AffineExpression, ClassVector
@@ -60,14 +59,11 @@ class MismatchError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Affine inequalities `expression >= 0` over the deformation unknowns."""
-    n: int
-    mode: str
-    unknowns: tuple
-    constraints: tuple          # AffineExpression, each asserted >= 0
-    provenance: tuple           # (mu, nu, d) identifying the source coefficient
+# constraints: AffineExpressions, each asserted >= 0; provenance: the (mu, nu, d)
+# identifying each one's source coefficient
+ConstraintSystem = namedtuple("ConstraintSystem", "n mode unknowns constraints provenance")
+ConstraintSystem.__doc__ = ("Affine inequalities `expression >= 0` over the "
+                            "deformation unknowns.")
 
 
 def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> ConstraintSystem:
@@ -272,22 +268,12 @@ def _propagate(rows):
     return facts
 
 
-@dataclass(frozen=True)
-class BoundProof:
-    unknown: object
-    direction: str                      # "lower" proves a >= 0, "upper" proves a <= 0
-    weights: tuple                      # ((constraint index, weight), ...)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    n: int
-    mode: str
-    conclusion: str
-    unknowns: tuple
-    bounds: tuple                       # BoundProof entries, empty for NotUnique
-    witness: dict | None                # nonzero feasible assignment, if any
-    stats: dict
+# direction "lower" proves a >= 0, "upper" proves a <= 0; weights:
+# ((constraint index, weight), ...)
+BoundProof = namedtuple("BoundProof", "unknown direction weights")
+# bounds: BoundProof entries, empty for NotUnique; witness: a nonzero feasible
+# assignment, if any
+Certificate = namedtuple("Certificate", "n mode conclusion unknowns bounds witness stats")
 
 
 def _scaled_weights(combo, scale=Fraction(1)):
@@ -439,22 +425,8 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 # Route B: structured replay of the uniqueness argument
 
 
-@dataclass
-class ReplayStep:
-    tag: str
-    subject: object
-    verified: bool
-    deductions: list = field(default_factory=list)
-
-
-@dataclass
-class ReplayReport:
-    n: int
-    steps: list
-    unknowns: tuple
-    all_zero: bool
-    conclusion: str
-    resolutions: dict
+ReplayStep = namedtuple("ReplayStep", "tag subject verified deductions")
+ReplayReport = namedtuple("ReplayReport", "n steps unknowns all_zero conclusion resolutions")
 
 
 def _unknown(key) -> AffineExpression:

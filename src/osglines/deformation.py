@@ -20,12 +20,13 @@ the latter drive the symbolic constraint generation in `certify`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AffineExpression, ClassVector, as_coeff
-from .basis import (Index, check_rank, degree, enumerate_basis, enumerate_degree,
-                    index_sort_key, is_valid, MIN_RING_RANK)
+from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
+                    enumerate_basis, enumerate_degree, index_sort_key, max_degree,
+                    MIN_RING_RANK)
 from .ring import MultiplicationTable, multiply
 
 MODE_PER_PAIR = "per-pair"
@@ -35,16 +36,13 @@ MODES = (MODE_PER_PAIR, MODE_PER_MU)
 
 def pair_keys(n: int) -> list[tuple[Index, Index]]:
     """All legal (lam, mu) coefficient keys in canonical order."""
-    keys = []
-    for lam in enumerate_basis(n):
-        if degree(lam) >= 2 * n:
-            keys.extend((lam, mu) for mu in enumerate_degree(n, degree(lam) - 2 * n))
-    return keys
+    return [(lam, mu) for d in range(2 * n, max_degree(n) + 1)
+            for lam in enumerate_degree(n, d) for mu in enumerate_degree(n, d - 2 * n)]
 
 
 def mu_keys(n: int) -> list[Index]:
     """All legal per-mu coefficient keys (classes that correct something)."""
-    return [mu for mu in enumerate_basis(n) if degree(mu) <= 2 * n - 3]
+    return classes_in_degrees(n, range(2 * n - 2))
 
 
 class DeformationSpec:
@@ -66,23 +64,23 @@ class DeformationSpec:
 
     def _check_key(self, key):
         n = self.n
-        if self.mode == MODE_PER_PAIR:
-            lam, mu = key
-            lam, mu = (int(lam[0]), int(lam[1])), (int(mu[0]), int(mu[1]))
-            if not (is_valid(n, lam) and is_valid(n, mu)):
-                raise ValueError(f"malformed key {key!r}: invalid index for rank {n}")
-            if degree(mu) + 2 * n != degree(lam):
+        try:
+            if self.mode == MODE_PER_PAIR:
+                lam, mu = (check_index(n, k) for k in key)
+            else:
+                mu = check_index(n, key)
+        except ValueError as exc:
+            raise ValueError(f"malformed key {key!r}: {exc}") from None
+        if self.mode == MODE_PER_MU:
+            if degree(mu) > 2 * n - 3:
                 raise ValueError(
-                    f"malformed key {key!r}: needs |mu| + 2n = |lambda| "
-                    f"({degree(mu)} + {2*n} != {degree(lam)})")
-            return (lam, mu)
-        mu = (int(key[0]), int(key[1]))
-        if not is_valid(n, mu):
-            raise ValueError(f"malformed key {key!r}: invalid index for rank {n}")
-        if degree(mu) > 2 * n - 3:
+                    f"malformed key {key!r}: no class of degree {degree(mu) + 2*n} exists")
+            return mu
+        if degree(mu) + 2 * n != degree(lam):
             raise ValueError(
-                f"malformed key {key!r}: no class of degree {degree(mu) + 2*n} exists")
-        return mu
+                f"malformed key {key!r}: needs |mu| + 2n = |lambda| "
+                f"({degree(mu)} + {2*n} != {degree(lam)})")
+        return (lam, mu)
 
     @classmethod
     def zero(cls, n: int, mode: str = MODE_PER_PAIR) -> "DeformationSpec":
@@ -108,15 +106,9 @@ class DeformationSpec:
     def corrections(self, lam) -> list:
         """Nonzero (mu, coefficient) pairs correcting tau[lam]."""
         lam = tuple(lam)
-        d = degree(lam) - 2 * self.n
-        if d < 0:
-            return []
-        out = []
-        for mu in enumerate_degree(self.n, d):
-            c = self.coefficient(lam, mu)
-            if c:
-                out.append((mu, c))
-        return out
+        pairs = ((mu, self.coefficient(lam, mu))
+                 for mu in enumerate_degree(self.n, degree(lam) - 2 * self.n))
+        return [(mu, c) for mu, c in pairs if c]
 
     def items(self):
         if self.mode == MODE_PER_PAIR:
@@ -181,10 +173,8 @@ def positivity_terms(spec: DeformationSpec, table: MultiplicationTable):
             yield mu, nu, d, c
 
 
-@dataclass
-class PositivityReport:
-    passes: bool
-    violations: list = field(default_factory=list)  # (mu, nu, d, value)
+# violations: (mu, nu, d, value) for each negative coefficient
+PositivityReport = namedtuple("PositivityReport", "passes violations")
 
 
 def check_positivity(spec: DeformationSpec, table: MultiplicationTable) -> PositivityReport:

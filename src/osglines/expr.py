@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 
 from .algebra import ClassVector
-from .basis import is_valid
 from .ring import MultiplicationTable, multiply
 
 
@@ -199,10 +198,7 @@ def evaluate_expression(ast, table: MultiplicationTable) -> ClassVector:
     if kind == "q":
         return ClassVector.basis(n, (0, 0), d=ast[1])
     if kind == "tau":
-        lam = (ast[1], ast[2])
-        if not is_valid(n, lam):
-            raise ValueError(f"index {lam} is not valid for rank {n}")
-        return ClassVector.basis(n, lam)
+        return ClassVector.basis(n, (ast[1], ast[2]))
     if kind == "group":
         return evaluate_expression(ast[1], table)
     raise ValueError(f"not an expression node: {ast!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import ClassVector
-from .basis import Index, check_rank, is_valid, MIN_RING_RANK
+from .basis import Index, check_index, check_rank, MIN_RING_RANK
 
 TAU1_CASES = ("generic", "reflect", "wall_quantum", "wall_bottom", "wall_top")
 TAU11_CASES = ("generic", "split", "wall_quantum", "wall_split")
@@ -23,10 +23,7 @@ TAU11_CASES = ("generic", "split", "wall_quantum", "wall_split")
 
 def _require(n: int, lam) -> Index:
     check_rank(n, MIN_RING_RANK)
-    lam = (int(lam[0]), int(lam[1]))
-    if not is_valid(n, lam):
-        raise ValueError(f"index {lam} is not valid for rank {n}")
-    return lam
+    return check_index(n, lam)
 
 
 @lru_cache(maxsize=None)

@@ -27,12 +27,13 @@ to be homogeneous, whenever it is assembled; violations abort.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import ClassVector
-from .basis import (Index, check_rank, degree, enumerate_basis, enumerate_degree,
-                    is_valid, max_degree, top_class, MIN_RING_RANK)
+from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
+                    enumerate_basis, enumerate_degree, is_valid, max_degree,
+                    top_class, MIN_RING_RANK)
 from .pieri import _tau1_raw, _tau11_raw, pieri_tau1, pieri_tau11
 
 
@@ -53,12 +54,8 @@ def _apply(n: int, raw_rule, vec_terms: dict) -> dict:
 
 
 def _slice_coords(n: int, total: int) -> list[tuple[Index, int]]:
-    coords = []
-    d = 0
-    while total - 2 * n * d >= 0:
-        coords.extend((nu, d) for nu in enumerate_degree(n, total - 2 * n * d))
-        d += 1
-    return coords
+    return [(nu, d) for d in range(total // (2 * n) + 1)
+            for nu in enumerate_degree(n, total - 2 * n * d)]
 
 
 class MultiplicationTable:
@@ -79,12 +76,13 @@ class MultiplicationTable:
         self._expansions: dict = {}  # class -> {(i, j): M1^i M11^j (tau[class])}
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
-        lam, mu = tuple(lam), tuple(mu)
-        if lam not in self.pos:
-            raise ValueError(f"index {lam} is not valid for rank {self.n}")
-        if mu not in self.pos:
-            raise ValueError(f"index {mu} is not valid for rank {self.n}")
-        return (lam, mu) if self.pos[lam] <= self.pos[mu] else (mu, lam)
+        pos = self.pos
+        try:
+            i, j = pos[lam], pos[mu]
+        except (KeyError, TypeError):  # not basis tuples: normalise or reject
+            lam, mu = check_index(self.n, lam), check_index(self.n, mu)
+            i, j = pos[lam], pos[mu]
+        return (lam, mu) if i <= j else (mu, lam)
 
     def product(self, lam, mu) -> ClassVector:
         pair = self._pair(lam, mu)
@@ -277,8 +275,9 @@ def gw_constant(table: MultiplicationTable, lam, mu, nu, d: int) -> Fraction:
     if d < 0:
         raise ValueError("q-exponent must be nonnegative")
     prod = table.product(lam, mu)
-    if tuple(nu) not in table.pos:
-        raise ValueError(f"index {tuple(nu)} is not valid for rank {table.n}")
+    nu = tuple(nu)
+    if nu not in table.pos:
+        nu = check_index(table.n, nu)
     return prod.coefficient(nu, d)
 
 
@@ -316,12 +315,7 @@ IDENTITY_PARTS = ("diagonal-power", "collapse", "collapse-boundary",
                   "top-power", "shift", "shift-boundary")
 
 
-@dataclass
-class IdentityCheck:
-    part: str
-    holds: bool
-    checked: int
-    counterexamples: list = field(default_factory=list)
+IdentityCheck = namedtuple("IdentityCheck", "part holds checked counterexamples")
 
 
 def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
@@ -360,9 +354,7 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
                ClassVector.from_terms(n, [((n, n - 2), 1, 0)]))
     elif part in ("collapse", "collapse-boundary"):
         boundary = part == "collapse-boundary"
-        for lam in enumerate_basis(n):
-            if degree(lam) < 2 * n:
-                continue
+        for lam in classes_in_degrees(n, range(2 * n, max_degree(n) + 1)):
             t = 2 * n - lam[0]
             if ((lam[1] + t) == 2 * n - 2) != boundary:
                 continue
@@ -376,11 +368,8 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
     else:
         boundary = part == "shift-boundary"
         for t in range(1, n - 1):
-            for mu in enumerate_basis(n):
-                s = 2 * t + degree(mu)
-                in_range = s in (2 * n - 2, 2 * n - 1) if boundary else s <= 2 * n - 3
-                if not in_range:
-                    continue
+            lo = 2 * n - 2 - 2 * t  # boundary: |mu| is lo or lo + 1; else |mu| < lo
+            for mu in classes_in_degrees(n, range(lo, lo + 2) if boundary else range(lo)):
                 got = multiply(table, powers[t], ClassVector.basis(n, mu))
                 terms = [((mu[0] + t, mu[1] + t), 1, 0)]
                 if boundary:

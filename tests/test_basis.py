@@ -1,5 +1,8 @@
 import pytest
 
+from osglines import (ClassVector, DeformationSpec, MODE_PER_PAIR,
+                      evaluate_expression, gw_constant, parse_expression,
+                      pieri_tau1)
 from osglines.basis import (betti_numbers, degree, enumerate_basis,
                             enumerate_degree, is_valid, max_degree, top_class)
 
@@ -90,3 +93,32 @@ def test_rejects_small_rank():
         enumerate_basis(1)
     with pytest.raises(TypeError):
         enumerate_basis("3")
+
+
+def test_degree_slice_is_rank_independent():
+    # generated directly, so the size of the basis (2 * 10**16 classes) is never paid
+    assert enumerate_degree(10**8, 3) == [(3, 0), (2, 1)]
+
+
+INVALID = r"index \(2, 2\) is not valid for rank 3$"
+REJECT_2_2 = [
+    ("ClassVector", lambda t: ClassVector(3, {(2, 2): 1}), "^"),
+    ("ClassVector.basis", lambda t: ClassVector.basis(3, (2, 2)), "^"),
+    ("pieri_tau1", lambda t: pieri_tau1(3, (2, 2)), "^"),
+    ("table.product", lambda t: t.product([1, 0], [2, 2]), "^"),
+    ("gw_constant", lambda t: gw_constant(t, (1, 0), (1, 1), (2, 2), 0), "^"),
+    ("evaluate_expression",
+     lambda t: evaluate_expression(parse_expression("tau[2,2]"), t), "^"),
+    ("DeformationSpec",
+     lambda t: DeformationSpec(3, MODE_PER_PAIR, {((5, 3), (2, 2)): 1}),
+     "^malformed key .*: "),
+]
+
+
+@pytest.mark.parametrize("call, prefix", [(c, p) for _, c, p in REJECT_2_2],
+                         ids=[name for name, _, _ in REJECT_2_2])
+def test_every_entry_point_rejects_an_invalid_index(table3, call, prefix):
+    # (2, 2) is a diagonal pair above n - 2, so not a class at n = 3; every
+    # entry point reports it with the one message from basis.check_index
+    with pytest.raises(ValueError, match=prefix + INVALID):
+        call(table3)

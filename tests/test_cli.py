@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -7,6 +11,8 @@ import pytest
 from osglines import serialize
 from osglines.cli import main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +292,36 @@ def test_check_positivity_bytes_match_golden_digests(capsys, tmp_path, spec,
     assert code == 0
     assert len(json.loads(out)["violations"]) == violations
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _python(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_basis_degree_at_huge_rank():
+    proc = _python("-m", "osglines.cli", "basis", "--n", "100000000",
+                   "--degree", "3", "--format", "json", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indices"] == [[3, 0], [2, 1]]
+
+
+def test_table_load_of_huge_rank_cache_fails_fast(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    run(capsys, "table", "--n", "3", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["n"] = 100_000_000
+    path.write_text(json.dumps(doc))
+    proc = _python("-m", "osglines.cli", "table", "--n", "3", "--load", str(path),
+                   timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+def test_cli_import_leaves_dataclasses_out():
+    proc = _python("-S", "-c", "import sys, osglines.cli; "
+                   "print('dataclasses' in sys.modules)", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
