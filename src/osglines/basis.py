@@ -19,6 +19,9 @@ Index = tuple[int, int]
 
 MIN_RANK = 2
 MIN_RING_RANK = 3  # products of the two special classes need (1,1) in the index set
+# lazy_table(32) takes 11.4 s and grows at about n^3.5, so n = 1000 would run
+# for weeks: a larger rank is a typo, refused before any work is done
+MAX_RING_RANK = 1000
 
 
 def check_rank(n: int, minimum: int = MIN_RANK) -> int:

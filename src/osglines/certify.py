@@ -20,10 +20,12 @@ in the certificate and can be re-checked by plain weighted summation
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
 multiply sigma[lam] by the matching power of sigma[1,1] so that everything
 collapses into the quantum range, compare the engine's symbolic expansion
-with the closed-form display it is supposed to equal, and read off the sign
-deductions.  Degree 2n classes are settled first, higher degrees by
-induction: the Pieri-lower step multiplies sigma[1,1] by sigma[pred] =
-tau[pred], since pred lies below degree 2n or in a degree already settled.
+with the closed-form display it is supposed to equal (built from the
+collapse and shift identities stated in `ring`), and read the sign
+deductions off that display.  Degree 2n classes are settled first, higher
+degrees by induction: the Pieri-lower step multiplies sigma[1,1] by
+sigma[pred] = tau[pred], since pred lies below degree 2n or in a degree
+already settled.
 Every displayed identity is checked termwise; a discrepancy raises
 `MismatchError` naming the step.
 
@@ -39,7 +41,8 @@ from .algebra import AffineExpression, ClassVector
 from .basis import degree, enumerate_degree, max_degree
 from .deformation import (DeformationSpec, MODE_PER_PAIR, positivity_terms,
                           to_sigma, to_tau)
-from .ring import MultiplicationTable, diagonal_power, multiply
+from .ring import (MultiplicationTable, collapse_terms, diagonal_power,
+                   multiply, power_class, shift_terms)
 
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"
 CONCLUSION_NOT_UNIQUE = "NotUnique"
@@ -448,6 +451,9 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
       pair-upper          degrees above 2n: the collapsed product exposes
                           -a per correction class, or adjacent sums -(a+a')
 
+    Each upper display is collapse_terms(lam) minus a q shift_terms(kap, t)
+    per correction class kap, and one deduction is read off per distinct
+    term: -a gives a <= 0, -(a+a') gives a + a' <= 0, 1 - a gives nothing.
     The sign deductions are combined exactly as the argument combines them
     (a >= 0 together with a <= 0, or with a + a' <= 0 and a' >= 0) and the
     conclusion records whether every unknown is forced to zero.
@@ -470,11 +476,9 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
 
     # multiplier powers of tau[1,1]
     powers = {t: diagonal_power(table, t) for t in range(0, n)}
-    for t in range(1, n - 1):
+    for t in range(1, n):
         check("diagonal-power", t, powers[t],
-              ClassVector.from_terms(n, [((t, t), 1, 0)]), [])
-    check("diagonal-power", n - 1, powers[n - 1],
-          ClassVector.from_terms(n, [((n, n - 2), 1, 0)]), [])
+              ClassVector.from_terms(n, power_class(n, t)), [])
 
     def settle_degree(d_lam):
         """Combine the recorded sign facts for all unknowns of one degree."""
@@ -499,86 +503,50 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
                             changed = True
         return all(k in zeroed for k in keys)
 
-    # degree 2n: upper bounds via collapsed products, lower bounds via the rule
-    for lam in enumerate_degree(n, 2 * n):
-        t = 2 * n - lam[0]
-        a_key = (lam, (0, 0))
-        sig = to_tau(spec, ClassVector.basis(n, lam))
-        engine = to_sigma(spec, multiply(table, powers[t], sig))
-        if lam[0] >= n + 2:
-            expected = ClassVector.from_terms(n, [((lam[1] + t, 0), 1, 1),
-                                                  ((t, t), -_unknown(a_key), 1)])
-            check("collapse-upper", lam, engine, expected, [("nonpos", a_key)])
-        else:
-            expected = ClassVector.from_terms(
-                n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1),
-                    ((n, n - 2), -_unknown(a_key), 1)])
-            check("near-diagonal-upper", lam, engine, expected, [("nonpos", a_key)])
-        nonpos.add(a_key)
-
-    for j in range(0, n - 1):
-        pred = (n + j, n - 2 - j)
-        lam = (n + 1 + j, n - 1 - j)
-        a_key = (lam, (0, 0))
+    def lower(lam):
+        """sigma[1,1] * sigma[lam1-1, lam2-1] = sigma[lam] + sum a q sigma[kap]."""
+        kappas = enumerate_degree(n, degree(lam) - 2 * n)
+        # sigma[pred] = tau[pred]: |pred| < 2n, or settle_degree(|pred|)
+        # has already forced every unknown of pred to zero
         engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
-                                         ClassVector.basis(n, pred)))
-        expected = ClassVector.from_terms(n, [(lam, 1, 0), ((0, 0), _unknown(a_key), 1)])
-        check("pieri-lower", lam, engine, expected, [("nonneg", a_key)])
-        nonneg.add(a_key)
+                                         ClassVector.basis(n, (lam[0] - 1, lam[1] - 1))))
+        expected = ClassVector.from_terms(
+            n, [(lam, 1, 0)] + [(kap, _unknown((lam, kap)), 1) for kap in kappas])
+        check("pieri-lower", lam, engine, expected,
+              [("nonneg", (lam, kap)) for kap in kappas])
+        nonneg.update((lam, kap) for kap in kappas)
 
-    if not settle_degree(2 * n):
-        raise MismatchError("conclusion", f"degree {2*n} unknowns not all settled")
+    def upper(tag, lam):
+        """tau[1,1]^t * sigma[lam] (t = 2n - lam1) and its deductions."""
+        t = 2 * n - lam[0]
+        terms = collapse_terms(n, lam)
+        for kap in enumerate_degree(n, degree(lam) - 2 * n):
+            terms += [(nu, -_unknown((lam, kap)) * c, d + 1)
+                      for nu, c, d in shift_terms(n, kap, t)]
+        expected = ClassVector.from_terms(n, terms)
+        engine = to_sigma(spec, multiply(table, powers[t],
+                                         to_tau(spec, ClassVector.basis(n, lam))))
+        signs = dict.fromkeys(tuple(c.linear) for _, _, c in expected.flat_items()
+                              if isinstance(c, AffineExpression) and not c.constant
+                              and all(v < 0 for v in c.linear.values()))
+        check(tag, lam, engine, expected,
+              [("nonpos" if len(k) == 1 else "pair-nonpos",) + k for k in signs])
+        nonpos.update(k[0] for k in signs if len(k) == 1)
+        pair_sums.extend(k for k in signs if len(k) == 2)
 
-    # degrees above 2n, by induction
-    for d_lam in range(2 * n + 1, max_degree(n) + 1):
-        for lam in enumerate_degree(n, d_lam):
-            pred = (lam[0] - 1, lam[1] - 1)
-            kappas = enumerate_degree(n, d_lam - 2 * n)
-            # sigma[pred] = tau[pred]: |pred| < 2n, or settle_degree(|pred|)
-            # has already forced every unknown of pred to zero
-            engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
-                                             ClassVector.basis(n, pred)))
-            expected = ClassVector.from_terms(
-                n, [(lam, 1, 0)] + [(kap, _unknown((lam, kap)), 1) for kap in kappas])
-            check("pieri-lower", lam, engine, expected,
-                  [("nonneg", (lam, kap)) for kap in kappas])
-            nonneg.update((lam, kap) for kap in kappas)
-
-            t = 2 * n - lam[0]
-            sig = to_tau(spec, ClassVector.basis(n, lam))
-            engine = to_sigma(spec, multiply(table, powers[t], sig))
-            gap = lam[0] - lam[1]
-            if lam[1] + t != 2 * n - 2:
-                terms = [((lam[1] + t, 0), 1, 1)]
-            else:
-                terms = [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)]
-            deductions = []
-            if gap >= 3:
-                for mu in kappas:
-                    terms.append(((mu[0] + t, mu[1] + t), -_unknown((lam, mu)), 1))
-                    deductions.append(("nonpos", (lam, mu)))
-                    nonpos.add((lam, mu))
-            elif gap == 1:
-                a = [(lam, (2 * n - 1 - 2 * t - i, i)) for i in range(n - t)]
-                terms.append(((2 * n - t, t - 1), -_unknown(a[0]), 1))
-                for i in range(0, n - 1 - t):
-                    terms.append(((2 * n - 1 - t - i, t + i),
-                                  -(_unknown(a[i]) + _unknown(a[i + 1])), 1))
-                    deductions.append(("pair-nonpos", a[i], a[i + 1]))
-                    pair_sums.append((a[i], a[i + 1]))
-                terms.append(((n, n - 1), -_unknown(a[n - 1 - t]), 1))
-                deductions.append(("nonpos", a[n - 1 - t]))
-                nonpos.add(a[n - 1 - t])
-            else:
-                b = [(lam, (2 * n - 2 - 2 * t - i, i)) for i in range(n - t)]
-                terms.append(((2 * n - 1 - t, t - 1), -_unknown(b[0]), 1))
-                for i in range(0, n - 1 - t):
-                    terms.append(((2 * n - 2 - t - i, t + i),
-                                  -(_unknown(b[i]) + _unknown(b[i + 1])), 1))
-                    deductions.append(("pair-nonpos", b[i], b[i + 1]))
-                    pair_sums.append((b[i], b[i + 1]))
-            check("pair-upper", lam, engine, ClassVector.from_terms(n, terms),
-                  deductions)
+    # degree 2n: upper bounds via collapsed products, lower bounds via the
+    # rule; degrees above 2n by induction
+    for d_lam in range(2 * n, max_degree(n) + 1):
+        lams = enumerate_degree(n, d_lam)
+        if d_lam == 2 * n:
+            for lam in lams:
+                upper("collapse-upper" if lam[0] >= n + 2 else "near-diagonal-upper", lam)
+            for lam in reversed(lams):
+                lower(lam)
+        else:
+            for lam in lams:
+                lower(lam)
+                upper("pair-upper", lam)
         if not settle_degree(d_lam):
             raise MismatchError("conclusion", f"degree {d_lam} unknowns not all settled")
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .algebra import ClassVector
 from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
                     enumerate_basis, enumerate_degree, is_valid, max_degree,
-                    top_class, MIN_RING_RANK)
+                    top_class, MAX_RING_RANK, MIN_RING_RANK)
 from .pieri import _tau1_raw, _tau11_raw, pieri_tau1, pieri_tau11
 
 
@@ -204,12 +204,14 @@ def _product_defect(n: int, lam: Index, mu: Index, terms: dict):
 
 
 def lazy_table(n: int) -> MultiplicationTable:
-    """The multiplication table for rank n (n >= 3), products on demand.
+    """The multiplication table for rank n (3 <= n <= MAX_RING_RANK), products on demand.
 
     Every graded slice is solved here, so a class outside the span of the
     generator monomials still raises `GenerationFailure` at once.
     """
     check_rank(n, MIN_RING_RANK)
+    if n > MAX_RING_RANK:
+        raise ValueError(f"ring rank must be <= {MAX_RING_RANK}, got {n}")
     table = MultiplicationTable(n, enumerate_basis(n), {}, {})
     unit = (0, 0)
     for total in range(0, max_degree(n) + 1):
@@ -311,6 +313,33 @@ def diagonal_power(table: MultiplicationTable, t: int) -> ClassVector:
     return out
 
 
+def power_class(n: int, t: int) -> list:
+    """tau[1,1]^t as (index, coeff, q-exponent) triples, 1 <= t <= n-1:
+    tau[t,t] for t <= n-2 and tau[n, n-2] for t = n-1."""
+    return [((t, t) if t <= n - 2 else (n, n - 2), 1, 0)]
+
+
+def collapse_terms(n: int, lam: Index) -> list:
+    """tau[1,1]^t * tau[lam] with t = 2n - lam1 and |lam| >= 2n, as triples:
+    q tau[lam2+t, 0], which splits as q tau[2n-1,-1] + q tau[2n-2, 0] when
+    lam2 + t = 2n-2."""
+    t = 2 * n - lam[0]
+    if lam[1] + t == 2 * n - 2:
+        return [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)]
+    return [((lam[1] + t, 0), 1, 1)]
+
+
+def shift_terms(n: int, mu: Index, t: int) -> list:
+    """tau[1,1]^t * tau[mu] for 2t + |mu| <= 2n-1, as triples: tau[mu1+t, mu2+t],
+    plus tau[mu1+t+1, mu2+t-1] when 2t + |mu| is 2n-2 or 2n-1; a pair outside
+    the index set is zero.  The identity suite checks t <= n-2; the replay's
+    one t = n-1 multiplier (lam1 = n+1) is checked only against the engine."""
+    terms = [((mu[0] + t, mu[1] + t), 1, 0)]
+    if 2 * t + degree(mu) in (2 * n - 2, 2 * n - 1):
+        terms.append(((mu[0] + t + 1, mu[1] + t - 1), 1, 0))
+    return terms
+
+
 IDENTITY_PARTS = ("diagonal-power", "collapse", "collapse-boundary",
                   "top-power", "shift", "shift-boundary")
 
@@ -321,16 +350,13 @@ IdentityCheck = namedtuple("IdentityCheck", "part holds checked counterexamples"
 def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
     """Exhaustively check one family of product identities for powers of tau[1,1].
 
-    Parts:
-      diagonal-power    tau[1,1]^t = tau[t,t]                          (t <= n-2)
-      collapse          tau[1,1]^t * tau[lam] = q tau[lam2+t, 0]       (|lam| >= 2n,
-                        t = 2n - lam1, lam2 + t != 2n-2)
-      collapse-boundary same but lam2 + t = 2n-2: q tau[2n-1,-1] + q tau[2n-2, 0]
-      top-power         tau[1,1]^(n-1) = tau[n, n-2]
-      shift             tau[1,1]^t * tau[mu] = tau[mu1+t, mu2+t]
-                        (2t + |mu| <= 2n-3, t <= n-2)
-      shift-boundary    2t + |mu| in {2n-2, 2n-1}, t <= n-2:
-                        tau[mu1+t+1, mu2+t-1] + tau[mu1+t, mu2+t]
+    Parts, expected values from `power_class`, `collapse_terms`, `shift_terms`:
+      diagonal-power    tau[1,1]^t, t <= n-2
+      collapse          tau[1,1]^t * tau[lam], |lam| >= 2n, t = 2n-lam1, lam2+t != 2n-2
+      collapse-boundary the same with lam2 + t = 2n-2
+      top-power         tau[1,1]^(n-1)
+      shift             tau[1,1]^t * tau[mu], t <= n-2, 2t + |mu| <= 2n-3
+      shift-boundary    the same with 2t + |mu| in {2n-2, 2n-1}
     """
     n = table.n
     if part not in IDENTITY_PARTS:
@@ -339,42 +365,33 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
     bad = []
     powers = {t: diagonal_power(table, t) for t in range(0, n)}
 
-    def record(params, got, want):
+    def record(params, got, terms):
         nonlocal checked
         checked += 1
+        want = ClassVector.from_terms(n, terms)
         if got != want:
             bad.append({"params": params, "got": repr(got), "expected": repr(want)})
 
-    if part == "diagonal-power":
-        for t in range(1, n - 1):
-            record({"t": t}, powers[t],
-                   ClassVector.from_terms(n, [((t, t), 1, 0)]))
-    elif part == "top-power":
-        record({"t": n - 1}, powers[n - 1],
-               ClassVector.from_terms(n, [((n, n - 2), 1, 0)]))
+    if part in ("diagonal-power", "top-power"):
+        for t in range(1, n - 1) if part == "diagonal-power" else [n - 1]:
+            record({"t": t}, powers[t], power_class(n, t))
     elif part in ("collapse", "collapse-boundary"):
         boundary = part == "collapse-boundary"
         for lam in classes_in_degrees(n, range(2 * n, max_degree(n) + 1)):
             t = 2 * n - lam[0]
             if ((lam[1] + t) == 2 * n - 2) != boundary:
                 continue
-            got = multiply(table, powers[t], ClassVector.basis(n, lam))
-            if boundary:
-                want = ClassVector.from_terms(
-                    n, [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)])
-            else:
-                want = ClassVector.from_terms(n, [((lam[1] + t, 0), 1, 1)])
-            record({"lambda": lam, "t": t}, got, want)
+            record({"lambda": lam, "t": t},
+                   multiply(table, powers[t], ClassVector.basis(n, lam)),
+                   collapse_terms(n, lam))
     else:
         boundary = part == "shift-boundary"
         for t in range(1, n - 1):
             lo = 2 * n - 2 - 2 * t  # boundary: |mu| is lo or lo + 1; else |mu| < lo
             for mu in classes_in_degrees(n, range(lo, lo + 2) if boundary else range(lo)):
-                got = multiply(table, powers[t], ClassVector.basis(n, mu))
-                terms = [((mu[0] + t, mu[1] + t), 1, 0)]
-                if boundary:
-                    terms.append(((mu[0] + t + 1, mu[1] + t - 1), 1, 0))
-                record({"mu": mu, "t": t}, got, ClassVector.from_terms(n, terms))
+                record({"mu": mu, "t": t},
+                       multiply(table, powers[t], ClassVector.basis(n, mu)),
+                       shift_terms(n, mu, t))
     return IdentityCheck(part, not bad, checked, bad)
 
 

@@ -52,10 +52,10 @@ def _as_index(obj) -> tuple[int, int]:
 
 
 def _as_int(x) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"not an integer: {x!r}") from None
+    """x itself if it is a JSON integer (not a bool, float or string)."""
+    if type(x) is not int:
+        raise ValueError(f"not an integer: {x!r}")
+    return x
 
 
 def _field(obj, key: str, what: str, kind=None):
@@ -156,8 +156,10 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
             raise ValueError(f"product pair {lam}, {mu} is not in the rank-{n} basis")
         if pos[lam] > pos[mu]:
             raise ValueError(f"product pair {lam}, {mu} out of canonical order")
-        products[(lam, mu)] = class_vector_from_terms(
-            n, _field(entry, "terms", "product"))
+        terms = _field(entry, "terms", "product")
+        products[(lam, mu)] = class_vector_from_terms(n, terms)
+        for t in terms:  # the table format has integers where other terms have "p/q"
+            _as_int(t["coeff"])
     missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
                   if (lam, mu) not in products)
     if missing:
@@ -181,14 +183,23 @@ def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
 # deformation specs
 
 
+def _key_to_json(mode: str, key) -> dict:
+    """A deformation key (a spec entry's or a certificate unknown's) as JSON."""
+    if mode == MODE_PER_PAIR:
+        return {"lambda": _index(key[0]), "mu": _index(key[1])}
+    return {"mu": _index(key)}
+
+
+def _key_from_json(mode: str, obj, what: str):
+    mu = _as_index(_field(obj, "mu", what))
+    if mode == MODE_PER_PAIR:
+        return (_as_index(_field(obj, "lambda", what)), mu)
+    return mu
+
+
 def spec_to_dict(spec: DeformationSpec) -> dict:
-    entries = []
-    for key, val in spec.items():
-        if spec.mode == MODE_PER_PAIR:
-            entries.append({"lambda": _index(key[0]), "mu": _index(key[1]),
-                            "a": format_rational(val)})
-        else:
-            entries.append({"mu": _index(key), "a": format_rational(val)})
+    entries = [{**_key_to_json(spec.mode, key), "a": format_rational(val)}
+               for key, val in spec.items()]
     return {"n": spec.n, "mode": spec.mode, "entries": entries}
 
 
@@ -203,11 +214,7 @@ def spec_from_dict(data: dict) -> DeformationSpec:
         raise ValueError(f"spec entries must be a list, got {raw!r}")
     for e in raw:
         a = parse_rational(_field(e, "a", "spec entry"))
-        mu = _as_index(_field(e, "mu", "spec entry"))
-        if mode == MODE_PER_PAIR:
-            key = (_as_index(_field(e, "lambda", "spec entry")), mu)
-        else:
-            key = mu
+        key = _key_from_json(mode, e, "spec entry")
         entries[key] = entries.get(key, Fraction(0)) + a
     return DeformationSpec(n, mode, entries)
 
@@ -223,19 +230,6 @@ def load_spec(path) -> DeformationSpec:
 
 # ---------------------------------------------------------------------------
 # certificates (self-contained: the constraint system is embedded)
-
-
-def _unknown_to_json(mode: str, key) -> dict:
-    if mode == MODE_PER_PAIR:
-        return {"lambda": _index(key[0]), "mu": _index(key[1])}
-    return {"mu": _index(key)}
-
-
-def _unknown_from_json(mode: str, obj):
-    mu = _as_index(_field(obj, "mu", "unknown"))
-    if mode == MODE_PER_PAIR:
-        return (_as_index(_field(obj, "lambda", "unknown")), mu)
-    return mu
 
 
 def _entry(obj, key: str, what: str, items):
@@ -271,7 +265,7 @@ def certificate_to_dict(cert: Certificate, system: ConstraintSystem) -> dict:
         "n": cert.n,
         "mode": cert.mode,
         "conclusion": cert.conclusion,
-        "unknowns": [_unknown_to_json(cert.mode, k) for k in cert.unknowns],
+        "unknowns": [_key_to_json(cert.mode, k) for k in cert.unknowns],
         "bounds": bounds,
         "witness": witness,
         "stats": cert.stats,
@@ -285,7 +279,7 @@ def certificate_from_dict(data: dict):
     mode = _field(data, "mode", "certificate")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    unknowns = tuple(_unknown_from_json(mode, u)
+    unknowns = tuple(_key_from_json(mode, u, "unknown")
                      for u in _field(data, "unknowns", "certificate", list))
     constraints = []
     provenance = []

@@ -169,6 +169,16 @@ def test_replay_instance_values(table3):
     assert deds == [("nonpos", ((5, 1), (0, 0)))]
 
 
+def test_replay_reads_every_sign_off_the_display(table4):
+    # n = 4, lam = (6,4), t = 2: the display is q tau[7,-1] + q tau[6,0]
+    # - a q tau[5,1] - (a + a') q tau[4,2] for a = a(6,4),(2,0), a' = a(6,4),(1,1);
+    # the lone -a term is read off as well as the pair
+    steps = {(s.tag, s.subject): s for s in replay_proof(table4).steps}
+    assert steps[("pair-upper", (6, 4))].deductions == [
+        ("nonpos", ((6, 4), (2, 0))),
+        ("pair-nonpos", ((6, 4), (2, 0)), ((6, 4), (1, 1)))]
+
+
 def test_quadratic_guard_is_active(table3):
     # multiplying two symbolically deformed classes of high degree would need
     # a quadratic term; the algebra layer must refuse rather than mis-expand

@@ -227,8 +227,22 @@ def _drop_spec_mu(doc):
     del doc["entries"][0]["mu"]
 
 
+def _fractional_coeff(doc):
+    doc["products"][5]["terms"][0]["coeff"] = "1/2"
+
+
+def _boolean_coeff(doc):
+    doc["products"][5]["terms"][0]["coeff"] = True
+
+
+def _fractional_d(doc):
+    doc["products"][5]["terms"][0]["d"] = 1.5
+
+
 @pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
-                                    _drop_table_n, _drop_spec_mu])
+                                    _drop_table_n, _drop_spec_mu,
+                                    _fractional_coeff, _boolean_coeff,
+                                    _fractional_d])
 def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     path = tmp_path / "doc.json"
     if mutate is _drop_spec_mu:
@@ -325,3 +339,23 @@ def test_cli_import_leaves_dataclasses_out():
                    "print('dataclasses' in sys.modules)", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "--lambda", "1,0", "--mu", "1,0", "--nu", "2,0", "--d", "0"],
+    ["mult", "tau[1,0]"],
+    ["certify", "--method", "both"],
+    ["check-positivity", "--spec", "SPEC"],
+    ["verify", "--suite", "betti"],
+    ["table", "--out", "OUT"],
+], ids=lambda argv: argv[0])
+def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
+    spec = tmp_path / "spec.json"
+    serialize.save_spec(DeformationSpec.zero(3), spec)
+    argv = [str(spec) if a == "SPEC" else str(tmp_path / "t.json") if a == "OUT"
+            else a for a in argv]
+    proc = _python("-m", "osglines.cli", *argv, "--n", "100000000", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ring rank must be <= 1000")
+    assert not (tmp_path / "t.json").exists()

@@ -5,12 +5,13 @@ import pytest
 
 from osglines import serialize
 from osglines.algebra import ClassVector, QPolynomial
-from osglines.basis import degree, enumerate_degree, max_degree
+from osglines.basis import MAX_RING_RANK, degree, enumerate_degree, max_degree
 from osglines.pieri import pieri_tau1, pieri_tau11
 from osglines.ring import (IDENTITY_PARTS, build_table,
-                           check_commutativity, diagonal_power, gw_constant,
-                           has_negative_constant, lazy_table, multiply,
-                           poincare_pairing, verify_identities)
+                           check_commutativity, collapse_terms, diagonal_power,
+                           gw_constant, has_negative_constant, lazy_table,
+                           multiply, poincare_pairing, power_class, shift_terms,
+                           verify_identities)
 
 
 def basis_vec(n, lam):
@@ -170,6 +171,34 @@ def test_identity_boundary_instance(table4):
     assert got == ClassVector.from_terms(4, [((4, 2), 1, 0)])
 
 
+def test_closed_forms_n4():
+    assert power_class(4, 2) == [((2, 2), 1, 0)]
+    assert power_class(4, 3) == [((4, 2), 1, 0)]
+    assert collapse_terms(4, (6, 3)) == [((5, 0), 1, 1)]
+    assert collapse_terms(4, (6, 4)) == [((7, -1), 1, 1), ((6, 0), 1, 1)]
+    assert shift_terms(4, (1, 0), 1) == [((2, 1), 1, 0)]
+    assert shift_terms(4, (2, 1), 2) == [((4, 3), 1, 0), ((5, 2), 1, 0)]
+    # the invalid diagonal (3, 3) is zero once the triples become a vector
+    terms = shift_terms(4, (0, 0), 3)
+    assert terms == [((3, 3), 1, 0), ((4, 2), 1, 0)]
+    assert ClassVector.from_terms(4, terms) == ClassVector.from_terms(4, power_class(4, 3))
+
+
+def test_closed_forms_match_the_engine(table5):
+    n = 5
+    for t in range(1, n):
+        power = diagonal_power(table5, t)
+        assert power == ClassVector.from_terms(n, power_class(n, t))
+        # t = n-1 is outside the identity suite's shift parts
+        for mu in enumerate_degree(n, 2 * n - 1 - 2 * t):
+            assert multiply(table5, power, basis_vec(n, mu)) == \
+                ClassVector.from_terms(n, shift_terms(n, mu, t))
+    for lam in enumerate_degree(n, 2 * n + 3):
+        t = 2 * n - lam[0]
+        assert multiply(table5, diagonal_power(table5, t), basis_vec(n, lam)) == \
+            ClassVector.from_terms(n, collapse_terms(n, lam))
+
+
 def test_unknown_identity_part_rejected(table3):
     with pytest.raises(ValueError):
         verify_identities(table3, "nonsense")
@@ -178,6 +207,14 @@ def test_unknown_identity_part_rejected(table3):
 def test_ring_rejects_rank_two():
     with pytest.raises(ValueError):
         build_table(2)
+
+
+def test_ring_rejects_absurd_rank():
+    assert MAX_RING_RANK == 1000
+    with pytest.raises(ValueError, match="rank must be <= 1000"):
+        lazy_table(MAX_RING_RANK + 1)
+    with pytest.raises(ValueError, match="rank must be <= 1000"):
+        build_table(100_000_000)
 
 
 def test_invalid_index_lookup(table3):
