@@ -32,6 +32,14 @@ def check_rank(n: int, minimum: int = MIN_RANK) -> int:
     return n
 
 
+def check_ring_rank(n: int) -> int:
+    """n, or ValueError unless MIN_RING_RANK <= n <= MAX_RING_RANK."""
+    check_rank(n, MIN_RING_RANK)
+    if n > MAX_RING_RANK:
+        raise ValueError(f"ring rank must be <= {MAX_RING_RANK}, got {n}")
+    return n
+
+
 def is_valid(n: int, lam) -> bool:
     """Total membership predicate on integer pairs."""
     l1, l2 = lam

@@ -9,7 +9,9 @@ single complete document, never a partial one; schema in
 
 `table` and `verify` touch every product and build the full table; `mult`,
 `gw`, `check-positivity` and `certify` use a table that assembles each
-product on first use (`ring.lazy_table`).
+product on first use (`ring.lazy_table`).  They check the rank, a spec,
+an expression's syntax and `gw`'s indices before they build a table, so
+such a usage error exits at once at any rank.
 
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
@@ -24,8 +26,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import ClassVector
-from .basis import (betti_numbers, enumerate_basis, enumerate_degree,
-                    max_degree, top_class)
+from .basis import (betti_numbers, check_index, check_ring_rank,
+                    enumerate_basis, enumerate_degree, max_degree, top_class)
 from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
                       build_constraints, certify_uniqueness, replay_proof,
                       verify_certificate)
@@ -126,9 +128,8 @@ def _cmd_basis(args):
 
 
 def _cmd_mult(args):
-    table = lazy_table(args.n)
     ast = parse_expression(args.expression)
-    result = evaluate_expression(ast, table)
+    result = evaluate_expression(ast, lazy_table(args.n))
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
                "terms": serialize.class_vector_terms(result)}
     _emit(args, payload, [render_vector_text(result)], render_vector_latex(result))
@@ -146,6 +147,10 @@ def _cmd_pieri(args):
 
 
 def _cmd_gw(args):
+    for idx in (args.lam, args.mu, args.nu):
+        check_index(args.n, idx)
+    if args.d < 0:
+        raise ValueError("q-exponent must be nonnegative")
     value = gw_constant(lazy_table(args.n), args.lam, args.mu, args.nu, args.d)
     payload = {"command": "gw", "n": args.n, "lambda": list(args.lam),
                "mu": list(args.mu), "nu": list(args.nu), "d": args.d,
@@ -280,11 +285,11 @@ def _cmd_certify(args):
 
 
 def _cmd_check_positivity(args):
-    table = lazy_table(args.n)
+    check_ring_rank(args.n)
     spec = serialize.load_spec(args.spec)
     if spec.n != args.n:
         raise ValueError(f"spec has n={spec.n}, invocation has n={args.n}")
-    report = check_positivity(spec, table)
+    report = check_positivity(spec, lazy_table(args.n))
     payload = {"command": "check-positivity", "n": args.n, "mode": spec.mode,
                "passes": report.passes,
                "violations": [{"mu": list(mu), "nu": list(nu), "d": d,

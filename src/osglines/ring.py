@@ -1,8 +1,23 @@
 """The full multiplication table of the quantum cohomology ring.
 
-The two special classes tau[1,0] and tau[1,1] generate the ring.  Building
-the table therefore reduces to linear algebra: for each basis class lam we
-find rational coefficients r_ij with
+The two special classes tau[1,0] and tau[1,1] generate the ring, and their
+products are the closed Pieri rules of `pieri`.  There are two independent
+ways to get every other product from them.
+
+The Pieri recursion (`build_table`).  Every class lam != (0,0) has a
+unitriangular rule: a special class S and a class pred with
+
+    S * tau[pred] = tau[lam] + sum k q^dd tau[o],
+
+where every o has lower degree (dd >= 1) or is resolved earlier in lam's
+degree (`_recursion_rules`).  Hence
+
+    tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
+
+and each column mu of the table fills in resolution order, on plain ints.
+
+The generator expressions (`lazy_table`).  For each basis class lam we find
+rational coefficients r_ij with
 
     tau[lam] = sum_ij r_ij * tau[1,0]^i * tau[1,1]^j      (i + 2j = |lam|),
 
@@ -14,26 +29,26 @@ by exact Gaussian elimination inside the homogeneous graded slice of degree
 where M1, M11 are the linear operators given by the expansion rules.  The
 monomial columns are processed with higher tau[1,1]-powers first, which keeps
 the chosen representations canonical (e.g. a diagonal class (t,t) is always
-represented as the pure power tau[1,1]^t).
-
-A table from `lazy_table` solves every slice but stores no products: each is
-assembled the first time it is asked for and kept, with the M1/M11
-expansions of its column class memoised.  `build_table` is the same table
-filled column by column.
+represented as the pure power tau[1,1]^t).  A table from `lazy_table` stores
+no products: each is assembled the first time it is asked for and kept,
+with the M1/M11 expansions of its column class memoised.  `build_table`
+starts from this table, so it carries the expressions too, and
+`check_commutativity` recomputes every product through them.
 
 Every structure constant is checked to be an integer and every stored product
-to be homogeneous, whenever it is assembled; violations abort.
+to be homogeneous, whenever it is computed; violations abort.
 `revalidate_table` runs the same check on a table loaded from a cache.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import ClassVector
-from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
-                    enumerate_basis, enumerate_degree, is_valid, max_degree,
-                    top_class, MAX_RING_RANK, MIN_RING_RANK)
+from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
+                    degree, enumerate_basis, enumerate_degree, is_valid,
+                    max_degree, top_class)
 from .pieri import _tau1_raw, _tau11_raw, pieri_tau1, pieri_tau11
 
 
@@ -207,11 +222,11 @@ def lazy_table(n: int) -> MultiplicationTable:
     """The multiplication table for rank n (3 <= n <= MAX_RING_RANK), products on demand.
 
     Every graded slice is solved here, so a class outside the span of the
-    generator monomials still raises `GenerationFailure` at once.
+    generator monomials still raises `GenerationFailure` at once.  Each
+    product is assembled from the generator expressions when first asked
+    for; `build_table` fills the same table by the Pieri recursion instead.
     """
-    check_rank(n, MIN_RING_RANK)
-    if n > MAX_RING_RANK:
-        raise ValueError(f"ring rank must be <= {MAX_RING_RANK}, got {n}")
+    check_ring_rank(n)
     table = MultiplicationTable(n, enumerate_basis(n), {}, {})
     unit = (0, 0)
     for total in range(0, max_degree(n) + 1):
@@ -222,13 +237,88 @@ def lazy_table(n: int) -> MultiplicationTable:
     return table
 
 
+def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
+    """The terms of a raw Pieri rule at lam whose index is a class."""
+    return tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
+
+
+Rule = namedtuple("Rule", "special pred others")
+# tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
+
+
+def _recursion_rules(n: int) -> dict:
+    """A unitriangular Pieri rule for every class lam != (0,0), in resolution order.
+
+    The rule's special class times tau[pred] gives tau[lam] with coefficient 1
+    at q^0; every other term has lower degree (dd >= 1) or a class resolved
+    earlier in lam's degree.  Within a degree the rules with the fewest other
+    terms are taken first.  A class with no such rule raises `GenerationFailure`.
+    """
+    rules: dict = {}
+    for total in range(1, max_degree(n) + 1):
+        candidates = []
+        for special, raw in (((1, 1), _tau11_raw), ((1, 0), _tau1_raw)):
+            for pred in enumerate_degree(n, total - degree(special)):
+                terms = _valid_terms(n, raw, pred)
+                candidates += [(lam, Rule(special, pred, tuple(
+                    t for t in terms if t[0] != lam)))
+                    for lam, k, dd in terms if k == 1 and dd == 0]
+        candidates.sort(key=lambda c: len(c[1].others))
+        pending = set(enumerate_degree(n, total))
+        while pending:
+            before = len(pending)
+            for lam, rule in candidates:
+                if lam in pending and all(dd or o in rules for o, _, dd in rule.others):
+                    rules[lam] = rule
+                    pending.discard(lam)
+            if len(pending) == before:
+                raise GenerationFailure(
+                    f"class {min(pending)} (rank {n}) has no unitriangular Pieri rule")
+    return rules
+
+
 def build_table(n: int) -> MultiplicationTable:
-    """Build the complete multiplication table for rank n (n >= 3)."""
+    """The complete multiplication table for rank n (3 <= n <= MAX_RING_RANK).
+
+    Column mu is filled by the Pieri recursion on plain ints: for each rule of
+    `_recursion_rules` in order, up to the degree of mu,
+
+        tau[lam]*tau[mu] = S(tau[pred]*tau[mu]) - sum k q^dd tau[o]*tau[mu].
+
+    Each stored product is audited and holds `Fraction` coefficients, as an
+    assembled one does.  The generator expressions of `lazy_table` stay with
+    the table for `check_commutativity`, which recomputes every product
+    through them.
+    """
     table = lazy_table(n)
+    rules = _recursion_rules(n)
+    pieri = {special: {lam: _valid_terms(n, raw, lam) for lam in table.basis}
+             for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
+    steps = [(lam, pieri[r.special], r.pred, r.others) for lam, r in rules.items()]
+    degrees = [degree(lam) for lam in rules]
+    fractions: dict = {}
     for mu in table.basis:
+        col = {(0, 0): {(mu, 0): 1}}
+        upto = bisect_right(degrees, degree(mu))
+        for lam, times_special, pred, others in steps[:upto]:
+            acc: dict = {}
+            for (nu, d), c in col[pred].items():
+                for nu2, k, dd in times_special[nu]:
+                    key = (nu2, d + dd)
+                    acc[key] = acc.get(key, 0) + k * c
+            for o, k, dd in others:
+                for (nu, d), c in col[o].items():
+                    key = (nu, d + dd)
+                    acc[key] = acc.get(key, 0) - k * c
+            col[lam] = {key: c for key, c in acc.items() if c}
         for lam in table.basis[:table.pos[mu] + 1]:
-            table.product(lam, mu)
-        table._expansions.pop(mu, None)
+            terms = col[lam]
+            defect = _product_defect(n, lam, mu, terms)
+            if defect:
+                raise RuntimeError(defect)
+            table._products[(lam, mu)] = ClassVector._wrap(n, {
+                key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
+                for key, c in terms.items()})
     return table
 
 
@@ -399,9 +489,10 @@ def check_commutativity(table: MultiplicationTable) -> list:
     """Recompute every stored product in the opposite factor order.
 
     Returns the list of pairs where the two orders disagree (empty when the
-    table is commutative).  This re-runs the generator expansion with the
-    roles of the factors swapped, so it is an independent recomputation, not
-    a lookup of the same entry twice.
+    table is commutative).  This runs the generator expansion with the roles
+    of the factors swapped.  On a table from `build_table`, whose products
+    come from the Pieri recursion, it checks every product against a second,
+    independent algorithm.
     """
     if table.generator_expressions is None:
         raise ValueError("commutativity recheck needs a freshly built table "

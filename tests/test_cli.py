@@ -359,3 +359,18 @@ def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ring rank must be <= 1000")
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-positivity", "--spec", "MISSING"],
+    ["mult", "tau[1,"],
+    ["gw", "--lambda", "99,99", "--mu", "1,0", "--nu", "1,0", "--d", "0"],
+    ["gw", "--lambda", "1,0", "--mu", "1,0", "--nu", "2,0", "--d", "-1"],
+], ids=["missing-spec", "bad-expression", "bad-index", "negative-d"])
+def test_usage_errors_exit_before_the_table_is_built(tmp_path, argv):
+    # at n = 48 the slice solve alone takes about 45 s
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    proc = _python("-m", "osglines.cli", *argv, "--n", "48", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")

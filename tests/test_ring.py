@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from osglines import serialize
+from osglines import ring, serialize
 from osglines.algebra import ClassVector, QPolynomial
-from osglines.basis import MAX_RING_RANK, degree, enumerate_degree, max_degree
+from osglines.basis import (MAX_RING_RANK, degree, enumerate_basis,
+                            enumerate_degree, max_degree)
 from osglines.pieri import pieri_tau1, pieri_tau11
-from osglines.ring import (IDENTITY_PARTS, build_table,
+from osglines.ring import (IDENTITY_PARTS, GenerationFailure, build_table,
                            check_commutativity, collapse_terms, diagonal_power,
                            gw_constant, has_negative_constant, lazy_table,
                            multiply, poincare_pairing, power_class, shift_terms,
@@ -262,3 +263,49 @@ def test_lazy_table_audits_on_demand():
     with pytest.raises(RuntimeError, match="non-integer"):
         lazy.product((3, 0), (1, 1))
     assert lazy.stored_products() == 1
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_recursion_rules_are_unitriangular(n):
+    rules = ring._recursion_rules(n)
+    assert set(rules) == set(enumerate_basis(n)) - {(0, 0)}
+    degrees = [degree(lam) for lam in rules]
+    assert degrees == sorted(degrees)
+    order = {lam: i for i, lam in enumerate(rules)}
+    for lam, (special, pred, others) in rules.items():
+        out = (pieri_tau1 if special == (1, 0) else pieri_tau11)(n, pred)
+        assert out.coefficient(lam, 0) == 1
+        assert out - basis_vec(n, lam) == ClassVector.from_terms(n, others)
+        for o, _, dd in others:
+            assert dd >= 1 or order[o] < order[lam], (lam, o)
+
+
+def test_recursion_without_a_unitriangular_rule_fails(monkeypatch):
+    monkeypatch.setattr(ring, "_tau11_raw", lambda n, lam: ("generic", ()))
+    with pytest.raises(GenerationFailure, match="no unitriangular"):
+        ring._recursion_rules(4)
+
+
+def test_commutativity_catches_a_wrong_recursion(monkeypatch):
+    rules_of = ring._recursion_rules
+
+    def doubled(n):
+        rules = rules_of(n)
+        lam, rule = next((lam, r) for lam, r in rules.items() if r.others)
+        (o, k, dd), *rest = rule.others
+        rules[lam] = rule._replace(others=((o, 2 * k, dd), *rest))
+        return rules
+
+    monkeypatch.setattr(ring, "_recursion_rules", doubled)
+    assert check_commutativity(build_table(4))
+
+
+def test_full_table_matches_lazy_products_n7():
+    full, lazy = build_table(7), lazy_table(7)
+    for lam, mu in full.pairs():
+        assert full.product(lam, mu) == lazy.product(lam, mu), (lam, mu)
+
+
+def test_full_table_coefficients_are_fractions(table4):
+    for lam, mu in table4.pairs():
+        assert all(type(c) is Fraction for c in table4.product(lam, mu).flat.values())
