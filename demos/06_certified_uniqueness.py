@@ -10,7 +10,8 @@ argument (collapse products for upper bounds, the expansion rule for lower
 bounds) and checks every closed-form display termwise.
 
 Both routes only multiply by sigma[1,1] and its powers, so a larger rank is
-certified on `lazy_table`, which assembles just the products asked for.
+certified on `lazy_table`, which computes just the products asked for,
+each by the Pieri recursion from the products it depends on.
 """
 import tempfile
 
@@ -31,7 +32,7 @@ for n in (3, 4, 5):
     print(f"n={n} replay: {len(report.steps)} verified steps -> "
           f"{report.conclusion}")
 
-# a larger rank: only the products the two routes ask for are assembled
+# a larger rank: only the products the two routes ask for are computed
 table = lazy_table(10)
 system = build_constraints(table, "per-pair")
 cert = certify_uniqueness(system)
@@ -40,7 +41,7 @@ pairs = len(table.basis) * (len(table.basis) + 1) // 2
 print(f"\nn=10 per-pair: {len(system.unknowns)} unknowns -> {cert.conclusion} "
       f"(certificate verified: {verify_certificate(system, cert)}); "
       f"replay -> {report.conclusion}; "
-      f"{table.stored_products()} of {pairs} products assembled")
+      f"{table.stored_products()} of {pairs} products computed")
 
 # certificates are self-contained JSON documents
 table = build_table(3)

@@ -8,10 +8,11 @@ single complete document, never a partial one; schema in
 `schemas/cli_output.schema.json`.
 
 `table` and `verify` touch every product and build the full table; `mult`,
-`gw`, `check-positivity` and `certify` use a table that assembles each
-product on first use (`ring.lazy_table`).  They check the rank, a spec,
-an expression's syntax and `gw`'s indices before they build a table, so
-such a usage error exits at once at any rank.
+`gw`, `check-positivity` and `certify` use a table that computes each
+product by the Pieri recursion on first use (`ring.lazy_table`).  They check
+the rank, a spec, an expression's syntax and `gw`'s indices before they
+build a table; `mult` checks an expression's indices as it evaluates it,
+which is at once too, since such a table costs only its recursion rules.
 
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a

@@ -1,11 +1,9 @@
 """The full multiplication table of the quantum cohomology ring.
 
 The two special classes tau[1,0] and tau[1,1] generate the ring, and their
-products are the closed Pieri rules of `pieri`.  There are two independent
-ways to get every other product from them.
-
-The Pieri recursion (`build_table`).  Every class lam != (0,0) has a
-unitriangular rule: a special class S and a class pred with
+products are the closed Pieri rules of `pieri`.  Every other product comes
+from them by one recursion.  Every class lam != (0,0) has a unitriangular
+rule: a special class S and a class pred with
 
     S * tau[pred] = tau[lam] + sum k q^dd tau[o],
 
@@ -14,26 +12,25 @@ degree (`_recursion_rules`).  Hence
 
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
-and each column mu of the table fills in resolution order, on plain ints.
+computed on plain ints.  A table from `lazy_table` stores no products: each
+is computed the first time it is asked for, from the int memo of its column
+mu, and kept; `build_table` asks for every product.
 
-The generator expressions (`lazy_table`).  For each basis class lam we find
+`check_commutativity` recomputes every product by a second, independent
+algorithm, kept only as that reference.  For each basis class lam it finds
 rational coefficients r_ij with
 
     tau[lam] = sum_ij r_ij * tau[1,0]^i * tau[1,1]^j      (i + 2j = |lam|),
 
 by exact Gaussian elimination inside the homogeneous graded slice of degree
-|lam| (q-powers counted with weight 2n).  Products are then assembled as
+|lam| (q-powers counted with weight 2n), and assembles
 
     tau[lam] * tau[mu] = sum_ij r_ij * M1^i(M11^j(tau[mu]))
 
 where M1, M11 are the linear operators given by the expansion rules.  The
 monomial columns are processed with higher tau[1,1]-powers first, which keeps
 the chosen representations canonical (e.g. a diagonal class (t,t) is always
-represented as the pure power tau[1,1]^t).  A table from `lazy_table` stores
-no products: each is assembled the first time it is asked for and kept,
-with the M1/M11 expansions of its column class memoised.  `build_table`
-starts from this table, so it carries the expressions too, and
-`check_commutativity` recomputes every product through them.
+represented as the pure power tau[1,1]^t).
 
 Every structure constant is checked to be an integer and every stored product
 to be homogeneous, whenever it is computed; violations abort.
@@ -41,7 +38,6 @@ to be homogeneous, whenever it is computed; violations abort.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
@@ -56,39 +52,23 @@ class GenerationFailure(RuntimeError):
     """A basis class is not in the span of generator monomials."""
 
 
-def _apply(n: int, raw_rule, vec_terms: dict) -> dict:
-    """Apply a Pieri operator to a {(index, d): coeff} mapping."""
-    out: dict = {}
-    for (lam, d), c in vec_terms.items():
-        for nu, k, dd in raw_rule(n, lam)[1]:
-            if not is_valid(n, nu):
-                continue
-            key = (nu, d + dd)
-            out[key] = out.get(key, Fraction(0)) + c * k
-    return {k: v for k, v in out.items() if v}
-
-
-def _slice_coords(n: int, total: int) -> list[tuple[Index, int]]:
-    return [(nu, d) for d in range(total // (2 * n) + 1)
-            for nu in enumerate_degree(n, total - 2 * n * d)]
-
-
 class MultiplicationTable:
     """All structure constants for a given rank in the tau basis.
 
     Products are stored once per unordered pair, keyed by basis position.  A
-    table that carries generator expressions assembles a missing product on
-    first request and keeps it; a loaded cache is complete and carries none.
+    table from `lazy_table` computes a missing product on first request by
+    the Pieri recursion and keeps it; a loaded cache is complete.
     """
 
-    def __init__(self, n: int, basis: list[Index], products: dict,
-                 generator_expressions=None):
+    def __init__(self, n: int, basis: list[Index], products: dict):
         self.n = n
         self.basis = tuple(basis)
         self.pos = {lam: i for i, lam in enumerate(self.basis)}
         self._products = products
-        self.generator_expressions = generator_expressions
-        self._expansions: dict = {}  # class -> {(i, j): M1^i M11^j (tau[class])}
+        self._rules = None  # set by lazy_table: _recursion_rules(n)
+        self._times = None  # set by lazy_table: special -> {class: its Pieri terms}
+        self._columns: dict = {}  # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}
+        self._fractions: dict = {}  # int -> the one Fraction of that value
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
         pos = self.pos
@@ -104,32 +84,50 @@ class MultiplicationTable:
         try:
             return self._products[pair]
         except KeyError:
-            prod = self._products[pair] = self._assemble(*pair)
+            prod = self._products[pair] = self._recurse(*pair)
             return prod
 
-    def _expansion(self, mu: Index, mon: tuple[int, int]) -> dict:
-        """M1^i(M11^j(tau[mu])) as {(nu, d): coeff}, memoised per mu."""
-        h = self._expansions.get(mu)
-        if h is None:
-            h = self._expansions[mu] = {(0, 0): {(mu, 0): Fraction(1)}}
-        terms = h.get(mon)
-        if terms is None:
-            i, j = mon
-            if i:
-                terms = _apply(self.n, _tau1_raw, self._expansion(mu, (i - 1, j)))
-            else:
-                terms = _apply(self.n, _tau11_raw, self._expansion(mu, (0, j - 1)))
-            h[mon] = terms
-        return terms
+    def _recurse(self, lam: Index, mu: Index) -> ClassVector:
+        """tau[lam] * tau[mu] by the Pieri recursion in column mu, audited.
 
-    def _assemble(self, lam: Index, mu: Index) -> ClassVector:
-        """tau[lam] * tau[mu] = sum_ij r_ij M1^i M11^j (tau[mu]), audited."""
-        acc = _combine(self.generator_expressions[lam],
-                       lambda mon: self._expansion(mu, mon))
-        defect = _product_defect(self.n, lam, mu, acc)
+        Only lam's rule and the rules it depends on run, each at most once
+        per column; a memo entry is stored only once it is complete.
+        """
+        col = self._columns.get(mu)
+        if col is None:
+            col = self._columns[mu] = {(0, 0): {(mu, 0): 1}}
+        todo = [lam]
+        while todo:  # a loop, not recursion: rule chains grow about 4n deep
+            x = todo[-1]
+            if x in col:
+                todo.pop()
+                continue
+            rule = self._rules[x]
+            deps = [o for o in (rule.pred, *(o for o, _, _ in rule.others))
+                    if o not in col]
+            if deps:
+                todo += deps
+                continue
+            acc: dict = {}
+            times_special = self._times[rule.special]
+            for (nu, d), c in col[rule.pred].items():
+                for nu2, k, dd in times_special[nu]:
+                    key = (nu2, d + dd)
+                    acc[key] = acc.get(key, 0) + k * c
+            for o, k, dd in rule.others:
+                for (nu, d), c in col[o].items():
+                    key = (nu, d + dd)
+                    acc[key] = acc.get(key, 0) - k * c
+            col[x] = {key: c for key, c in acc.items() if c}
+            todo.pop()
+        terms = col[lam]
+        defect = _product_defect(self.n, lam, mu, terms)
         if defect:
             raise RuntimeError(defect)
-        return ClassVector._wrap(self.n, acc)
+        fractions = self._fractions
+        return ClassVector._wrap(self.n, {
+            key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
+            for key, c in terms.items()})
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -139,6 +137,26 @@ class MultiplicationTable:
 
     def stored_products(self) -> int:
         return len(self._products)
+
+
+def _expansion(n: int, mu: Index):
+    """mon -> M1^i(M11^j(tau[mu])) as {(nu, d): int}, memoised."""
+    memo = {(0, 0): {(mu, 0): 1}}
+
+    def expand(mon: tuple[int, int]) -> dict:
+        terms = memo.get(mon)
+        if terms is None:
+            i, j = mon
+            raw, prev = (_tau1_raw, (i - 1, j)) if i else (_tau11_raw, (0, j - 1))
+            acc: dict = {}
+            for (lam, d), c in expand(prev).items():
+                for nu, k, dd in raw(n, lam)[1]:
+                    if is_valid(n, nu):
+                        key = (nu, d + dd)
+                        acc[key] = acc.get(key, 0) + c * k
+            terms = memo[mon] = {key: v for key, v in acc.items() if v}
+        return terms
+    return expand
 
 
 def _combine(expr: dict, expansion) -> dict:
@@ -187,24 +205,28 @@ def _pivots(vectors) -> list:
     return pivots
 
 
-def _solve_slice(n: int, total: int, g, targets: list[Index]) -> dict:
-    """Express each target class of degree `total` in the generator monomials.
+def _generator_expressions(n: int) -> dict:
+    """Each class lam as {(i, j): r_ij}, tau[lam] = sum r_ij tau[1,0]^i tau[1,1]^j.
 
-    `g(mon)` is the expansion of the generator monomial `mon` applied to the
-    unit class.
+    Every graded slice is solved by exact elimination of the generator
+    monomials applied to the unit; `check_commutativity`'s reference.
     """
-    coord_pos = {c: i for i, c in enumerate(_slice_coords(n, total))}
-    monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
-    pivots = _pivots((mon, {coord_pos[key]: val for key, val in g(mon).items()})
-                     for mon in monomials)
-    out = {}
-    for lam in targets:
-        residual, r = _reduce({coord_pos[(lam, 0)]: Fraction(1)}, pivots)
-        if residual:
-            raise GenerationFailure(
-                f"class {lam} (rank {n}) is not generated by the special classes")
-        out[lam] = {m: v for m, v in r.items() if v}
-    return out
+    unit = _expansion(n, (0, 0))
+    exprs: dict = {}
+    for total in range(0, max_degree(n) + 1):
+        coord_pos = {c: i for i, c in enumerate(
+            (nu, d) for d in range(total // (2 * n) + 1)
+            for nu in enumerate_degree(n, total - 2 * n * d))}
+        monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
+        pivots = _pivots((mon, {coord_pos[key]: val for key, val in unit(mon).items()})
+                         for mon in monomials)
+        for lam in enumerate_degree(n, total):
+            residual, r = _reduce({coord_pos[(lam, 0)]: Fraction(1)}, pivots)
+            if residual:
+                raise GenerationFailure(
+                    f"class {lam} (rank {n}) is not generated by the special classes")
+            exprs[lam] = {m: v for m, v in r.items() if v}
+    return exprs
 
 
 def _product_defect(n: int, lam: Index, mu: Index, terms: dict):
@@ -216,25 +238,6 @@ def _product_defect(n: int, lam: Index, mu: Index, terms: dict):
         if c.denominator != 1:
             return f"product {lam}*{mu} has a non-integer constant {c} at {nu}, q^{d}"
     return None
-
-
-def lazy_table(n: int) -> MultiplicationTable:
-    """The multiplication table for rank n (3 <= n <= MAX_RING_RANK), products on demand.
-
-    Every graded slice is solved here, so a class outside the span of the
-    generator monomials still raises `GenerationFailure` at once.  Each
-    product is assembled from the generator expressions when first asked
-    for; `build_table` fills the same table by the Pieri recursion instead.
-    """
-    check_ring_rank(n)
-    table = MultiplicationTable(n, enumerate_basis(n), {}, {})
-    unit = (0, 0)
-    for total in range(0, max_degree(n) + 1):
-        table.generator_expressions.update(_solve_slice(
-            n, total, lambda mon: table._expansion(unit, mon),
-            enumerate_degree(n, total)))
-    table._expansions.clear()
-    return table
 
 
 def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
@@ -277,48 +280,32 @@ def _recursion_rules(n: int) -> dict:
     return rules
 
 
+def lazy_table(n: int) -> MultiplicationTable:
+    """The multiplication table for rank n (3 <= n <= MAX_RING_RANK), products on demand.
+
+    The recursion rules are found here, so a class without one still raises
+    `GenerationFailure` at once.  Each product is computed by the Pieri
+    recursion when first asked for, and kept.
+    """
+    check_ring_rank(n)
+    table = MultiplicationTable(n, enumerate_basis(n), {})
+    table._rules = _recursion_rules(n)
+    table._times = {special: {lam: _valid_terms(n, raw, lam) for lam in table.basis}
+                    for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
+    return table
+
+
 def build_table(n: int) -> MultiplicationTable:
     """The complete multiplication table for rank n (3 <= n <= MAX_RING_RANK).
 
-    Column mu is filled by the Pieri recursion on plain ints: for each rule of
-    `_recursion_rules` in order, up to the degree of mu,
-
-        tau[lam]*tau[mu] = S(tau[pred]*tau[mu]) - sum k q^dd tau[o]*tau[mu].
-
-    Each stored product is audited and holds `Fraction` coefficients, as an
-    assembled one does.  The generator expressions of `lazy_table` stay with
-    the table for `check_commutativity`, which recomputes every product
-    through them.
+    `lazy_table(n)` with every product asked for, column by column; each
+    column's int memo is dropped once its products are stored.
     """
     table = lazy_table(n)
-    rules = _recursion_rules(n)
-    pieri = {special: {lam: _valid_terms(n, raw, lam) for lam in table.basis}
-             for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
-    steps = [(lam, pieri[r.special], r.pred, r.others) for lam, r in rules.items()]
-    degrees = [degree(lam) for lam in rules]
-    fractions: dict = {}
     for mu in table.basis:
-        col = {(0, 0): {(mu, 0): 1}}
-        upto = bisect_right(degrees, degree(mu))
-        for lam, times_special, pred, others in steps[:upto]:
-            acc: dict = {}
-            for (nu, d), c in col[pred].items():
-                for nu2, k, dd in times_special[nu]:
-                    key = (nu2, d + dd)
-                    acc[key] = acc.get(key, 0) + k * c
-            for o, k, dd in others:
-                for (nu, d), c in col[o].items():
-                    key = (nu, d + dd)
-                    acc[key] = acc.get(key, 0) - k * c
-            col[lam] = {key: c for key, c in acc.items() if c}
         for lam in table.basis[:table.pos[mu] + 1]:
-            terms = col[lam]
-            defect = _product_defect(n, lam, mu, terms)
-            if defect:
-                raise RuntimeError(defect)
-            table._products[(lam, mu)] = ClassVector._wrap(n, {
-                key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
-                for key, c in terms.items()})
+            table.product(lam, mu)
+        del table._columns[mu]
     return table
 
 
@@ -486,23 +473,21 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
 
 
 def check_commutativity(table: MultiplicationTable) -> list:
-    """Recompute every stored product in the opposite factor order.
+    """Recompute every product in the opposite factor order by a second algorithm.
 
-    Returns the list of pairs where the two orders disagree (empty when the
-    table is commutative).  This runs the generator expansion with the roles
-    of the factors swapped.  On a table from `build_table`, whose products
-    come from the Pieri recursion, it checks every product against a second,
-    independent algorithm.
+    Returns the list of pairs where the table disagrees (empty when it is
+    commutative).  The reference expresses each class in the generator
+    monomials by solving every graded slice, and assembles
+    tau[mu] * tau[lam] = sum r_ij M1^i M11^j (tau[lam]), with the factors in
+    the roles opposite to the recursion's.  It needs only the rank, so a
+    loaded cache is checked the same way as a built table.
     """
-    if table.generator_expressions is None:
-        raise ValueError("commutativity recheck needs a freshly built table "
-                         "(loaded caches carry no generator expressions)")
+    n = table.n
+    exprs = _generator_expressions(n)
     bad = []
     for lam in table.basis:
+        expand = _expansion(n, lam)
         for mu in table.basis[table.pos[lam]:]:
-            swapped = _combine(table.generator_expressions[mu],
-                               lambda mon: table._expansion(lam, mon))
-            if swapped != table.product(lam, mu).flat:
+            if _combine(exprs[mu], expand) != table.product(lam, mu).flat:
                 bad.append((lam, mu))
-        table._expansions.pop(lam, None)
     return bad

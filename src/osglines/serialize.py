@@ -164,7 +164,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
                   if (lam, mu) not in products)
     if missing:
         raise ValueError(f"table is missing {missing} products")
-    table = MultiplicationTable(n, basis, products, None)
+    table = MultiplicationTable(n, basis, products)
     if revalidate:
         revalidate_table(table)
     return table

@@ -152,8 +152,7 @@ def test_replay_detects_tampered_table(table3):
     products = dict(table3._products)
     # corrupt the square of tau[1,1]
     products[((1, 1), (1, 1))] = ClassVector.basis(3, (4, 0))
-    tampered = MultiplicationTable(3, list(table3.basis), products,
-                                   table3.generator_expressions)
+    tampered = MultiplicationTable(3, list(table3.basis), products)
     with pytest.raises(MismatchError):
         replay_proof(tampered)
 

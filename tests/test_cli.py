@@ -366,11 +366,24 @@ def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
     ["mult", "tau[1,"],
     ["gw", "--lambda", "99,99", "--mu", "1,0", "--nu", "1,0", "--d", "0"],
     ["gw", "--lambda", "1,0", "--mu", "1,0", "--nu", "2,0", "--d", "-1"],
-], ids=["missing-spec", "bad-expression", "bad-index", "negative-d"])
+    ["mult", "tau[99,99]"],
+], ids=["missing-spec", "bad-expression", "bad-index", "negative-d",
+        "bad-expression-index"])
 def test_usage_errors_exit_before_the_table_is_built(tmp_path, argv):
-    # at n = 48 the slice solve alone takes about 45 s
+    # n = 48 because solving every graded slice there takes about 45 s, so a
+    # command that did so before its usage check would miss the timeout
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
     proc = _python("-m", "osglines.cli", *argv, "--n", "48", timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_gw_at_rank_48_computes_only_what_it_asks_for():
+    # pieri_tau11(48, (1,0)) is tau[2,1]; solving every graded slice first
+    # would take about 45 s
+    proc = _python("-m", "osglines.cli", "gw", "--n", "48", "--lambda", "1,1",
+                   "--mu", "1,0", "--nu", "2,1", "--d", "0", "--format", "json",
+                   timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "1"

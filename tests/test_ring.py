@@ -30,11 +30,12 @@ def test_table_shape_and_audits(table3):
 
 
 def test_generator_expressions(table3, table4, table5, table6):
-    assert table3.generator_expressions[(3, 1)] == {(0, 2): Fraction(1)}
+    assert ring._generator_expressions(3)[(3, 1)] == {(0, 2): Fraction(1)}
     for table in (table3, table4, table5, table6):
         n = table.n
+        exprs = ring._generator_expressions(n)
         for t in range(1, n - 1):
-            assert table.generator_expressions[(t, t)] == {(0, t): Fraction(1)}
+            assert exprs[(t, t)] == {(0, t): Fraction(1)}
 
 
 def test_unit_law(table3):
@@ -243,12 +244,23 @@ def test_table_round_trip_and_revalidation(tmp_path, table3):
         serialize.load_table(bad, revalidate=True)
 
 
+def test_commutativity_checks_a_loaded_cache(tmp_path, table3):
+    path = tmp_path / "t3.json"
+    serialize.save_table(table3, path)
+    assert check_commutativity(serialize.load_table(path)) == []
+    data = json.loads(path.read_text())
+    entry = data["products"][40]
+    entry["terms"][0]["coeff"] += 1
+    path.write_text(json.dumps(data))
+    pair = (tuple(entry["lambda"]), tuple(entry["mu"]))
+    assert check_commutativity(serialize.load_table(path)) == [pair]
+
+
 def test_lazy_table_matches_eager(table3, table4, table5, table6):
     for eager in (table3, table4, table5, table6):
         lazy = lazy_table(eager.n)
         assert lazy.stored_products() == 0
         assert lazy.basis == eager.basis
-        assert lazy.generator_expressions == eager.generator_expressions
         # ask in the opposite factor order: the table canonicalises the pair
         for lam, mu in eager.pairs():
             assert lazy.product(mu, lam) == eager.product(lam, mu), (lam, mu)
@@ -257,10 +269,10 @@ def test_lazy_table_matches_eager(table3, table4, table5, table6):
 
 def test_lazy_table_audits_on_demand():
     lazy = lazy_table(4)
-    lazy.generator_expressions[(1, 1)] = {
-        mon: r / 2 for mon, r in lazy.generator_expressions[(1, 1)].items()}
+    # tau[1,1] = tau[1,1]*tau[0,0], corrupted to subtract tau[1,0]: off degree
+    lazy._rules[(1, 1)] = lazy._rules[(1, 1)]._replace(others=(((1, 0), 1, 0),))
     assert lazy.product((1, 0), (3, 0)) == pieri_tau1(4, (3, 0))
-    with pytest.raises(RuntimeError, match="non-integer"):
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
         lazy.product((3, 0), (1, 1))
     assert lazy.stored_products() == 1
 
