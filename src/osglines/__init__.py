@@ -9,8 +9,7 @@ products with the class tau[1,1] admits only the trivial deformation.
 All arithmetic is exact rational arithmetic.
 """
 
-from .algebra import (AffineExpression, ClassVector, QPolynomial,
-                      QuadraticTermError)
+from .algebra import AffineExpression, ClassVector, QuadraticTermError
 from .basis import (betti_numbers, degree, enumerate_basis, enumerate_degree,
                     is_valid, max_degree, top_class)
 from .certify import (Certificate, ConstraintSystem, MismatchError,

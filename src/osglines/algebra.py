@@ -1,9 +1,9 @@
-"""Exact coefficient arithmetic: class vectors, q-polynomials, affine forms.
+"""Exact coefficient arithmetic: class vectors and affine forms.
 
 A `ClassVector` is one flat map {(index, q-exponent): coefficient}, the same
 shape the ring builds its products in, so a product is wrapped without being
-copied or regrouped.  `QPolynomial` is the type for a single q-coefficient:
-constructor input to `ClassVector` and the factor of `scale_poly`.
+copied or regrouped.  It is the only polynomial in q in the package: the
+q-coefficient of a class is the slice of the map at that class's index.
 
 Everything is over the rationals (`fractions.Fraction`); there is no floating
 point anywhere.  Coefficients may also be `AffineExpression` values, which is
@@ -128,116 +128,30 @@ class AffineExpression:
         return " + ".join(parts)
 
 
-class QPolynomial:
-    """Finitely supported polynomial in the quantum parameter q."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        c = {}
-        for d, v in (coeffs or {}).items():
-            _check_exponent(d)
-            v = as_coeff(v)
-            if v:
-                c[d] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, v) -> "QPolynomial":
-        return cls({0: v})
-
-    @classmethod
-    def q(cls, d: int = 1, coeff=1) -> "QPolynomial":
-        return cls({d: coeff})
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def coefficient(self, d: int):
-        return self._c.get(d, Fraction(0))
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, QPolynomial):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == QPolynomial.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        c = dict(self._c)
-        for d, v in other._c.items():
-            c[d] = c.get(d, Fraction(0)) + v
-        return QPolynomial(c)
-
-    def __neg__(self):
-        return QPolynomial({d: -v for d, v in self._c.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, QPolynomial):
-            c = {}
-            for d1, v1 in self._c.items():
-                for d2, v2 in other._c.items():
-                    d = d1 + d2
-                    c[d] = c.get(d, Fraction(0)) + v1 * v2
-            return QPolynomial(c)
-        other = as_coeff(other)
-        return QPolynomial({d: v * other for d, v in self._c.items()})
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __repr__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for d, v in self.items():
-            qs = "" if d == 0 else ("q" if d == 1 else f"q^{d}")
-            parts.append(f"({v}){qs}" if qs else f"({v})")
-        return " + ".join(parts)
-
-
 class ClassVector:
     """Finitely supported combination of basis classes times powers of q.
 
     Stored as one flat dict `flat` mapping (index, q-exponent) to a nonzero
     coefficient; treat it as read-only.  The constructor takes {index: value},
-    the value a QPolynomial, a {q-exponent: coefficient} dict or a bare
-    coefficient (a constant), and validates both indices and exponents; keys
-    that name the same index are summed.
+    the value a {q-exponent: coefficient} dict or a bare coefficient (a
+    constant), and validates indices, exponents and coefficients; keys that
+    name the same index are summed and zero coefficients are dropped.
     """
 
     __slots__ = ("n", "flat")
 
     def __init__(self, n: int, terms=None):
         flat = {}
-        for lam, poly in (terms or {}).items():
+        for lam, value in (terms or {}).items():
             lam = check_index(n, lam)
-            if not isinstance(poly, QPolynomial):
-                poly = QPolynomial(poly if isinstance(poly, dict) else {0: poly})
-            for d, c in poly._c.items():
+            for d, c in (value.items() if isinstance(value, dict) else ((0, value),)):
+                _check_exponent(d)
+                c = as_coeff(c)
                 key = (lam, d)
                 if key in flat:
                     c += flat.pop(key)
-                    if not c:
-                        continue
-                flat[key] = c
+                if c:
+                    flat[key] = c
         self.n = n
         self.flat = flat
 
@@ -327,15 +241,9 @@ class ClassVector:
         return self + (-other)
 
     def scale(self, coeff) -> "ClassVector":
-        return self.scale_poly(QPolynomial.constant(coeff))
-
-    def scale_poly(self, poly: QPolynomial) -> "ClassVector":
-        acc: dict = {}
-        for (lam, d), c in self.flat.items():
-            for e, p in poly._c.items():
-                key = (lam, d + e)
-                acc[key] = acc.get(key, Fraction(0)) + c * p
-        return ClassVector._wrap(self.n, {k: c for k, c in acc.items() if c})
+        coeff = as_coeff(coeff)
+        scaled = {k: c * coeff for k, c in self.flat.items()}
+        return ClassVector._wrap(self.n, {k: c for k, c in scaled.items() if c})
 
     def homogeneous_degree(self):
         """Common value of degree(index) + 2n*q_exponent, or None if mixed or zero."""

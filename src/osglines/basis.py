@@ -21,8 +21,9 @@ MIN_RANK = 2
 MIN_RING_RANK = 3  # products of the two special classes need (1,1) in the index set
 # lazy_table(256) takes about 3 s and 180 MB (its recursion rules and Pieri
 # terms), growing with the basis as n^2, so n = 1000 would spend about 45 s
-# and 3 GB before its first product: a larger rank is a typo, refused before
-# any work is done
+# and 3 GB before its first product.  A larger rank is a typo, refused before
+# any work is done, by the ring commands and by enumerate_basis (2n^2
+# classes); enumerate_degree costs O(n) at any rank and is not capped
 MAX_RING_RANK = 1000
 
 
@@ -34,12 +35,15 @@ def check_rank(n: int, minimum: int = MIN_RANK) -> int:
     return n
 
 
-def check_ring_rank(n: int) -> int:
-    """n, or ValueError unless MIN_RING_RANK <= n <= MAX_RING_RANK."""
-    check_rank(n, MIN_RING_RANK)
+def _check_rank_cap(n: int) -> int:
     if n > MAX_RING_RANK:
         raise ValueError(f"ring rank must be <= {MAX_RING_RANK}, got {n}")
     return n
+
+
+def check_ring_rank(n: int) -> int:
+    """n, or ValueError unless MIN_RING_RANK <= n <= MAX_RING_RANK."""
+    return _check_rank_cap(check_rank(n, MIN_RING_RANK))
 
 
 def is_valid(n: int, lam) -> bool:
@@ -94,8 +98,11 @@ def _basis(n: int) -> tuple[Index, ...]:
 
 
 def enumerate_basis(n: int) -> list[Index]:
-    """All valid indices, sorted by (degree, first component descending)."""
-    check_rank(n)
+    """All valid indices, sorted by (degree, first component descending).
+
+    A rank above MAX_RING_RANK is refused with the ring commands' error.
+    """
+    _check_rank_cap(check_rank(n))
     return list(_basis(n))
 
 

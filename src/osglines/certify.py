@@ -482,25 +482,19 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
 
     def settle_degree(d_lam):
         """Combine the recorded sign facts for all unknowns of one degree."""
+        # one pass: both rules read only the sign facts, never `zeroed`
         keys = [k for k in unknowns if degree(k[0]) == d_lam]
-        changed = True
-        while changed:
-            changed = False
-            for k in keys:
-                if k in zeroed:
-                    continue
-                if k in nonneg and k in nonpos:
-                    zeroed.add(k)
-                    resolutions[k] = "lower and upper bounds meet at zero"
-                    changed = True
-            for k1, k2 in pair_sums:
-                if k1 in nonneg and k2 in nonneg:
-                    for k, other in ((k1, k2), (k2, k1)):
-                        if k not in zeroed:
-                            zeroed.add(k)
-                            resolutions[k] = (f"nonnegative, and the sum with "
-                                              f"nonnegative {other} is nonpositive")
-                            changed = True
+        for k in keys:
+            if k in nonneg and k in nonpos and k not in zeroed:
+                zeroed.add(k)
+                resolutions[k] = "lower and upper bounds meet at zero"
+        for k1, k2 in pair_sums:
+            if k1 in nonneg and k2 in nonneg:
+                for k, other in ((k1, k2), (k2, k1)):
+                    if k not in zeroed:
+                        zeroed.add(k)
+                        resolutions[k] = (f"nonnegative, and the sum with "
+                                          f"nonnegative {other} is nonpositive")
         return all(k in zeroed for k in keys)
 
     def lower(lam):

@@ -37,7 +37,7 @@ from .expr import ExpressionSyntaxError, evaluate_expression, parse_expression
 from .pieri import pieri_tau1, pieri_tau11
 from .ring import (IDENTITY_PARTS, build_table, check_commutativity,
                    gw_constant, has_negative_constant, lazy_table, multiply,
-                   pairing_rank, verify_identities)
+                   pairing_rank, revalidate_table, verify_identities)
 from . import serialize
 
 SUITES = ("identities", "assoc", "pairing", "betti", "negativity")
@@ -321,7 +321,13 @@ def _cmd_table(args):
     saved_to = None
     revalidated = bool(args.revalidate and args.load)
     if args.load:
-        table = serialize.load_table(args.load, revalidate=args.revalidate)
+        table = serialize.load_table(args.load)
+        # the rank is checked before a revalidation rebuilds anything or a
+        # save writes anything
+        if table.n != args.n:
+            raise ValueError(f"table file has n={table.n}, invocation has n={args.n}")
+        if args.revalidate:
+            revalidate_table(table)
         source = "loaded"
         if args.out:
             serialize.save_table(table, args.out)
@@ -334,8 +340,6 @@ def _cmd_table(args):
         source = "built"
         serialize.save_table(table, out)
         saved_to = out
-    if table.n != args.n:
-        raise ValueError(f"table file has n={table.n}, invocation has n={args.n}")
     payload = {"command": "table", "n": args.n, "source": source,
                "classes": len(table.basis), "products": table.stored_products(),
                "revalidated": revalidated, "saved_to": saved_to}

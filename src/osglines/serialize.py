@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import AffineExpression, ClassVector, QPolynomial
+from .algebra import AffineExpression, ClassVector
 from .basis import enumerate_basis
 from .certify import Certificate, BoundProof, ConstraintSystem
 from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
@@ -113,7 +113,7 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
         c = Fraction(c) if isinstance(c, int) else parse_rational(c)
         slot = acc.setdefault(nu, {})
         slot[d] = slot.get(d, Fraction(0)) + c
-    return ClassVector(n, {nu: QPolynomial(p) for nu, p in acc.items()})
+    return ClassVector(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,8 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
             raise ValueError(f"product pair {lam}, {mu} is not in the rank-{n} basis")
         if pos[lam] > pos[mu]:
             raise ValueError(f"product pair {lam}, {mu} out of canonical order")
+        if (lam, mu) in products:
+            raise ValueError(f"product pair {lam}, {mu} appears twice")
         terms = _field(entry, "terms", "product")
         products[(lam, mu)] = class_vector_from_terms(n, terms)
         for t in terms:  # the table format has integers where other terms have "p/q"

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines.algebra import (AffineExpression, ClassVector, QPolynomial,
-                              QuadraticTermError)
+from osglines.algebra import AffineExpression, ClassVector, QuadraticTermError
 from osglines.basis import enumerate_basis
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -12,7 +11,7 @@ exponents = st.integers(min_value=0, max_value=4)
 
 
 def qpolys():
-    return st.dictionaries(exponents, fractions, max_size=4).map(QPolynomial)
+    return st.dictionaries(exponents, fractions, max_size=4)
 
 
 def affines():
@@ -26,18 +25,6 @@ def class_vectors(n=3):
     idx = st.sampled_from(enumerate_basis(n))
     return st.dictionaries(idx, qpolys(), max_size=4) \
              .map(lambda d: ClassVector(n, d))
-
-
-@settings(max_examples=80, deadline=None)
-@given(qpolys(), qpolys(), qpolys())
-def test_qpolynomial_ring_laws(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p + QPolynomial.zero() == p
-    assert p * QPolynomial.constant(1) == p
 
 
 @settings(max_examples=80, deadline=None)
@@ -58,23 +45,9 @@ def test_class_vector_module_laws(v, w, c):
     assert v + ClassVector.zero(3) == v
 
 
-@settings(max_examples=60, deadline=None)
-@given(qpolys())
-def test_canonical_form_idempotent(p):
-    rebuilt = QPolynomial(dict(p.items()))
-    assert rebuilt == p
-    assert QPolynomial(dict(rebuilt.items())) == rebuilt
-    assert all(c for _, c in p.items())
-
-
-def test_polynomial_example():
-    q = QPolynomial.q()
-    assert (q + QPolynomial.constant(1)) * q == QPolynomial({2: 1, 1: 1})
-
-
 def test_cancellation_example():
-    v = ClassVector(3, {(1, 0): QPolynomial.constant(1)})
-    w = ClassVector(3, {(1, 0): QPolynomial.constant(-1)})
+    v = ClassVector(3, {(1, 0): 1})
+    w = ClassVector(3, {(1, 0): -1})
     assert (v + w).is_zero()
 
 
@@ -85,7 +58,7 @@ def test_affine_scaling_example():
 
 
 def test_coefficient_extraction():
-    v = ClassVector(3, {(1, 0): QPolynomial({1: 5, 0: 2})})
+    v = ClassVector(3, {(1, 0): {1: 5, 0: 2}})
     assert v.coefficient((1, 0), 0) == 2
     assert v.coefficient((1, 0), 1) == 5
     assert ClassVector.zero(3).coefficient((1, 0), 0) == 0
@@ -107,34 +80,38 @@ def test_affine_evaluation():
 
 
 def test_rank_mismatch():
-    v = ClassVector(3, {(1, 0): QPolynomial.constant(1)})
-    w = ClassVector(4, {(1, 0): QPolynomial.constant(1)})
+    v = ClassVector(3, {(1, 0): 1})
+    w = ClassVector(4, {(1, 0): 1})
     with pytest.raises(ValueError, match="rank mismatch"):
         v + w
 
 
 def test_invalid_index_rejected():
     with pytest.raises(ValueError, match="not valid"):
-        ClassVector(3, {(2, 2): QPolynomial.constant(1)})
+        ClassVector(3, {(2, 2): 1})
+    with pytest.raises(ValueError, match="q-exponent"):
+        ClassVector(3, {(1, 0): {-1: 1}})
+    with pytest.raises(TypeError, match="exact coefficient"):
+        ClassVector(3, {(1, 0): {0: 0.5}})
 
 
 def test_bare_coefficient_is_a_constant():
-    assert ClassVector(3, {(1, 0): 5}) == ClassVector(3, {(1, 0): QPolynomial.constant(5)})
+    assert ClassVector(3, {(1, 0): 5}) == ClassVector(3, {(1, 0): {0: 5}})
     assert ClassVector(3, {(1, 0): Fraction(1, 2)}).coefficient((1, 0), 0) == Fraction(1, 2)
     with pytest.raises(TypeError, match="exact coefficient"):
         ClassVector(3, {(1, 0): 0.5})
 
 
 def test_keys_naming_one_index_are_summed():
-    v = ClassVector(3, {(1, 0): QPolynomial({0: 2, 1: 1}), ("1", "0"): QPolynomial({0: 3})})
-    assert v == ClassVector(3, {(1, 0): QPolynomial({0: 5, 1: 1})})
-    w = ClassVector(3, {(1, 0): QPolynomial.constant(2), ("1", "0"): QPolynomial.constant(-2)})
+    v = ClassVector(3, {(1, 0): {0: 2, 1: 1}, ("1", "0"): {0: 3}})
+    assert v == ClassVector(3, {(1, 0): {0: 5, 1: 1}})
+    w = ClassVector(3, {(1, 0): 2, ("1", "0"): -2})
     assert w.is_zero() and w.flat == {}
 
 
 def test_from_terms_drops_invalid_indices():
     v = ClassVector.from_terms(3, [((2, 2), 1, 0), ((3, 1), 2, 0)])
-    assert v == ClassVector(3, {(3, 1): QPolynomial.constant(2)})
+    assert v == ClassVector(3, {(3, 1): 2})
     with pytest.raises(ValueError, match="q-exponent"):
         ClassVector.from_terms(3, [((3, 1), 1, -1)])
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -164,6 +165,18 @@ def test_table_cache_round_trip(capsys, cli_schema, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_table_rank_mismatch_writes_nothing(capsys, tmp_path):
+    t3 = tmp_path / "t3.json"
+    copy_path = tmp_path / "copy.json"
+    run(capsys, "table", "--n", "3", "--out", str(t3))
+    code, out, err = run(capsys, "table", "--n", "4", "--load", str(t3),
+                         "--out", str(copy_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "n=3" in err
+    assert not copy_path.exists()
+
+
 def test_table_default_cache_dir(capsys, cli_schema, tmp_path, monkeypatch):
     monkeypatch.setenv("OSG_CACHE_DIR", str(tmp_path / "cache"))
     code, doc = run_json(capsys, cli_schema, "table", "--n", "3")
@@ -239,10 +252,16 @@ def _fractional_d(doc):
     doc["products"][5]["terms"][0]["d"] = 1.5
 
 
+def _duplicate_pair(doc):
+    entry = copy.deepcopy(doc["products"][40])
+    entry["terms"][0]["coeff"] += 1
+    doc["products"].append(entry)
+
+
 @pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
                                     _drop_table_n, _drop_spec_mu,
                                     _fractional_coeff, _boolean_coeff,
-                                    _fractional_d])
+                                    _fractional_d, _duplicate_pair])
 def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     path = tmp_path / "doc.json"
     if mutate is _drop_spec_mu:
@@ -348,6 +367,7 @@ def test_cli_import_leaves_dataclasses_out():
     ["check-positivity", "--spec", "SPEC"],
     ["verify", "--suite", "betti"],
     ["table", "--out", "OUT"],
+    ["basis"],
 ], ids=lambda argv: argv[0])
 def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
     spec = tmp_path / "spec.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines.algebra import ClassVector, QPolynomial
+from osglines.algebra import ClassVector
 from osglines.basis import degree, enumerate_basis
 from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR,
                                   check_positivity, deformed_product, mu_keys,
@@ -21,7 +21,7 @@ def specs(n=3, mode=MODE_PER_PAIR):
 def vectors(n=3):
     idx = st.sampled_from(enumerate_basis(n))
     polys = st.dictionaries(st.integers(min_value=0, max_value=2),
-                            small_fractions, max_size=3).map(QPolynomial)
+                            small_fractions, max_size=3)
     return st.dictionaries(idx, polys, max_size=4).map(lambda d: ClassVector(n, d))
 
 
