@@ -12,7 +12,7 @@ single complete document, never a partial one; schema in
 product by the Pieri recursion on first use (`ring.lazy_table`).  They check
 the rank, a spec, an expression's syntax and `gw`'s indices before they
 build a table; `mult` checks an expression's indices as it evaluates it,
-which is at once too, since such a table costs only its recursion rules.
+which is at once too, since such a table costs only its basis.
 
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
@@ -318,8 +318,10 @@ def _default_cache_path(n: int):
 
 
 def _cmd_table(args):
-    saved_to = None
-    revalidated = bool(args.revalidate and args.load)
+    if args.revalidate and not args.load:
+        raise ValueError("--revalidate needs --load: a built table is not revalidated")
+    saved_to = args.out or (None if args.load else _default_cache_path(args.n))
+    source = "loaded" if args.load else "built"
     if args.load:
         table = serialize.load_table(args.load)
         # the rank is checked before a revalidation rebuilds anything or a
@@ -328,25 +330,19 @@ def _cmd_table(args):
             raise ValueError(f"table file has n={table.n}, invocation has n={args.n}")
         if args.revalidate:
             revalidate_table(table)
-        source = "loaded"
-        if args.out:
-            serialize.save_table(table, args.out)
-            saved_to = args.out
+    elif saved_to is None:
+        raise ValueError("need --out or --load (or set OSG_CACHE_DIR)")
     else:
-        out = args.out or _default_cache_path(args.n)
-        if out is None:
-            raise ValueError("need --out or --load (or set OSG_CACHE_DIR)")
         table = build_table(args.n)
-        source = "built"
-        serialize.save_table(table, out)
-        saved_to = out
+    if saved_to:
+        serialize.save_table(table, saved_to)
     payload = {"command": "table", "n": args.n, "source": source,
                "classes": len(table.basis), "products": table.stored_products(),
-               "revalidated": revalidated, "saved_to": saved_to}
+               "revalidated": args.revalidate, "saved_to": saved_to}
     text = [f"{source} table for n={args.n}: {len(table.basis)} classes, "
             f"{table.stored_products()} products"
             + (f", saved to {saved_to}" if saved_to else "")
-            + (", revalidated" if revalidated else "")]
+            + (", revalidated" if args.revalidate else "")]
     latex = _latex_table([("classes", str(len(table.basis))),
                           ("products", str(table.stored_products()))])
     _emit(args, payload, text, latex)

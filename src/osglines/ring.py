@@ -7,8 +7,9 @@ rule: a special class S and a class pred with
 
     S * tau[pred] = tau[lam] + sum k q^dd tau[o],
 
-where every o has lower degree (dd >= 1) or is resolved earlier in lam's
-degree (`_recursion_rules`).  Hence
+where S and pred are a closed form in lam (`_rule`), and pred and every o
+come before lam in one total order on the basis, so the recursion ends.
+Hence
 
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
@@ -17,20 +18,9 @@ is computed the first time it is asked for, from the int memo of its column
 mu, and kept; `build_table` asks for every product.
 
 `check_commutativity` recomputes every product by a second, independent
-algorithm, kept only as that reference.  For each basis class lam it finds
-rational coefficients r_ij with
-
-    tau[lam] = sum_ij r_ij * tau[1,0]^i * tau[1,1]^j      (i + 2j = |lam|),
-
-by exact Gaussian elimination inside the homogeneous graded slice of degree
-|lam| (q-powers counted with weight 2n), and assembles
-
-    tau[lam] * tau[mu] = sum_ij r_ij * M1^i(M11^j(tau[mu]))
-
-where M1, M11 are the linear operators given by the expansion rules.  The
-monomial columns are processed with higher tau[1,1]-powers first, which keeps
-the chosen representations canonical (e.g. a diagonal class (t,t) is always
-represented as the pure power tau[1,1]^t).
+algorithm, kept only as that reference: it expresses each class in the
+generator monomials tau[1,0]^i tau[1,1]^j by exact Gaussian elimination in
+its graded slice, and applies the expansion rules to the other factor.
 
 Every structure constant is checked to be an integer and every stored product
 to be homogeneous, whenever it is computed; violations abort.
@@ -52,6 +42,16 @@ class GenerationFailure(RuntimeError):
     """A basis class is not in the span of generator monomials."""
 
 
+class _Memo(dict):
+    """A dict that fills a missing key by `fill(key)` on first lookup."""
+
+    def __init__(self, fill):
+        self._fill = fill
+
+    def __missing__(self, key):
+        return self.setdefault(key, self._fill(key))
+
+
 class MultiplicationTable:
     """All structure constants for a given rank in the tau basis.
 
@@ -65,9 +65,12 @@ class MultiplicationTable:
         self.basis = tuple(basis)
         self.pos = {lam: i for i, lam in enumerate(self.basis)}
         self._products = products
-        self._rules = None  # set by lazy_table: _recursion_rules(n)
-        self._times = None  # set by lazy_table: special -> {class: its Pieri terms}
-        self._columns: dict = {}  # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}
+        self._rules = _Memo(lambda lam: _rule(n, lam))  # class -> its Rule
+        self._times = {  # special -> {class: its valid Pieri terms}
+            (1, 0): _Memo(lambda lam: _valid_terms(n, _tau1_raw, lam)),
+            (1, 1): _Memo(lambda lam: _valid_terms(n, _tau11_raw, lam))}
+        # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}, seeded with the unit
+        self._columns = _Memo(lambda mu: {(0, 0): {(mu, 0): 1}})
         self._fractions: dict = {}  # int -> the one Fraction of that value
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
@@ -93,20 +96,17 @@ class MultiplicationTable:
         Only lam's rule and the rules it depends on run, each at most once
         per column; a memo entry is stored only once it is complete.
         """
-        col = self._columns.get(mu)
-        if col is None:
-            col = self._columns[mu] = {(0, 0): {(mu, 0): 1}}
+        col = self._columns[mu]
         todo = [lam]
         while todo:  # a loop, not recursion: rule chains grow about 4n deep
-            x = todo[-1]
+            x = todo.pop()
             if x in col:
-                todo.pop()
                 continue
             rule = self._rules[x]
             deps = [o for o in (rule.pred, *(o for o, _, _ in rule.others))
                     if o not in col]
             if deps:
-                todo += deps
+                todo += [x, *deps]
                 continue
             acc: dict = {}
             times_special = self._times[rule.special]
@@ -119,7 +119,6 @@ class MultiplicationTable:
                     key = (nu, d + dd)
                     acc[key] = acc.get(key, 0) - k * c
             col[x] = {key: c for key, c in acc.items() if c}
-            todo.pop()
         terms = col[lam]
         defect = _product_defect(self.n, lam, mu, terms)
         if defect:
@@ -139,31 +138,28 @@ class MultiplicationTable:
         return len(self._products)
 
 
-def _expansion(n: int, mu: Index):
-    """mon -> M1^i(M11^j(tau[mu])) as {(nu, d): int}, memoised."""
-    memo = {(0, 0): {(mu, 0): 1}}
-
+def _expansion(n: int, mu: Index) -> _Memo:
+    """{mon: M1^i(M11^j(tau[mu])) as {(nu, d): int}}, filled on first lookup."""
     def expand(mon: tuple[int, int]) -> dict:
-        terms = memo.get(mon)
-        if terms is None:
-            i, j = mon
-            raw, prev = (_tau1_raw, (i - 1, j)) if i else (_tau11_raw, (0, j - 1))
-            acc: dict = {}
-            for (lam, d), c in expand(prev).items():
-                for nu, k, dd in raw(n, lam)[1]:
-                    if is_valid(n, nu):
-                        key = (nu, d + dd)
-                        acc[key] = acc.get(key, 0) + c * k
-            terms = memo[mon] = {key: v for key, v in acc.items() if v}
-        return terms
-    return expand
+        i, j = mon
+        raw, prev = (_tau1_raw, (i - 1, j)) if i else (_tau11_raw, (0, j - 1))
+        acc: dict = {}
+        for (lam, d), c in memo[prev].items():
+            for nu, k, dd in raw(n, lam)[1]:
+                if is_valid(n, nu):
+                    key = (nu, d + dd)
+                    acc[key] = acc.get(key, 0) + c * k
+        return {key: v for key, v in acc.items() if v}
+    memo = _Memo(expand)
+    memo[(0, 0)] = {(mu, 0): 1}
+    return memo
 
 
 def _combine(expr: dict, expansion) -> dict:
-    """sum over monomials m of expr[m] * expansion(m), zeros dropped."""
+    """sum over monomials m of expr[m] * expansion[m], zeros dropped."""
     acc: dict = {}
     for mon, r in expr.items():
-        for key, c in expansion(mon).items():
+        for key, c in expansion[mon].items():
             acc[key] = acc.get(key, Fraction(0)) + r * c
     return {k: v for k, v in acc.items() if v}
 
@@ -217,8 +213,10 @@ def _generator_expressions(n: int) -> dict:
         coord_pos = {c: i for i, c in enumerate(
             (nu, d) for d in range(total // (2 * n) + 1)
             for nu in enumerate_degree(n, total - 2 * n * d))}
+        # higher tau[1,1] powers first keeps each expression canonical: a
+        # diagonal class (t, t) comes out as the pure power tau[1,1]^t
         monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
-        pivots = _pivots((mon, {coord_pos[key]: val for key, val in unit(mon).items()})
+        pivots = _pivots((mon, {coord_pos[key]: val for key, val in unit[mon].items()})
                          for mon in monomials)
         for lam in enumerate_degree(n, total):
             residual, r = _reduce({coord_pos[(lam, 0)]: Fraction(1)}, pivots)
@@ -249,50 +247,55 @@ Rule = namedtuple("Rule", "special pred others")
 # tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
 
 
-def _recursion_rules(n: int) -> dict:
-    """A unitriangular Pieri rule for every class lam != (0,0), in resolution order.
+def _rule(n: int, lam: Index) -> Rule:
+    """The unitriangular Pieri rule of a class lam != (0,0), by its case:
 
-    The rule's special class times tau[pred] gives tau[lam] with coefficient 1
-    at q^0; every other term has lower degree (dd >= 1) or a class resolved
-    earlier in lam's degree.  Within a degree the rules with the fewest other
-    terms are taken first.  A class with no such rule raises `GenerationFailure`.
+      lam2 = 0, 1 <= lam1 <= 2n-3   tau[1,0] * tau[lam1-1, 0]
+      lam = (2n-1, 0)               tau[1,0] * tau[2n-1, -1]
+      |lam| = 2n-2, k = lam1 - n:
+        lam2 = -1, or k >= 2 even   tau[1,0] * tau[lam1-2, lam2+1]
+        otherwise                   tau[1,1] * tau[lam1-2, lam2]
+      every other class             tau[1,1] * tau[lam1-1, lam2-1]
+
+    `others` is the rest of that Pieri expansion.  Raises `GenerationFailure`
+    unless pred is a class, lam has coefficient 1 at q^0, and pred and every
+    other term come before lam in the order (|lam|, lam1), with lam1
+    descending in degree 2n-1; so every chain of rules ends.
     """
-    rules: dict = {}
-    for total in range(1, max_degree(n) + 1):
-        candidates = []
-        for special, raw in (((1, 1), _tau11_raw), ((1, 0), _tau1_raw)):
-            for pred in enumerate_degree(n, total - degree(special)):
-                terms = _valid_terms(n, raw, pred)
-                candidates += [(lam, Rule(special, pred, tuple(
-                    t for t in terms if t[0] != lam)))
-                    for lam, k, dd in terms if k == 1 and dd == 0]
-        candidates.sort(key=lambda c: len(c[1].others))
-        pending = set(enumerate_degree(n, total))
-        while pending:
-            before = len(pending)
-            for lam, rule in candidates:
-                if lam in pending and all(dd or o in rules for o, _, dd in rule.others):
-                    rules[lam] = rule
-                    pending.discard(lam)
-            if len(pending) == before:
-                raise GenerationFailure(
-                    f"class {min(pending)} (rank {n}) has no unitriangular Pieri rule")
-    return rules
+    l1, l2 = lam
+    if l2 == 0 and 1 <= l1 <= 2 * n - 3:
+        special, pred = (1, 0), (l1 - 1, 0)
+    elif lam == (2 * n - 1, 0):
+        special, pred = (1, 0), (2 * n - 1, -1)
+    elif l1 + l2 == 2 * n - 2 and (l2 == -1 or l1 - n >= 2 and (l1 - n) % 2 == 0):
+        special, pred = (1, 0), (l1 - 2, l2 + 1)
+    elif l1 + l2 == 2 * n - 2:
+        special, pred = (1, 1), (l1 - 2, l2)
+    else:
+        special, pred = (1, 1), (l1 - 1, l2 - 1)
+    terms = _valid_terms(n, _tau1_raw if special == (1, 0) else _tau11_raw, pred)
+    if not is_valid(n, pred) or (lam, 1, 0) not in terms:
+        raise GenerationFailure(f"class {lam} (rank {n}) has no unitriangular Pieri rule")
+    others = tuple(t for t in terms if t[0] != lam)
+
+    def key(x):
+        return (degree(x), -x[0] if degree(x) == 2 * n - 1 else x[0])
+    for o in (pred, *(o for o, _, _ in others)):
+        if key(o) >= key(lam):
+            raise GenerationFailure(f"the rule of class {lam} (rank {n}) depends on {o}, "
+                                    f"which does not come before it")
+    return Rule(special, pred, others)
 
 
 def lazy_table(n: int) -> MultiplicationTable:
     """The multiplication table for rank n (3 <= n <= MAX_RING_RANK), products on demand.
 
-    The recursion rules are found here, so a class without one still raises
-    `GenerationFailure` at once.  Each product is computed by the Pieri
-    recursion when first asked for, and kept.
+    Only the basis is built here.  Each product is computed by the Pieri
+    recursion when first asked for, and kept; a class without a rule raises
+    `GenerationFailure` when a product first needs it.
     """
     check_ring_rank(n)
-    table = MultiplicationTable(n, enumerate_basis(n), {})
-    table._rules = _recursion_rules(n)
-    table._times = {special: {lam: _valid_terms(n, raw, lam) for lam in table.basis}
-                    for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
-    return table
+    return MultiplicationTable(n, enumerate_basis(n), {})
 
 
 def build_table(n: int) -> MultiplicationTable:

@@ -187,6 +187,18 @@ def test_table_default_cache_dir(capsys, cli_schema, tmp_path, monkeypatch):
     assert code == 2 and "need --out or --load" in err
 
 
+def test_table_revalidate_needs_load(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "q.json"
+    monkeypatch.setenv("OSG_CACHE_DIR", str(tmp_path / "cache"))
+    for argv in (["--out", str(out)], []):  # --out, then the default cache path
+        code, stdout, err = run(capsys, "table", "--n", "3", *argv,
+                                "--revalidate", "--format", "json")
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "--load" in err
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "mult", "--n", "3", "tau[1,1]^2")
     assert code == 2 and "offset" in err

@@ -278,39 +278,61 @@ def test_lazy_table_audits_on_demand():
     assert lazy.stored_products() == 1
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", [*range(3, 11), 64])
 def test_recursion_rules_are_unitriangular(n):
-    rules = ring._recursion_rules(n)
-    assert set(rules) == set(enumerate_basis(n)) - {(0, 0)}
-    degrees = [degree(lam) for lam in rules]
-    assert degrees == sorted(degrees)
-    order = {lam: i for i, lam in enumerate(rules)}
-    for lam, (special, pred, others) in rules.items():
+    def key(lam):  # (|lam|, lam1), lam1 descending in degree 2n-1
+        return (degree(lam), -lam[0] if degree(lam) == 2 * n - 1 else lam[0])
+
+    basis = enumerate_basis(n)
+    assert len({key(lam) for lam in basis}) == len(basis)  # a total order
+    for lam in basis[1:]:
+        special, pred, others = ring._rule(n, lam)
         out = (pieri_tau1 if special == (1, 0) else pieri_tau11)(n, pred)
         assert out.coefficient(lam, 0) == 1
         assert out - basis_vec(n, lam) == ClassVector.from_terms(n, others)
-        for o, _, dd in others:
-            assert dd >= 1 or order[o] < order[lam], (lam, o)
+        for o in (pred, *(o for o, _, _ in others)):
+            assert key(o) < key(lam), (lam, o)
 
 
 def test_recursion_without_a_unitriangular_rule_fails(monkeypatch):
     monkeypatch.setattr(ring, "_tau11_raw", lambda n, lam: ("generic", ()))
     with pytest.raises(GenerationFailure, match="no unitriangular"):
-        ring._recursion_rules(4)
+        lazy_table(4).product((1, 1), (1, 1))
+
+
+def test_recursion_refuses_a_rule_out_of_order(monkeypatch):
+    raw = ring._tau11_raw
+
+    def with_a_later_term(n, lam):  # tau[1,1] * 1 = tau[1,1] + tau[2,0]
+        case, terms = raw(n, lam)
+        return case, terms + ((((2, 0), 1, 0),) if lam == (0, 0) else ())
+
+    monkeypatch.setattr(ring, "_tau11_raw", with_a_later_term)
+    with pytest.raises(GenerationFailure, match="does not come before"):
+        lazy_table(4).product((1, 1), (1, 1))
 
 
 def test_commutativity_catches_a_wrong_recursion(monkeypatch):
-    rules_of = ring._recursion_rules
+    rule_of = ring._rule
 
-    def doubled(n):
-        rules = rules_of(n)
-        lam, rule = next((lam, r) for lam, r in rules.items() if r.others)
+    def doubled(n, lam):  # tau[2,0] = tau[1,0]^2 - tau[1,1], doubled to 2 tau[1,1]
+        rule = rule_of(n, lam)
+        if lam != (2, 0):
+            return rule
         (o, k, dd), *rest = rule.others
-        rules[lam] = rule._replace(others=((o, 2 * k, dd), *rest))
-        return rules
+        return rule._replace(others=((o, 2 * k, dd), *rest))
 
-    monkeypatch.setattr(ring, "_recursion_rules", doubled)
+    monkeypatch.setattr(ring, "_rule", doubled)
     assert check_commutativity(build_table(4))
+
+
+def test_lazy_table_builds_only_the_rules_a_product_uses():
+    lazy = lazy_table(200)
+    assert lazy.product((1, 0), (1, 0)) == pieri_tau1(200, (1, 0))
+    # tau[1,0] * tau[1,0] = tau[1,0] * (tau[0,0] * tau[1,0]): one rule, and the
+    # tau[1,0] Pieri terms of the one class in column (1,0)'s entry for (0,0)
+    assert set(lazy._rules) == {(1, 0)}
+    assert set(lazy._times[(1, 0)]) == {(1, 0)} and not lazy._times[(1, 1)]
 
 
 def test_full_table_matches_lazy_products_n7():
