@@ -7,12 +7,12 @@ hit its resource ceiling), 2 on usage errors.  In json mode the output is a
 single complete document, never a partial one; schema in
 `schemas/cli_output.schema.json`.
 
-`table` and `verify` touch every product and build the full table; `mult`,
-`gw`, `check-positivity` and `certify` use a table that computes each
-product by the Pieri recursion on first use (`ring.lazy_table`).  They check
-the rank, a spec, an expression's syntax and `gw`'s indices before they
-build a table; `mult` checks an expression's indices as it evaluates it,
-which is at once too, since such a table costs only its basis.
+Only `table` builds the full table; `mult`, `gw`, `verify`,
+`check-positivity` and `certify` use a table that computes each product by
+the Pieri recursion on first use (`ring.lazy_table`).  They check the rank,
+a spec, an expression's syntax and `gw`'s indices before they build a
+table; `mult` checks an expression's indices as it evaluates it, which is
+at once too, since such a table costs only its basis.
 
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
@@ -204,14 +204,15 @@ def _suite_checks(args, table):
         checks.append({"name": "top-class-unique",
                        "passed": enumerate_degree(n, max_degree(n)) == [top_class(n)],
                        "detail": str(top_class(n))})
+        size = len(table.basis)
         checks.append({"name": "unit-law",
                        "passed": all(table.product((0, 0), lam)
                                      == ClassVector.basis(n, lam)
                                      for lam in table.basis),
-                       "detail": f"{len(table.basis)} classes"})
+                       "detail": f"{size} classes"})
         checks.append({"name": "commutativity",
                        "passed": not check_commutativity(table),
-                       "detail": f"{table.stored_products()} pairs, both orders"})
+                       "detail": f"{size * (size + 1) // 2} pairs, both orders"})
     elif args.suite == "negativity":
         found, witness = has_negative_constant(table)
         detail = "none found"
@@ -234,7 +235,7 @@ def _suite_checks(args, table):
 
 
 def _cmd_verify(args):
-    checks = _suite_checks(args, build_table(args.n))
+    checks = _suite_checks(args, lazy_table(args.n))
     passed = all(c["passed"] for c in checks)
     payload = {"command": "verify", "n": args.n, "suite": args.suite,
                "passed": passed, "checks": checks}

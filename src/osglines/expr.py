@@ -17,7 +17,8 @@ The AST is plain nested tuples:
     ("int", value) | ("q", exponent) | ("tau", a, b) | ("group", sum)
 
 Indices are validated against the rank only when an expression is evaluated
-against a multiplication table, not at parse time.
+against a multiplication table, not at parse time.  Groups nest at most
+MAX_NESTING deep, so parsing and evaluation stay within the recursion limit.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ class ExpressionSyntaxError(ValueError):
         super().__init__(f"{message} at offset {offset}{suffix}")
 
 
+MAX_NESTING = 100  # parse and evaluate recurse about 3 frames per level
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(tau)|(q)|([+\-*()\[\],^]))")
 
 
@@ -67,6 +69,7 @@ class _Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -139,9 +142,13 @@ class _Parser:
             self.expect("]")
             return ("tau", a, b)
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(f"nesting deeper than {MAX_NESTING}", tok[2])
             self.advance()
+            self.depth += 1
             inner = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return ("group", inner)
         raise ExpressionSyntaxError(
             f"unexpected {self._describe(tok)}", tok[2],

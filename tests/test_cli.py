@@ -1,17 +1,22 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from osglines import serialize
-from osglines.cli import main
+from osglines import cli, serialize
+from osglines.cli import SUITES, main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
+from osglines.expr import MAX_NESTING
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -84,18 +89,29 @@ def test_pieri(capsys, cli_schema):
         == {((5, -1), 1), ((4, 0), 1)}
 
 
-@pytest.mark.parametrize("suite", ["identities", "betti", "negativity", "pairing"])
-def test_verify_suites(capsys, cli_schema, suite):
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suites(capsys, cli_schema, monkeypatch, suite):
+    def refuse(n):
+        raise AssertionError("verify built the full table")
+
+    monkeypatch.setattr(cli, "build_table", refuse)  # every suite reads lazy_table
     code, doc = run_json(capsys, cli_schema, "verify", "--n", "3",
                          "--suite", suite)
     assert code == 0
     assert doc["passed"] is True
 
 
-def test_verify_assoc(capsys, cli_schema):
-    code, doc = run_json(capsys, cli_schema, "verify", "--n", "3",
-                         "--suite", "assoc")
-    assert code == 0 and doc["passed"]
+def test_mult_nesting_is_capped(capsys):
+    def nested(depth):
+        return "(" * depth + "tau[1,0]" + ")" * depth
+
+    code, out, _ = run(capsys, "mult", "--n", "3", nested(MAX_NESTING))
+    assert code == 0 and out == "tau[1,0]\n"
+    for depth in (MAX_NESTING + 1, 500):
+        code, out, err = run(capsys, "mult", "--n", "3", nested(depth))
+        assert code == 2 and out == ""
+        assert err == (f"error: nesting deeper than {MAX_NESTING} "
+                       f"at offset {MAX_NESTING}\n")
 
 
 def test_certify_both(capsys, cli_schema, tmp_path):
@@ -292,6 +308,102 @@ def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     assert "Traceback" not in err
 
 
+# Values of the wrong type or out of range for any field of a cache or a spec.
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+    st.text(max_size=4),
+    st.sampled_from([-1, 0, 2, 4, 1001, 10**8, -10**30, [], {}, [0], [1, 2, 3],
+                     [[0, 0]], {"nu": [0, 0]}, "1/0", "1/2", "tau"]))
+
+
+def _positions(node, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _positions(child, path + (key,))
+
+
+def _mutate(data, doc):
+    """A copy of doc with one drawn value replaced by a wrong value or deleted;
+    the root itself is only ever replaced."""
+    path = data.draw(st.sampled_from(list(_positions(doc))))
+    if not path:
+        return data.draw(WRONG_VALUES)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(WRONG_VALUES)
+    return doc
+
+
+def _main_on(doc, *argv):
+    """Exit code, stdout and stderr of the CLI in-process on argv, where the
+    argument PATH names a file that holds doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(path) if a == "PATH" else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_accepted_or_refused(code, out, err):
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def valid_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "t3.json"
+    assert main(["table", "--n", "3", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_cache_is_loaded_or_refused(valid_cache, data):
+    doc = _mutate(data, valid_cache)
+    for extra in ([], ["--revalidate"]):
+        _assert_accepted_or_refused(*_main_on(doc, "table", "--n", "3",
+                                              "--load", "PATH", *extra))
+
+
+VALID_SPECS = [
+    DeformationSpec(3, MODE_PER_PAIR, {((5, 1), (0, 0)): -1,
+                                       ((5, 3), (1, 1)): Fraction(2, 3)}),
+    DeformationSpec(3, MODE_PER_MU, {(0, 0): -1, (1, 1): Fraction(3, 4)}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(VALID_SPECS), data=st.data())
+def test_mutated_spec_is_checked_or_refused(spec, data):
+    doc = _mutate(data, serialize.spec_to_dict(spec))
+    _assert_accepted_or_refused(*_main_on(doc, "check-positivity", "--n", "3",
+                                          "--spec", "PATH"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_revalidation_catches_any_changed_coefficient(valid_cache, data):
+    doc = copy.deepcopy(valid_cache)
+    product = data.draw(st.sampled_from(doc["products"]))
+    term = data.draw(st.sampled_from(product["terms"]))
+    term["coeff"] += data.draw(st.integers(-1000, 1000).filter(bool))
+    code, out, err = _main_on(doc, "table", "--n", "3", "--load", "PATH",
+                              "--revalidate")
+    assert code == 2
+    _assert_accepted_or_refused(code, out, err)
+
+
 # SHA-256 of outputs written by commit 3600cd5; the bytes must not drift.
 GOLDEN_DIGESTS = [
     (("table", "--n", "3", "--out"),
@@ -402,8 +514,9 @@ def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
 ], ids=["missing-spec", "bad-expression", "bad-index", "negative-d",
         "bad-expression-index"])
 def test_usage_errors_exit_before_the_table_is_built(tmp_path, argv):
-    # n = 48 because solving every graded slice there takes about 45 s, so a
-    # command that did so before its usage check would miss the timeout
+    # n = 48 because the full table there has 10.6 million products, far
+    # more than the timeout allows to build, so a command that built it
+    # before its usage check would miss the timeout
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
     proc = _python("-m", "osglines.cli", *argv, "--n", "48", timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -412,10 +525,19 @@ def test_usage_errors_exit_before_the_table_is_built(tmp_path, argv):
 
 
 def test_gw_at_rank_48_computes_only_what_it_asks_for():
-    # pieri_tau11(48, (1,0)) is tau[2,1]; solving every graded slice first
-    # would take about 45 s
+    # pieri_tau11(48, (1,0)) is tau[2,1]; building the full table first
+    # (10.6 million products) would miss the timeout
     proc = _python("-m", "osglines.cli", "gw", "--n", "48", "--lambda", "1,1",
                    "--mu", "1,0", "--nu", "2,1", "--d", "0", "--format", "json",
                    timeout=20)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == "1"
+
+
+def test_verify_identities_at_rank_32():
+    # the full table at n = 32 has 2.1 million products; the identity suite
+    # asks only for products with powers of tau[1,1]
+    proc = _python("-m", "osglines.cli", "verify", "--n", "32", "--suite",
+                   "identities", "--format", "json", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
