@@ -20,7 +20,8 @@ mu, and kept; `build_table` asks for every product.
 `check_commutativity` recomputes every product by a second, independent
 algorithm, kept only as that reference: it expresses each class in the
 generator monomials tau[1,0]^i tau[1,1]^j by exact Gaussian elimination in
-its graded slice, and applies the expansion rules to the other factor.
+its graded slice, and applies the expansion rules to the other factor, on
+ints once each expression is scaled by the lcm of its denominators.
 
 Every structure constant is checked to be an integer and every stored product
 to be homogeneous, whenever it is computed; violations abort.
@@ -28,6 +29,7 @@ to be homogeneous, whenever it is computed; violations abort.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -66,9 +68,7 @@ class MultiplicationTable:
         self.pos = {lam: i for i, lam in enumerate(self.basis)}
         self._products = products
         self._rules = _Memo(lambda lam: _rule(n, lam))  # class -> its Rule
-        self._times = {  # special -> {class: its valid Pieri terms}
-            (1, 0): _Memo(lambda lam: _valid_terms(n, _tau1_raw, lam)),
-            (1, 1): _Memo(lambda lam: _valid_terms(n, _tau11_raw, lam))}
+        self._times = _pieri_terms(n)
         # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}, seeded with the unit
         self._columns = _Memo(lambda mu: {(0, 0): {(mu, 0): 1}})
         self._fractions: dict = {}  # int -> the one Fraction of that value
@@ -138,30 +138,45 @@ class MultiplicationTable:
         return len(self._products)
 
 
-def _expansion(n: int, mu: Index) -> _Memo:
-    """{mon: M1^i(M11^j(tau[mu])) as {(nu, d): int}}, filled on first lookup."""
+def _pieri_terms(n: int) -> dict:
+    """special -> {class: its valid Pieri terms}, each filled on first lookup."""
+    return {(1, 0): _Memo(lambda lam: _valid_terms(n, _tau1_raw, lam)),
+            (1, 1): _Memo(lambda lam: _valid_terms(n, _tau11_raw, lam))}
+
+
+def _expansion(times: dict, mu: Index) -> _Memo:
+    """{mon: M1^i(M11^j(tau[mu])) as {(nu, d): int} by `times` = `_pieri_terms(n)`."""
     def expand(mon: tuple[int, int]) -> dict:
         i, j = mon
-        raw, prev = (_tau1_raw, (i - 1, j)) if i else (_tau11_raw, (0, j - 1))
+        terms, prev = (times[(1, 0)], (i - 1, j)) if i else (times[(1, 1)], (0, j - 1))
         acc: dict = {}
         for (lam, d), c in memo[prev].items():
-            for nu, k, dd in raw(n, lam)[1]:
-                if is_valid(n, nu):
-                    key = (nu, d + dd)
-                    acc[key] = acc.get(key, 0) + c * k
+            for nu, k, dd in terms[lam]:
+                key = (nu, d + dd)
+                acc[key] = acc.get(key, 0) + c * k
         return {key: v for key, v in acc.items() if v}
     memo = _Memo(expand)
     memo[(0, 0)] = {(mu, 0): 1}
     return memo
 
 
-def _combine(expr: dict, expansion) -> dict:
-    """sum over monomials m of expr[m] * expansion[m], zeros dropped."""
+def _scaled(expr: dict) -> tuple[int, dict]:
+    """(L, L * expr) with L the lcm of the denominators: L * expr is on ints."""
+    lcm = math.lcm(*(r.denominator for r in expr.values()))
+    return lcm, {m: r.numerator * (lcm // r.denominator) for m, r in expr.items()}
+
+
+def _differs(scaled: tuple[int, dict], expansion, flat: dict) -> bool:
+    """Whether sum_m expr[m] * expansion[m] differs from the product `flat`, for
+    `scaled` = `_scaled(expr)`: summed on ints, compared exactly with L * flat."""
+    lcm, expr = scaled
     acc: dict = {}
     for mon, r in expr.items():
         for key, c in expansion[mon].items():
-            acc[key] = acc.get(key, Fraction(0)) + r * c
-    return {k: v for k, v in acc.items() if v}
+            acc[key] = acc.get(key, 0) + r * c
+    if lcm != 1:
+        flat = {k: lcm * c for k, c in flat.items()}
+    return {k: v for k, v in acc.items() if v} != flat
 
 
 def _reduce(vec: dict, pivots) -> tuple[dict, dict]:
@@ -207,7 +222,7 @@ def _generator_expressions(n: int) -> dict:
     Every graded slice is solved by exact elimination of the generator
     monomials applied to the unit; `check_commutativity`'s reference.
     """
-    unit = _expansion(n, (0, 0))
+    unit = _expansion(_pieri_terms(n), (0, 0))
     exprs: dict = {}
     for total in range(0, max_degree(n) + 1):
         coord_pos = {c: i for i, c in enumerate(
@@ -482,15 +497,18 @@ def check_commutativity(table: MultiplicationTable) -> list:
     commutative).  The reference expresses each class in the generator
     monomials by solving every graded slice, and assembles
     tau[mu] * tau[lam] = sum r_ij M1^i M11^j (tau[lam]), with the factors in
-    the roles opposite to the recursion's.  It needs only the rank, so a
-    loaded cache is checked the same way as a built table.
+    the roles opposite to the recursion's.  It runs on ints: each expression
+    is scaled once by the lcm L of its denominators, and the sum is compared
+    with L times the stored product.  It needs only the rank, so a loaded
+    cache is checked the same way as a built table.
     """
     n = table.n
-    exprs = _generator_expressions(n)
+    times = _pieri_terms(n)
+    scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(n).items()}
     bad = []
     for lam in table.basis:
-        expand = _expansion(n, lam)
+        expand = _expansion(times, lam)
         for mu in table.basis[table.pos[lam]:]:
-            if _combine(exprs[mu], expand) != table.product(lam, mu).flat:
+            if _differs(scaled[mu], expand, table.product(lam, mu).flat):
                 bad.append((lam, mu))
     return bad

@@ -3,7 +3,9 @@
 Numbers are never floats: integers are JSON integers in the table format and
 decimal strings elsewhere; rationals are "p/q" strings.  Construction order
 of every document is canonical, so serializing the same mathematical object
-always yields identical bytes.
+always yields identical bytes.  The table cache, the one large document, is
+written as text directly, byte-identical to `json.dumps(doc, indent=2)`,
+and its integer terms are read back on ints.
 
 Loading validates the document shape and turns every defect into a
 one-line `ValueError`.  Saving writes a temporary file in the target's
@@ -88,18 +90,9 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def class_vector_terms(v: ClassVector, *, integer: bool = False) -> list[dict]:
-    out = []
-    for nu, d, c in v.flat_items():
-        c = Fraction(c)
-        if integer:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c} in table serialization")
-            coeff = c.numerator
-        else:
-            coeff = format_rational(c)
-        out.append({"nu": _index(nu), "d": d, "coeff": coeff})
-    return out
+def class_vector_terms(v: ClassVector) -> list[dict]:
+    return [{"nu": _index(nu), "d": d, "coeff": format_rational(c)}
+            for nu, d, c in v.flat_items()]
 
 
 def class_vector_from_terms(n: int, terms) -> ClassVector:
@@ -120,27 +113,36 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
 # multiplication table cache
 
 
-def table_to_dict(table: MultiplicationTable) -> dict:
+def _table_text(table: MultiplicationTable) -> str:
+    """`canonical_dumps` of the table document, byte for byte, written directly:
+    each index's `[a, b]` is formatted once per depth it is nested at."""
+    def fragments(depth):
+        pad = "  " * depth
+        return {lam: f"[\n{pad}  {lam[0]},\n{pad}  {lam[1]}\n{pad}]"
+                for lam in table.basis}
+    basis, pair, term = fragments(2), fragments(3), fragments(5)
     products = []
     for lam, mu in table.pairs():
-        products.append({
-            "lambda": _index(lam),
-            "mu": _index(mu),
-            "terms": class_vector_terms(table.product(lam, mu), integer=True),
-        })
-    return {
-        "version": TABLE_FORMAT_VERSION,
-        "n": table.n,
-        "basis": [_index(lam) for lam in table.basis],
-        "products": products,
-    }
+        terms = []
+        for nu, d, c in table.product(lam, mu).flat_items():
+            if c.denominator != 1:
+                raise ValueError(f"non-integer coefficient {c} in table serialization")
+            terms.append(f'        {{\n          "nu": {term[nu]},\n          "d": {d},'
+                         f'\n          "coeff": {c.numerator}\n        }}')
+        body = "[\n" + ",\n".join(terms) + "\n      ]" if terms else "[]"
+        products.append(f'    {{\n      "lambda": {pair[lam]},\n      "mu": {pair[mu]},'
+                        f'\n      "terms": {body}\n    }}')
+    return (f'{{\n  "version": {TABLE_FORMAT_VERSION},\n  "n": {table.n},'
+            '\n  "basis": [\n    ' + ",\n    ".join(basis.values())
+            + '\n  ],\n  "products": [\n' + ",\n".join(products) + "\n  ]\n}\n")
 
 
 def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTable:
     if not isinstance(data, dict):
         raise ValueError("table document is not a JSON object")
-    if data.get("version") != TABLE_FORMAT_VERSION:
-        raise ValueError(f"unsupported table format version {data.get('version')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != TABLE_FORMAT_VERSION:
+        raise ValueError(f"unsupported table format version {version!r}")
     n = _as_int(_field(data, "n", "table"))
     basis = [_as_index(b) for b in _field(data, "basis", "table", list)]
     # a rank-n basis has 2n^2 classes; checking that first means a cache that
@@ -149,6 +151,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
         raise ValueError("table basis does not match the canonical basis order")
     pos = {lam: i for i, lam in enumerate(basis)}
     products = {}
+    fractions: dict = {}  # int -> the one Fraction of that value
     for entry in _field(data, "products", "table", list):
         lam = _as_index(_field(entry, "lambda", "product"))
         mu = _as_index(_field(entry, "mu", "product"))
@@ -158,10 +161,15 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
             raise ValueError(f"product pair {lam}, {mu} out of canonical order")
         if (lam, mu) in products:
             raise ValueError(f"product pair {lam}, {mu} appears twice")
-        terms = _field(entry, "terms", "product")
-        products[(lam, mu)] = class_vector_from_terms(n, terms)
-        for t in terms:  # the table format has integers where other terms have "p/q"
-            _as_int(t["coeff"])
+        acc: dict = {}  # the table format has integers where other terms have "p/q"
+        for t in _field(entry, "terms", "product", list):
+            nu, d = _as_index(_field(t, "nu", "term")), _as_int(_field(t, "d", "term"))
+            if nu not in pos or d < 0:
+                raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
+            acc[(nu, d)] = acc.get((nu, d), 0) + _as_int(_field(t, "coeff", "term"))
+        products[(lam, mu)] = ClassVector._wrap(n, {
+            key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
+            for key, c in acc.items() if c})
     missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
                   if (lam, mu) not in products)
     if missing:
@@ -173,7 +181,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
 
 
 def save_table(table: MultiplicationTable, path):
-    _write_atomic(path, canonical_dumps(table_to_dict(table)))
+    _write_atomic(path, _table_text(table))
 
 
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:

@@ -56,6 +56,26 @@ def test_commutativity(table3, table4):
     assert check_commutativity(table4) == []
 
 
+def test_commutativity_reference_scales_denominators():
+    # every r_ij measured at n = 4..8 is an integer, so feed the int reference
+    # an expression with denominators: r = 1/2 on two monomials
+    n = 3
+    expand = ring._expansion(ring._pieri_terms(n), (1, 0))
+    expr = {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    want: dict = {}
+    for mon, r in expr.items():
+        for key, c in expand[mon].items():
+            want[key] = want.get(key, Fraction(0)) + r * c
+    want = {key: v for key, v in want.items() if v}
+    assert any(v.denominator != 1 for v in want.values())
+    scaled = ring._scaled(expr)
+    assert scaled == (2, {(2, 0): 1, (0, 1): 1})
+    assert not ring._differs(scaled, expand, want)
+    for key in want:  # a product that differs by 1 anywhere is reported
+        assert ring._differs(scaled, expand, {**want, key: want[key] + 1})
+    assert ring._differs(scaled, expand, {**want, ((0, 0), 1): Fraction(1)})
+
+
 def test_associativity_exhaustive_n3(table3):
     basis = table3.basis
     vecs = {lam: basis_vec(3, lam) for lam in basis}

@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from osglines import serialize
+from osglines.algebra import ClassVector
+from osglines.cli import main
+from osglines.ring import MultiplicationTable
 from osglines.certify import build_constraints, certify_uniqueness, verify_certificate
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 
@@ -47,15 +51,55 @@ def test_certificate_round_trip(tmp_path, table3):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_table_requires_known_version(tmp_path, table3):
-    import json
+def test_table_requires_known_version(tmp_path, capsys, table3):
     path = tmp_path / "t.json"
     serialize.save_table(table3, path)
     data = json.loads(path.read_text())
-    data["version"] = 99
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="version"):
-        serialize.load_table(path)
+    # only the JSON integer 1 is version 1: true and 1.0 compare equal to it
+    for version in (99, True, 1.0, "1"):
+        data["version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="version"):
+            serialize.load_table(path)
+        assert main(["table", "--n", "3", "--load", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_table_text_matches_the_stdlib_encoder(tmp_path, table3, table4, table5, table6):
+    path = tmp_path / "t.json"
+    for table in (table3, table4, table5, table6):
+        serialize.save_table(table, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+
+
+def _table_with(table, pair, product):
+    products = {p: table.product(*p) for p in table.pairs()}
+    products[pair] = product
+    return MultiplicationTable(table.n, table.basis, products)
+
+
+def test_empty_product_saves_as_an_empty_list(tmp_path, table3):
+    pair = ((1, 0), (5, 4))  # tau[1,0] * tau[top] is q times a class, here zeroed
+    table = _table_with(table3, pair, ClassVector.zero(3))
+    path = tmp_path / "t.json"
+    serialize.save_table(table, path)
+    text = path.read_text()
+    assert text.count('"terms": []') == 1
+    assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+    loaded = serialize.load_table(path)
+    assert loaded.product(*pair).is_zero()
+    for lam, mu in table3.pairs():
+        assert loaded.product(lam, mu) == table.product(lam, mu)
+
+
+def test_non_integer_coefficient_is_not_saved(tmp_path, table3):
+    table = _table_with(table3, ((1, 0), (1, 0)),
+                        ClassVector(3, {(2, 0): Fraction(1, 2)}))
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        serialize.save_table(table, tmp_path / "t.json")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["table", "spec", "certificate"])
@@ -107,7 +151,6 @@ def _drop_first_provenance(doc):
 ], ids=["no-mode", "no-unknowns", "term-unknown-999", "bound-unknown-999",
         "no-provenance"])
 def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
-    import json
     system = build_constraints(table3, MODE_PER_PAIR)
     path = tmp_path / "cert.json"
     serialize.save_certificate(certify_uniqueness(system), system, path)
