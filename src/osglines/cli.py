@@ -325,7 +325,7 @@ def _cmd_table(args):
     source = "loaded" if args.load else "built"
     if args.load:
         table = serialize.load_table(args.load)
-        # the rank is checked before a revalidation rebuilds anything or a
+        # the rank is checked before a revalidation recomputes anything or a
         # save writes anything
         if table.n != args.n:
             raise ValueError(f"table file has n={table.n}, invocation has n={args.n}")

@@ -23,9 +23,11 @@ generator monomials tau[1,0]^i tau[1,1]^j by exact Gaussian elimination in
 its graded slice, and applies the expansion rules to the other factor, on
 ints once each expression is scaled by the lcm of its denominators.
 
-Every structure constant is checked to be an integer and every stored product
-to be homogeneous, whenever it is computed; violations abort.
-`revalidate_table` runs the same check on a table loaded from a cache.
+The recursion runs on ints (the memo is seeded with 1, the Pieri
+coefficients are int literals), so every structure constant is an integer;
+every product is checked to be homogeneous when it is computed, and a
+violation aborts.  `revalidate_table` recomputes every product of a table
+loaded from a cache by the same recursion and compares.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .algebra import ClassVector
 from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
                     degree, enumerate_basis, enumerate_degree, is_valid,
                     max_degree, top_class)
-from .pieri import _tau1_raw, _tau11_raw, pieri_tau1, pieri_tau11
+from .pieri import _tau1_raw, _tau11_raw
 
 
 class GenerationFailure(RuntimeError):
@@ -87,11 +89,13 @@ class MultiplicationTable:
         try:
             return self._products[pair]
         except KeyError:
-            prod = self._products[pair] = self._recurse(*pair)
+            prod = self._products[pair] = int_vector(self.n, self._terms(*pair),
+                                                     self._fractions)
             return prod
 
-    def _recurse(self, lam: Index, mu: Index) -> ClassVector:
-        """tau[lam] * tau[mu] by the Pieri recursion in column mu, audited.
+    def _terms(self, lam: Index, mu: Index) -> dict:
+        """tau[lam] * tau[mu] as {(nu, d): int} by the Pieri recursion in column
+        mu, checked to be homogeneous.
 
         Only lam's rule and the rules it depends on run, each at most once
         per column; a memo entry is stored only once it is complete.
@@ -120,13 +124,19 @@ class MultiplicationTable:
                     acc[key] = acc.get(key, 0) - k * c
             col[x] = {key: c for key, c in acc.items() if c}
         terms = col[lam]
-        defect = _product_defect(self.n, lam, mu, terms)
-        if defect:
-            raise RuntimeError(defect)
-        fractions = self._fractions
-        return ClassVector._wrap(self.n, {
-            key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
-            for key, c in terms.items()})
+        want = degree(lam) + degree(mu)
+        for nu, d in terms:
+            if degree(nu) + 2 * self.n * d != want:
+                raise RuntimeError(f"product {lam}*{mu} has an inhomogeneous term {nu}, q^{d}")
+        return terms
+
+    def _by_column(self):
+        """Every unordered pair once, column by column: (lam, mu) for lam <= mu.
+        Each column's int memo is dropped once its pairs have been visited."""
+        for j, mu in enumerate(self.basis):
+            for lam in self.basis[:j + 1]:
+                yield lam, mu
+            self._columns.pop(mu, None)
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -242,20 +252,18 @@ def _generator_expressions(n: int) -> dict:
     return exprs
 
 
-def _product_defect(n: int, lam: Index, mu: Index, terms: dict):
-    """The first grading or integrality defect of lam * mu, or None."""
-    want = degree(lam) + degree(mu)
-    for (nu, d), c in terms.items():
-        if degree(nu) + 2 * n * d != want:
-            return f"product {lam}*{mu} has an inhomogeneous term {nu}, q^{d}"
-        if c.denominator != 1:
-            return f"product {lam}*{mu} has a non-integer constant {c} at {nu}, q^{d}"
-    return None
-
-
 def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
     """The terms of a raw Pieri rule at lam whose index is a class."""
     return tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
+
+
+def int_vector(n: int, terms: dict, fractions: dict) -> ClassVector:
+    """The ClassVector of int `terms` {(nu, d): int}, zeros dropped, with each
+    value the one `Fraction` of it kept in `fractions` (int -> Fraction), so a
+    table's products share one object per distinct structure constant."""
+    return ClassVector._wrap(n, {
+        key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
+        for key, c in terms.items() if c})
 
 
 Rule = namedtuple("Rule", "special pred others")
@@ -316,39 +324,22 @@ def lazy_table(n: int) -> MultiplicationTable:
 def build_table(n: int) -> MultiplicationTable:
     """The complete multiplication table for rank n (3 <= n <= MAX_RING_RANK).
 
-    `lazy_table(n)` with every product asked for, column by column; each
-    column's int memo is dropped once its products are stored.
+    `lazy_table(n)` with every product asked for, column by column in the
+    walk `revalidate_table` shares; each column's int memo is dropped once
+    its products are stored.
     """
     table = lazy_table(n)
-    for mu in table.basis:
-        for lam in table.basis[:table.pos[mu] + 1]:
-            table.product(lam, mu)
-        del table._columns[mu]
+    for lam, mu in table._by_column():
+        table.product(lam, mu)
     return table
 
 
 def revalidate_table(table: MultiplicationTable):
-    """Full invariant audit of a loaded table; raises ValueError on defects.
-
-    Checks grading, integrality, the unit law, and the two special-class
-    columns directly, then rebuilds the table from scratch and compares every
-    product, which catches arbitrary tampering.
-    """
-    n = table.n
-    for lam, mu in table.pairs():
-        defect = _product_defect(n, lam, mu, table.product(lam, mu).flat)
-        if defect:
-            raise ValueError(defect)
-    for lam in table.basis:
-        if table.product((0, 0), lam) != ClassVector.basis(n, lam):
-            raise ValueError(f"unit law fails at {lam}")
-        if table.product((1, 0), lam) != pieri_tau1(n, lam):
-            raise ValueError(f"tau[1,0] column disagrees with the rule at {lam}")
-        if table.product((1, 1), lam) != pieri_tau11(n, lam):
-            raise ValueError(f"tau[1,1] column disagrees with the rule at {lam}")
-    rebuilt = build_table(n)
-    for lam, mu in table.pairs():
-        if table.product(lam, mu) != rebuilt.product(lam, mu):
+    """Recompute every product of a loaded table by its own Pieri recursion,
+    column by column on ints as `build_table` walks them, and compare each
+    exactly with the stored one; ValueError at the first that differs."""
+    for lam, mu in table._by_column():
+        if table.product(lam, mu).flat != table._terms(lam, mu):
             raise ValueError(f"cached product {lam}*{mu} disagrees with a "
                              f"fresh rebuild")
 

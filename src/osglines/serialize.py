@@ -25,7 +25,7 @@ from .algebra import AffineExpression, ClassVector
 from .basis import enumerate_basis
 from .certify import Certificate, BoundProof, ConstraintSystem
 from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
-from .ring import MultiplicationTable, revalidate_table
+from .ring import MultiplicationTable, int_vector, revalidate_table
 
 TABLE_FORMAT_VERSION = 1
 
@@ -167,9 +167,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
             if nu not in pos or d < 0:
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
             acc[(nu, d)] = acc.get((nu, d), 0) + _as_int(_field(t, "coeff", "term"))
-        products[(lam, mu)] = ClassVector._wrap(n, {
-            key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
-            for key, c in acc.items() if c})
+        products[(lam, mu)] = int_vector(n, acc, fractions)
     missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
                   if (lam, mu) not in products)
     if missing:

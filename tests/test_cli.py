@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osglines import cli, serialize
+from osglines.certify import verify_certificate
 from osglines.cli import SUITES, main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 from osglines.expr import MAX_NESTING
@@ -313,7 +314,7 @@ WRONG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
     st.text(max_size=4),
     st.sampled_from([-1, 0, 2, 4, 1001, 10**8, -10**30, [], {}, [0], [1, 2, 3],
-                     [[0, 0]], {"nu": [0, 0]}, "1/0", "1/2", "tau"]))
+                     [[0, 0]], {"nu": [0, 0]}, "1/0", "1/2", "tau", 1.0, 1.5]))
 
 
 def _positions(node, path=()):
@@ -402,6 +403,40 @@ def test_revalidation_catches_any_changed_coefficient(valid_cache, data):
                               "--revalidate")
     assert code == 2
     _assert_accepted_or_refused(code, out, err)
+
+
+@pytest.fixture(scope="module")
+def valid_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "c3.json"
+    assert main(["certify", "--n", "3", "--mode", "per-pair",
+                 "--emit-certificate", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    cert, system = serialize.certificate_from_dict(doc)
+    assert verify_certificate(system, cert) is True
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_certificate_is_refused_or_verified(valid_certificate, data):
+    doc = _mutate(data, valid_certificate)
+    try:
+        cert, system = serialize.certificate_from_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(verify_certificate(system, cert), bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_certificate_with_a_changed_weight_is_rejected(valid_certificate, data):
+    doc = copy.deepcopy(valid_certificate)
+    weight = data.draw(st.sampled_from([w for b in doc["bounds"] for w in b["weights"]]))
+    old = Fraction(weight["weight"])
+    new = data.draw(st.fractions(-10**6, 10**6).filter(lambda w: w != old))
+    weight["weight"] = serialize.format_rational(new)
+    cert, system = serialize.certificate_from_dict(doc)
+    assert verify_certificate(system, cert) is False
 
 
 # SHA-256 of outputs written by commit 3600cd5; the bytes must not drift.

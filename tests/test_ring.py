@@ -250,17 +250,53 @@ def test_multiply_rank_mismatch(table3):
         multiply(table3, ClassVector.basis(4, (1, 0)), ClassVector.basis(3, (1, 0)))
 
 
-def test_table_round_trip_and_revalidation(tmp_path, table3):
+def _entry(products, lam, mu):
+    return next(p for p in products if (p["lambda"], p["mu"]) == ([*lam], [*mu]))
+
+
+def _bump(lam, mu):
+    """Add 1 to the first coefficient of the stored product lam * mu."""
+    def edit(products):
+        _entry(products, lam, mu)["terms"][0]["coeff"] += 1
+    return edit
+
+
+def _add_inhomogeneous_term(products):
+    _entry(products, (2, 1), (3, 1))["terms"].append({"nu": [0, 0], "d": 0, "coeff": 1})
+
+
+def _move_term_within_its_degree(products):
+    term = _entry(products, (2, 1), (3, 1))["terms"][0]
+    nu = tuple(term["nu"])
+    term["nu"] = [*next(c for c in enumerate_degree(3, degree(nu)) if c != nu)]
+
+
+# One edit each to an n = 3 cache: the unit column, both special-class
+# columns, a term off the product's degree, and a term moved to another
+# class of its degree, which keeps the grading right.
+TAMPERS = {"unit-column": _bump((0, 0), (2, 1)),
+           "tau10-column": _bump((1, 0), (2, 0)),
+           "tau11-column": _bump((1, 1), (2, 1)),
+           "other-product": _bump((2, 0), (4, 0)),
+           "inhomogeneous-term": _add_inhomogeneous_term,
+           "same-degree-move": _move_term_within_its_degree}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS.values(), ids=TAMPERS.keys())
+def test_table_round_trip_and_revalidation(tmp_path, table3, tamper):
     path = tmp_path / "t3.json"
     serialize.save_table(table3, path)
     loaded = serialize.load_table(path, revalidate=True)
+    # revalidation keeps no column memo and stores no product beyond the cache
+    assert not loaded._columns
+    assert loaded.stored_products() == table3.stored_products()
     for lam, mu in table3.pairs():
         assert loaded.product(lam, mu) == table3.product(lam, mu)
-    # tampering is caught by revalidation
     data = json.loads(path.read_text())
-    data["products"][40]["terms"][0]["coeff"] += 1
+    tamper(data["products"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    serialize.load_table(bad)  # well-formed: only revalidation can refuse it
     with pytest.raises(ValueError):
         serialize.load_table(bad, revalidate=True)
 
