@@ -13,14 +13,12 @@ is validated.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 Index = tuple[int, int]
 
 MIN_RANK = 2
 MIN_RING_RANK = 3  # products of the two special classes need (1,1) in the index set
 # lazy_table(n) builds only the basis and its position map, which grow as
-# n^2 (one CPU: 0.4-0.6 s, 133 MB at n = 512; 1.7-2.3 s, 488 MB at n = 1000).
+# n^2 (one CPU: 0.4-0.7 s, 120 MB at n = 512; 1.7-2.8 s, 438 MB at n = 1000).
 # A larger rank is a typo, refused before any work is done, by the ring
 # commands and by enumerate_basis (2n^2 classes); enumerate_degree costs
 # O(n) at any rank and is not capped
@@ -83,27 +81,13 @@ def top_class(n: int) -> Index:
     return (2 * n - 1, 2 * n - 2)
 
 
-@lru_cache(maxsize=None)
-def _degree_slice(n: int, d: int) -> tuple[Index, ...]:
-    # l1 runs down from min(2n-1, d+1) (so l2 >= -1) to ceil(d/2) (so l1 >= l2):
-    # O(d) work, whatever the size of the basis
-    top = min(2 * n - 1, d + 1)
-    pairs = ((l1, d - l1) for l1 in range(top, (d + 1) // 2 - 1, -1))
-    return tuple(lam for lam in pairs if is_valid(n, lam))
-
-
-@lru_cache(maxsize=None)
-def _basis(n: int) -> tuple[Index, ...]:
-    return tuple(classes_in_degrees(n, range(max_degree(n) + 1)))
-
-
 def enumerate_basis(n: int) -> list[Index]:
     """All valid indices, sorted by (degree, first component descending).
 
     A rank above MAX_RING_RANK is refused with the ring commands' error.
     """
     _check_rank_cap(check_rank(n))
-    return list(_basis(n))
+    return classes_in_degrees(n, range(max_degree(n) + 1))
 
 
 def enumerate_degree(n: int, d: int) -> list[Index]:
@@ -111,7 +95,11 @@ def enumerate_degree(n: int, d: int) -> list[Index]:
     check_rank(n)
     if d < 0 or d > max_degree(n):
         return []
-    return list(_degree_slice(n, d))
+    # l1 runs down from min(2n-1, d+1) (so l2 >= -1) to ceil(d/2) (so l1 >= l2):
+    # O(d) work, whatever the size of the basis
+    top = min(2 * n - 1, d + 1)
+    pairs = ((l1, d - l1) for l1 in range(top, (d + 1) // 2 - 1, -1))
+    return [lam for lam in pairs if is_valid(n, lam)]
 
 
 def classes_in_degrees(n: int, degrees) -> list[Index]:
@@ -122,4 +110,4 @@ def classes_in_degrees(n: int, degrees) -> list[Index]:
 def betti_numbers(n: int) -> list[int]:
     """Sizes of the degree slices, degrees 0..4n-3."""
     check_rank(n)
-    return [len(_degree_slice(n, d)) for d in range(max_degree(n) + 1)]
+    return [len(enumerate_degree(n, d)) for d in range(max_degree(n) + 1)]

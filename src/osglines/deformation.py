@@ -61,6 +61,13 @@ class DeformationSpec:
             if val:
                 clean[key] = val
         self.entries = clean
+        # what `corrections` looks up: the (mu, a) pairs by lam (per-pair) or
+        # by the degree of mu (per-mu), mu in slice order as `items` sorts them
+        groups: dict = {}
+        for key, val in self.items():
+            group, mu = key if mode == MODE_PER_PAIR else (degree(key), key)
+            groups.setdefault(group, []).append((mu, val))
+        self._corrections = {g: tuple(pairs) for g, pairs in groups.items()}
 
     def _check_key(self, key):
         n = self.n
@@ -103,12 +110,11 @@ class DeformationSpec:
         key = (lam, mu) if self.mode == MODE_PER_PAIR else mu
         return self.entries.get(key, Fraction(0))
 
-    def corrections(self, lam) -> list:
-        """Nonzero (mu, coefficient) pairs correcting tau[lam]."""
+    def corrections(self, lam) -> tuple:
+        """Nonzero (mu, coefficient) pairs correcting tau[lam], mu in slice order."""
         lam = tuple(lam)
-        pairs = ((mu, self.coefficient(lam, mu))
-                 for mu in enumerate_degree(self.n, degree(lam) - 2 * self.n))
-        return [(mu, c) for mu, c in pairs if c]
+        return self._corrections.get(
+            lam if self.mode == MODE_PER_PAIR else degree(lam) - 2 * self.n, ())
 
     def items(self):
         if self.mode == MODE_PER_PAIR:

@@ -3,16 +3,15 @@
 Each rule is a finite case table on the index (a, b) being multiplied.  The
 raw tables can emit index pairs outside the valid set (for example a diagonal
 pair (t, t) with t > n-2); those terms are dropped, i.e. treated as the zero
-class.  This zero convention is validated downstream by the grading audit and
-the product-identity suite.
+class.  This zero convention is checked downstream: every product the ring
+computes must be homogeneous (`MultiplicationTable._terms`), and the
+product-identity suite must hold.
 
 Both rules produce only nonnegative integer coefficients.  They are defined
 for rank n >= 3: at n = 2 the index (1,1) is not a valid class, so there is
 no second special class to multiply by.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .algebra import ClassVector
 from .basis import Index, check_index, check_rank, MIN_RING_RANK
@@ -26,7 +25,6 @@ def _require(n: int, lam) -> Index:
     return check_index(n, lam)
 
 
-@lru_cache(maxsize=None)
 def _tau1_raw(n: int, lam: Index):
     a, b = lam
     if a == 2 * n - 1:
@@ -40,7 +38,6 @@ def _tau1_raw(n: int, lam: Index):
     return "generic", (((a + 1, b), 1, 0), ((a, b + 1), 1, 0))
 
 
-@lru_cache(maxsize=None)
 def _tau11_raw(n: int, lam: Index):
     a, b = lam
     if a == 2 * n - 1:

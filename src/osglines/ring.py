@@ -340,8 +340,8 @@ def revalidate_table(table: MultiplicationTable):
     exactly with the stored one; ValueError at the first that differs."""
     for lam, mu in table._by_column():
         if table.product(lam, mu).flat != table._terms(lam, mu):
-            raise ValueError(f"cached product {lam}*{mu} disagrees with a "
-                             f"fresh rebuild")
+            raise ValueError(f"cached product {lam}*{mu} disagrees with the "
+                             f"Pieri recursion")
 
 
 def multiply(table: MultiplicationTable, x: ClassVector, y: ClassVector) -> ClassVector:

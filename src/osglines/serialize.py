@@ -316,9 +316,10 @@ def certificate_from_dict(data: dict):
         witness = {_entry(w, "unknown", "witness entry", unknowns):
                    parse_rational(_field(w, "value", "witness entry"))
                    for w in witness}
+    stats = {key: _as_int(count)
+             for key, count in _field(data, "stats", "certificate", dict).items()}
     cert = Certificate(n, mode, _field(data, "conclusion", "certificate", str),
-                       unknowns, bounds, witness,
-                       dict(_field(data, "stats", "certificate", dict)))
+                       unknowns, bounds, witness, stats)
     return cert, system
 
 

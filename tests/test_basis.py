@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import pytest
 
 from osglines import (ClassVector, DeformationSpec, MODE_PER_PAIR,
@@ -122,3 +125,14 @@ def test_every_entry_point_rejects_an_invalid_index(table3, call, prefix):
     # entry point reports it with the one message from basis.check_index
     with pytest.raises(ValueError, match=prefix + INVALID):
         call(table3)
+
+
+def test_no_module_level_caches():
+    # memos live on the objects that own them (a table, a spec) and are freed
+    # with them; a module-level cache would keep every rank it ever saw
+    import osglines
+    modules = [osglines] + [importlib.import_module(f"osglines.{m.name}")
+                            for m in pkgutil.iter_modules(osglines.__path__)]
+    cached = [f"{mod.__name__}.{name}" for mod in modules
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_info")]
+    assert cached == []

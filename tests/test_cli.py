@@ -401,7 +401,7 @@ def test_revalidation_catches_any_changed_coefficient(valid_cache, data):
     term["coeff"] += data.draw(st.integers(-1000, 1000).filter(bool))
     code, out, err = _main_on(doc, "table", "--n", "3", "--load", "PATH",
                               "--revalidate")
-    assert code == 2
+    assert code == 2 and "disagrees with the Pieri recursion" in err
     _assert_accepted_or_refused(code, out, err)
 
 
@@ -437,6 +437,42 @@ def test_certificate_with_a_changed_weight_is_rejected(valid_certificate, data):
     weight["weight"] = serialize.format_rational(new)
     cert, system = serialize.certificate_from_dict(doc)
     assert verify_certificate(system, cert) is False
+
+
+def _int_slots(node):
+    """(container, key) of every JSON integer (not a bool) in a document."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if type(child) is int:
+            yield node, key
+        elif isinstance(child, (dict, list)):
+            yield from _int_slots(child)
+
+
+@pytest.mark.parametrize("kind", ["cache", "certificate", "spec"])
+def test_each_integer_given_as_a_float_is_refused(valid_cache, valid_certificate, kind):
+    # a float index must never reach a lookup (items[1.0] is a TypeError) and
+    # a float count must never reach an output: each integer of a valid
+    # document, given as a float on its own, makes the codec raise ValueError
+    loads = {"cache": ([valid_cache], serialize.table_from_dict),
+             "certificate": ([valid_certificate], serialize.certificate_from_dict),
+             "spec": ([serialize.spec_to_dict(s) for s in VALID_SPECS],
+                      serialize.spec_from_dict)}
+    docs, load = loads[kind]
+    accepted = []
+    for doc in map(copy.deepcopy, docs):
+        slots = list(_int_slots(doc))
+        assert slots
+        for parent, key in slots:
+            value = parent[key]
+            parent[key] = float(value)
+            try:
+                load(doc)
+            except ValueError:
+                pass
+            else:
+                accepted.append(f"{key!r}: {value} in {parent}")
+            parent[key] = value
+    assert accepted == []
 
 
 # SHA-256 of outputs written by commit 3600cd5; the bytes must not drift.

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osglines.algebra import ClassVector
-from osglines.basis import degree, enumerate_basis
-from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR,
+from osglines.basis import degree, enumerate_basis, enumerate_degree
+from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR, MODES,
                                   check_positivity, deformed_product, mu_keys,
                                   pair_keys, sigma_from_tau, to_sigma, to_tau)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
-def specs(n=3, mode=MODE_PER_PAIR):
+def specs(n=3, mode=MODE_PER_PAIR, max_size=5):
     keys = pair_keys(n) if mode == MODE_PER_PAIR else mu_keys(n)
-    return st.dictionaries(st.sampled_from(keys), small_fractions, max_size=5) \
+    return st.dictionaries(st.sampled_from(keys), small_fractions, max_size=max_size) \
              .map(lambda d: DeformationSpec(n, mode, d))
 
 
@@ -53,6 +53,28 @@ def test_low_degree_classes_never_corrected():
     for lam in enumerate_basis(3):
         if degree(lam) < 6:
             assert sig[lam] == ClassVector.basis(3, lam)
+
+
+def slice_scan(spec, lam):
+    """The corrections of tau[lam] found by scanning its correction degree's slice."""
+    return [(mu, c) for mu in enumerate_degree(spec.n, degree(lam) - 2 * spec.n)
+            if (c := spec.coefficient(lam, mu))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(min_value=3, max_value=5), st.sampled_from(MODES))
+         .flatmap(lambda nm: specs(*nm, max_size=12)))
+def test_corrections_equal_the_slice_scan(spec):
+    for lam in enumerate_basis(spec.n):
+        assert list(spec.corrections(lam)) == slice_scan(spec, lam)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symbolic_corrections_equal_the_slice_scan(n, mode):
+    spec = DeformationSpec.symbolic(n, mode)
+    for lam in enumerate_basis(n):
+        assert list(spec.corrections(lam)) == slice_scan(spec, lam)
 
 
 def test_malformed_keys_rejected():
