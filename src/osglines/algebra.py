@@ -128,6 +128,11 @@ class AffineExpression:
         return " + ".join(parts)
 
 
+def sorted_terms(flat: dict) -> list:
+    """The ((index, q-exponent), coefficient) items of a flat map in canonical order."""
+    return sorted(flat.items(), key=lambda kv: (index_sort_key(kv[0][0]), kv[0][1]))
+
+
 class ClassVector:
     """Finitely supported combination of basis classes times powers of q.
 
@@ -198,8 +203,7 @@ class ClassVector:
 
     def flat_items(self):
         """(index, q-exponent, coefficient) triples in canonical order."""
-        for (lam, d), c in sorted(self.flat.items(),
-                                  key=lambda kv: (index_sort_key(kv[0][0]), kv[0][1])):
+        for (lam, d), c in sorted_terms(self.flat):
             yield lam, d, c
 
     def coefficient(self, lam, d: int):

@@ -464,9 +464,12 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     steps: list[ReplayStep] = []
     nonneg: set = set()
     nonpos: set = set()
-    pair_sums: list = []
+    pair_sums: dict = {}  # degree -> the pairs (k1, k2) with k1 + k2 <= 0 of that degree
     zeroed: set = set()
     resolutions: dict = {}
+    by_degree: dict = {}  # degree -> its unknowns, in `unknowns` order
+    for k in unknowns:
+        by_degree.setdefault(degree(k[0]), []).append(k)
 
     def check(tag, subject, engine, expected, deductions):
         if engine != expected:
@@ -483,12 +486,12 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     def settle_degree(d_lam):
         """Combine the recorded sign facts for all unknowns of one degree."""
         # one pass: both rules read only the sign facts, never `zeroed`
-        keys = [k for k in unknowns if degree(k[0]) == d_lam]
+        keys = by_degree.get(d_lam, [])
         for k in keys:
             if k in nonneg and k in nonpos and k not in zeroed:
                 zeroed.add(k)
                 resolutions[k] = "lower and upper bounds meet at zero"
-        for k1, k2 in pair_sums:
+        for k1, k2 in pair_sums.get(d_lam, ()):
             if k1 in nonneg and k2 in nonneg:
                 for k, other in ((k1, k2), (k2, k1)):
                     if k not in zeroed:
@@ -526,7 +529,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
         check(tag, lam, engine, expected,
               [("nonpos" if len(k) == 1 else "pair-nonpos",) + k for k in signs])
         nonpos.update(k[0] for k in signs if len(k) == 1)
-        pair_sums.extend(k for k in signs if len(k) == 2)
+        pair_sums.setdefault(degree(lam), []).extend(k for k in signs if len(k) == 2)
 
     # degree 2n: upper bounds via collapsed products, lower bounds via the
     # rule; degrees above 2n by induction

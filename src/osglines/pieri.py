@@ -4,7 +4,7 @@ Each rule is a finite case table on the index (a, b) being multiplied.  The
 raw tables can emit index pairs outside the valid set (for example a diagonal
 pair (t, t) with t > n-2); those terms are dropped, i.e. treated as the zero
 class.  This zero convention is checked downstream: every product the ring
-computes must be homogeneous (`MultiplicationTable._terms`), and the
+computes must be homogeneous (`MultiplicationTable._recurse`), and the
 product-identity suite must hold.
 
 Both rules produce only nonnegative integer coefficients.  They are defined

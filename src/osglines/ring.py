@@ -14,8 +14,9 @@ Hence
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
 computed on plain ints.  A table from `lazy_table` stores no products: each
-is computed the first time it is asked for, from the int memo of its column
-mu, and kept; `build_table` asks for every product.
+is computed when first asked for, in the int memo of its column mu, and that
+memo's dict is kept as the product's one storage, which `product` wraps in
+`Fraction`s on read; `build_table` asks for every product.
 
 `check_commutativity` recomputes every product by a second, independent
 algorithm, kept only as that reference: it expresses each class in the
@@ -59,9 +60,10 @@ class _Memo(dict):
 class MultiplicationTable:
     """All structure constants for a given rank in the tau basis.
 
-    Products are stored once per unordered pair, keyed by basis position.  A
-    table from `lazy_table` computes a missing product on first request by
-    the Pieri recursion and keeps it; a loaded cache is complete.
+    Products are stored once per unordered pair, keyed by basis position, as
+    int dicts {(nu, d): int}: `terms` reads one, `product` wraps it in new
+    `Fraction`s.  A table from `lazy_table` computes a missing product on
+    first request by the Pieri recursion; a loaded cache is complete.
     """
 
     def __init__(self, n: int, basis: list[Index], products: dict):
@@ -73,7 +75,6 @@ class MultiplicationTable:
         self._times = _pieri_terms(n)
         # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}, seeded with the unit
         self._columns = _Memo(lambda mu: {(0, 0): {(mu, 0): 1}})
-        self._fractions: dict = {}  # int -> the one Fraction of that value
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
         pos = self.pos
@@ -84,16 +85,19 @@ class MultiplicationTable:
             i, j = pos[lam], pos[mu]
         return (lam, mu) if i <= j else (mu, lam)
 
-    def product(self, lam, mu) -> ClassVector:
+    def terms(self, lam, mu) -> dict:
+        """tau[lam] * tau[mu] as the stored {(nu, d): int}; do not mutate it."""
         pair = self._pair(lam, mu)
-        try:
-            return self._products[pair]
-        except KeyError:
-            prod = self._products[pair] = int_vector(self.n, self._terms(*pair),
-                                                     self._fractions)
-            return prod
+        terms = self._products.get(pair)
+        if terms is None:
+            terms = self._products[pair] = self._recurse(*pair)
+        return terms
 
-    def _terms(self, lam: Index, mu: Index) -> dict:
+    def product(self, lam, mu) -> ClassVector:
+        """tau[lam] * tau[mu] as a new ClassVector of `Fraction`s."""
+        return ClassVector._wrap(self.n, {k: Fraction(c) for k, c in self.terms(lam, mu).items()})
+
+    def _recurse(self, lam: Index, mu: Index) -> dict:
         """tau[lam] * tau[mu] as {(nu, d): int} by the Pieri recursion in column
         mu, checked to be homogeneous.
 
@@ -257,15 +261,6 @@ def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
     return tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
 
 
-def int_vector(n: int, terms: dict, fractions: dict) -> ClassVector:
-    """The ClassVector of int `terms` {(nu, d): int}, zeros dropped, with each
-    value the one `Fraction` of it kept in `fractions` (int -> Fraction), so a
-    table's products share one object per distinct structure constant."""
-    return ClassVector._wrap(n, {
-        key: fractions.get(c) or fractions.setdefault(c, Fraction(c))
-        for key, c in terms.items() if c})
-
-
 Rule = namedtuple("Rule", "special pred others")
 # tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
 
@@ -330,7 +325,7 @@ def build_table(n: int) -> MultiplicationTable:
     """
     table = lazy_table(n)
     for lam, mu in table._by_column():
-        table.product(lam, mu)
+        table.terms(lam, mu)
     return table
 
 
@@ -339,7 +334,7 @@ def revalidate_table(table: MultiplicationTable):
     column by column on ints as `build_table` walks them, and compare each
     exactly with the stored one; ValueError at the first that differs."""
     for lam, mu in table._by_column():
-        if table.product(lam, mu).flat != table._terms(lam, mu):
+        if table.terms(lam, mu) != table._recurse(lam, mu):
             raise ValueError(f"cached product {lam}*{mu} disagrees with the "
                              f"Pieri recursion")
 
@@ -352,7 +347,7 @@ def multiply(table: MultiplicationTable, x: ClassVector, y: ClassVector) -> Clas
     for (nu1, d1), c1 in x.flat.items():
         for (nu2, d2), c2 in y.flat.items():
             c12 = c1 * c2
-            for (nu, d), c in table.product(nu1, nu2).flat.items():
+            for (nu, d), c in table.terms(nu1, nu2).items():
                 key = (nu, d + d1 + d2)
                 acc[key] = acc.get(key, Fraction(0)) + c12 * c
     return ClassVector._wrap(table.n, {k: v for k, v in acc.items() if v})
@@ -362,16 +357,16 @@ def gw_constant(table: MultiplicationTable, lam, mu, nu, d: int) -> Fraction:
     """The coefficient of q^d tau[nu] in tau[lam] * tau[mu]; may be negative."""
     if d < 0:
         raise ValueError("q-exponent must be nonnegative")
-    prod = table.product(lam, mu)
+    terms = table.terms(lam, mu)
     nu = tuple(nu)
     if nu not in table.pos:
         nu = check_index(table.n, nu)
-    return prod.coefficient(nu, d)
+    return Fraction(terms.get((nu, d), 0))
 
 
 def poincare_pairing(table: MultiplicationTable, lam, mu) -> Fraction:
     """Coefficient of the top class in the classical part of tau[lam] * tau[mu]."""
-    return table.product(lam, mu).coefficient(top_class(table.n), 0)
+    return Fraction(table.terms(lam, mu).get((top_class(table.n), 0), 0))
 
 
 def pairing_rank(table: MultiplicationTable, rows, cols) -> int:
@@ -500,6 +495,6 @@ def check_commutativity(table: MultiplicationTable) -> list:
     for lam in table.basis:
         expand = _expansion(times, lam)
         for mu in table.basis[table.pos[lam]:]:
-            if _differs(scaled[mu], expand, table.product(lam, mu).flat):
+            if _differs(scaled[mu], expand, table.terms(lam, mu)):
                 bad.append((lam, mu))
     return bad

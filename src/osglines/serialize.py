@@ -4,8 +4,8 @@ Numbers are never floats: integers are JSON integers in the table format and
 decimal strings elsewhere; rationals are "p/q" strings.  Construction order
 of every document is canonical, so serializing the same mathematical object
 always yields identical bytes.  The table cache, the one large document, is
-written as text directly, byte-identical to `json.dumps(doc, indent=2)`,
-and its integer terms are read back on ints.
+written directly from each product's stored int dict, byte-identical to
+`json.dumps(doc, indent=2)`, and read back into one int dict per product.
 
 Loading validates the document shape and turns every defect into a
 one-line `ValueError`.  Saving writes a temporary file in the target's
@@ -21,11 +21,11 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import AffineExpression, ClassVector
+from .algebra import AffineExpression, ClassVector, sorted_terms
 from .basis import enumerate_basis
 from .certify import Certificate, BoundProof, ConstraintSystem
 from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
-from .ring import MultiplicationTable, int_vector, revalidate_table
+from .ring import MultiplicationTable, revalidate_table
 
 TABLE_FORMAT_VERSION = 1
 
@@ -124,7 +124,7 @@ def _table_text(table: MultiplicationTable) -> str:
     products = []
     for lam, mu in table.pairs():
         terms = []
-        for nu, d, c in table.product(lam, mu).flat_items():
+        for (nu, d), c in sorted_terms(table.terms(lam, mu)):
             if c.denominator != 1:
                 raise ValueError(f"non-integer coefficient {c} in table serialization")
             terms.append(f'        {{\n          "nu": {term[nu]},\n          "d": {d},'
@@ -151,7 +151,6 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
         raise ValueError("table basis does not match the canonical basis order")
     pos = {lam: i for i, lam in enumerate(basis)}
     products = {}
-    fractions: dict = {}  # int -> the one Fraction of that value
     for entry in _field(data, "products", "table", list):
         lam = _as_index(_field(entry, "lambda", "product"))
         mu = _as_index(_field(entry, "mu", "product"))
@@ -167,7 +166,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
             if nu not in pos or d < 0:
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
             acc[(nu, d)] = acc.get((nu, d), 0) + _as_int(_field(t, "coeff", "term"))
-        products[(lam, mu)] = int_vector(n, acc, fractions)
+        products[(lam, mu)] = {key: c for key, c in acc.items() if c}
     missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
                   if (lam, mu) not in products)
     if missing:

@@ -397,6 +397,23 @@ def test_full_table_matches_lazy_products_n7():
         assert full.product(lam, mu) == lazy.product(lam, mu), (lam, mu)
 
 
-def test_full_table_coefficients_are_fractions(table4):
-    for lam, mu in table4.pairs():
-        assert all(type(c) is Fraction for c in table4.product(lam, mu).flat.values())
+def test_full_table_coefficients_are_fractions(tmp_path, table4):
+    # a table stores ints and hands out Fractions, never a float or a bare int
+    path = tmp_path / "t4.json"
+    serialize.save_table(table4, path)
+    for table in (lazy_table(4), table4, serialize.load_table(path)):
+        for lam, mu in table4.pairs():
+            prod = table.product(lam, mu)
+            assert all(type(c) is Fraction for c in prod.flat.values())
+            xy = multiply(table, basis_vec(4, lam), basis_vec(4, mu))
+            assert xy == prod and all(type(c) is Fraction for c in xy.flat.values())
+            assert type(poincare_pairing(table, lam, mu)) is Fraction
+            for nu, d in [*prod.flat, ((0, 0), 0)]:
+                assert type(gw_constant(table, lam, mu, nu, d)) is Fraction
+        assert all(type(terms) is dict and all(type(c) is int for c in terms.values())
+                   for terms in table._products.values())
+        # what product() returns is the caller's: editing it leaves the table
+        prod = table.product((1, 1), (1, 1))
+        before = dict(prod.flat)
+        prod.flat.clear()
+        assert table.product((1, 1), (1, 1)).flat == before != {}

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from osglines import serialize
-from osglines.algebra import ClassVector
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
 from osglines.certify import build_constraints, certify_uniqueness, verify_certificate
@@ -75,14 +74,14 @@ def test_table_text_matches_the_stdlib_encoder(tmp_path, table3, table4, table5,
 
 
 def _table_with(table, pair, product):
-    products = {p: table.product(*p) for p in table.pairs()}
+    products = {p: table.terms(*p) for p in table.pairs()}
     products[pair] = product
     return MultiplicationTable(table.n, table.basis, products)
 
 
 def test_empty_product_saves_as_an_empty_list(tmp_path, table3):
     pair = ((1, 0), (5, 4))  # tau[1,0] * tau[top] is q times a class, here zeroed
-    table = _table_with(table3, pair, ClassVector.zero(3))
+    table = _table_with(table3, pair, {})
     path = tmp_path / "t.json"
     serialize.save_table(table, path)
     text = path.read_text()
@@ -95,8 +94,7 @@ def test_empty_product_saves_as_an_empty_list(tmp_path, table3):
 
 
 def test_non_integer_coefficient_is_not_saved(tmp_path, table3):
-    table = _table_with(table3, ((1, 0), (1, 0)),
-                        ClassVector(3, {(2, 0): Fraction(1, 2)}))
+    table = _table_with(table3, ((1, 0), (1, 0)), {((2, 0), 0): Fraction(1, 2)})
     with pytest.raises(ValueError, match="non-integer coefficient"):
         serialize.save_table(table, tmp_path / "t.json")
     assert not list(tmp_path.iterdir())
