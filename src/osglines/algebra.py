@@ -5,10 +5,12 @@ shape the ring builds its products in, so a product is wrapped without being
 copied or regrouped.  It is the only polynomial in q in the package: the
 q-coefficient of a class is the slice of the map at that class's index.
 
-Everything is over the rationals (`fractions.Fraction`); there is no floating
-point anywhere.  Coefficients may also be `AffineExpression` values, which is
-how symbolic computations with unknown deformation coefficients are carried
-out.  Multiplying two expressions that both contain unknowns raises
+Everything is exact: a class vector's coefficients are rationals
+(`fractions.Fraction`), and an affine form keeps each integral value as an
+int and any other as a `Fraction`.  There is no floating point anywhere.
+Coefficients may also be `AffineExpression` values, which is how symbolic
+computations with unknown deformation coefficients are carried out.
+Multiplying two expressions that both contain unknowns raises
 `QuadraticTermError`: nothing in this package is allowed to leave the affine
 world.
 """
@@ -34,28 +36,45 @@ def as_coeff(x):
     raise TypeError(f"not an exact coefficient: {x!r}")
 
 
+def exact(x):
+    """x as an int when it is integral, else as a Fraction.
+
+    Only ints and Fractions are exact numbers: a float, a bool or anything
+    else raises TypeError.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"not an exact number: {x!r}")
+
+
 def _check_exponent(d):
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"q-exponent must be a nonnegative integer, got {d!r}")
 
 
 class AffineExpression:
-    """constant + sum of rational multiples of named unknowns."""
+    """constant + sum of rational multiples of named unknowns.
+
+    The constant and the linear values are kept as `exact` numbers: ints where
+    integral, Fractions otherwise.
+    """
 
     __slots__ = ("constant", "linear")
 
     def __init__(self, constant=0, linear=None):
-        self.constant = Fraction(constant)
+        self.constant = exact(constant)
         lin = {}
         for key, val in (linear or {}).items():
-            val = Fraction(val)
+            val = exact(val)
             if val:
                 lin[key] = val
         self.linear = lin
 
     @classmethod
     def unknown(cls, key) -> "AffineExpression":
-        return cls(0, {key: Fraction(1)})
+        return cls(0, {key: 1})
 
     def is_constant(self) -> bool:
         return not self.linear
@@ -79,7 +98,7 @@ class AffineExpression:
         if isinstance(other, AffineExpression):
             lin = dict(self.linear)
             for k, v in other.linear.items():
-                lin[k] = lin.get(k, Fraction(0)) + v
+                lin[k] = lin.get(k, 0) + v
             return AffineExpression(self.constant + other.constant, lin)
         return NotImplemented
 
@@ -89,14 +108,13 @@ class AffineExpression:
         return AffineExpression(-self.constant, {k: -v for k, v in self.linear.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, AffineExpression) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             return AffineExpression(self.constant * other,
                                     {k: v * other for k, v in self.linear.items()})
         if isinstance(other, AffineExpression):
@@ -111,10 +129,11 @@ class AffineExpression:
 
     __rmul__ = __mul__
 
-    def evaluate(self, assignment) -> Fraction:
+    def evaluate(self, assignment):
+        """The exact value at `assignment` ({key: int or Fraction}, missing keys 0)."""
         total = self.constant
         for k, v in self.linear.items():
-            total += v * Fraction(assignment.get(k, 0))
+            total += v * exact(assignment.get(k, 0))
         return total
 
     def terms(self):

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .algebra import AffineExpression, ClassVector
+from .algebra import AffineExpression, ClassVector, exact
 from .basis import degree, enumerate_degree, max_degree
 from .deformation import (DeformationSpec, MODE_PER_PAIR, positivity_terms,
                           to_sigma, to_tau)
@@ -103,9 +103,9 @@ class _Row:
     __slots__ = ("lin", "const", "combo")
 
     def __init__(self, lin, const, combo):
-        self.lin = lin          # {unknown position: Fraction}, no zeros
+        self.lin = lin          # {unknown position: int or Fraction}, no zeros
         self.const = const
-        self.combo = combo      # {original constraint index: positive Fraction}
+        self.combo = combo      # {original constraint index: positive int or Fraction}
 
 
 def _rows_from_system(system: ConstraintSystem):
@@ -113,7 +113,7 @@ def _rows_from_system(system: ConstraintSystem):
     rows = []
     for idx, expr in enumerate(system.constraints):
         lin = {pos[k]: v for k, v in expr.linear.items()}
-        rows.append(_Row(lin, expr.constant, {idx: Fraction(1)}))
+        rows.append(_Row(lin, expr.constant, {idx: 1}))
     return rows
 
 
@@ -124,12 +124,12 @@ def _combine(pr: _Row, nr: _Row, var: int) -> _Row:
     for p, v in pr.lin.items():
         lin[p] = w_pos * v
     for p, v in nr.lin.items():
-        lin[p] = lin.get(p, Fraction(0)) + w_neg * v
+        lin[p] = lin.get(p, 0) + w_neg * v
     lin = {p: v for p, v in lin.items() if p != var and v}
     const = w_pos * pr.const + w_neg * nr.const
     combo = {i: w_pos * w for i, w in pr.combo.items()}
     for i, w in nr.combo.items():
-        combo[i] = combo.get(i, Fraction(0)) + w_neg * w
+        combo[i] = combo.get(i, 0) + w_neg * w
     return _Row(lin, const, combo)
 
 
@@ -143,8 +143,8 @@ def _prune(rows):
             continue
         lead = min(r.lin)
         s = abs(r.lin[lead])
-        key = tuple(sorted((p, v / s) for p, v in r.lin.items()))
-        c = r.const / s
+        key = tuple(sorted((p, Fraction(v, s)) for p, v in r.lin.items()))
+        c = Fraction(r.const, s)
         kept = best.get(key)
         if kept is None or c < kept[0]:
             best[key] = (c, r)
@@ -209,11 +209,11 @@ def _interval(rows, var: int):
         if not c:
             continue
         if c > 0:
-            bound = -r.const / c
+            bound = Fraction(-r.const, c)
             if lo is None or bound > lo:
                 lo, lo_row = bound, r
         else:
-            bound = r.const / (-c)
+            bound = Fraction(r.const, -c)
             if hi is None or bound < hi:
                 hi, hi_row = bound, r
     return lo, hi, lo_row, hi_row
@@ -258,11 +258,13 @@ def _propagate(rows):
             others = [(q, v) for q, v in r.lin.items() if q != p]
             if fact in facts or any(_nonpos(q, v) not in facts for q, v in others):
                 continue
-            scale = 1 / abs(c)
-            combo = {i: w * scale for i, w in r.combo.items()}
+            combo = dict(r.combo)
             for q, v in others:
                 for i, w in facts[_nonpos(q, v)].items():
-                    combo[i] = combo.get(i, 0) + abs(v) * scale * w
+                    combo[i] = combo.get(i, 0) + abs(v) * w
+            if abs(c) != 1:
+                scale = Fraction(1, abs(c))
+                combo = {i: w * scale for i, w in combo.items()}
             facts[fact] = combo
             for i in waiting.get(fact, ()):
                 missing[i] -= 1
@@ -279,7 +281,7 @@ BoundProof = namedtuple("BoundProof", "unknown direction weights")
 Certificate = namedtuple("Certificate", "n mode conclusion unknowns bounds witness stats")
 
 
-def _scaled_weights(combo, scale=Fraction(1)):
+def _scaled_weights(combo, scale=1):
     return tuple(sorted((i, w * scale) for i, w in combo.items() if w * scale))
 
 
@@ -314,7 +316,7 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
     fm_unknowns = 0
     for k, key in enumerate(system.unknowns):
         if (k, 1) in facts and (k, -1) in facts:
-            intervals[key] = (Fraction(0), Fraction(0))
+            intervals[key] = (0, 0)
             bounds.append(BoundProof(key, "lower", _scaled_weights(facts[(k, 1)])))
             bounds.append(BoundProof(key, "upper", _scaled_weights(facts[(k, -1)])))
             continue
@@ -324,15 +326,15 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
         intervals[key] = (lo, hi)
         if lo == 0 and hi == 0:
             bounds.append(BoundProof(key, "lower", _scaled_weights(
-                lo_row.combo, Fraction(1) / lo_row.lin[k])))
+                lo_row.combo, Fraction(1, lo_row.lin[k]))))
             bounds.append(BoundProof(key, "upper", _scaled_weights(
-                hi_row.combo, Fraction(1) / -hi_row.lin[k])))
+                hi_row.combo, Fraction(1, -hi_row.lin[k]))))
     nvars = len(system.unknowns)
     stats = {"unknowns": nvars, "constraints": len(system.constraints),
              "peak_working_rows": peak[0],
              "propagated_unknowns": nvars - fm_unknowns,
              "fm_unknowns": fm_unknowns}
-    if all(iv == (Fraction(0), Fraction(0)) for iv in intervals.values()):
+    if all(iv == (0, 0) for iv in intervals.values()):
         return Certificate(system.n, system.mode, CONCLUSION_UNIQUE_ZERO,
                            system.unknowns, tuple(bounds), None, stats)
     witness = _find_witness(system, intervals, max_rows)
@@ -340,7 +342,7 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
                        system.unknowns, (), witness, stats)
 
 
-def _substitute(rows, var: int, value: Fraction):
+def _substitute(rows, var: int, value):
     out = []
     for r in rows:
         c = r.lin.get(var)
@@ -355,7 +357,7 @@ def _substitute(rows, var: int, value: Fraction):
 def _find_witness(system: ConstraintSystem, intervals, max_rows: int) -> dict:
     """A feasible assignment that is nonzero somewhere, by back-substitution."""
     free = next(k for k, iv in intervals.items()
-                if iv != (Fraction(0), Fraction(0)))
+                if iv != (0, 0))
     order = [free] + [k for k in system.unknowns if k != free]
     pos = {k: i for i, k in enumerate(system.unknowns)}
     rows = _rows_from_system(system)
@@ -369,11 +371,11 @@ def _find_witness(system: ConstraintSystem, intervals, max_rows: int) -> dict:
         elif lo is not None and lo != 0:
             value = lo
         elif hi is None:
-            value = max(lo if lo is not None else Fraction(0), Fraction(0)) + 1
+            value = max(lo if lo is not None else 0, 0) + 1
         elif lo is None:
-            value = min(hi, Fraction(0)) - 1
+            value = min(hi, 0) - 1
         else:
-            value = Fraction(0)
+            value = 0
         assignment[key] = value
         rows = _prune(_substitute(rows, p, value))
     return assignment
@@ -384,8 +386,9 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 
     Independent of the search: only the stored constraints and the
     certificate's weight lists are used.  Returns False on any defect
-    (negative weight, bad index, malformed weight, sum not literally equal
-    to the claimed inequality, missing bound, bad witness).
+    (negative weight, bad index, a weight that is not an int or a Fraction,
+    sum not literally equal to the claimed inequality, missing bound, bad
+    witness).  Integral weights are summed as ints.
     """
     try:
         if cert.unknowns != system.unknowns or cert.n != system.n \
@@ -398,10 +401,10 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
                     return False
                 sign = 1 if bound.direction == "lower" else -1
                 target = {bound.unknown: sign}
-                constant = Fraction(0)
+                constant = 0
                 linear: dict = {}
                 for idx, w in bound.weights:
-                    w = Fraction(w)
+                    w = exact(w)
                     if w < 0 or not (0 <= idx < len(system.constraints)):
                         return False
                     row = system.constraints[idx]
@@ -420,7 +423,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
                        for expr in system.constraints)
         return False
     except (TypeError, ValueError, ZeroDivisionError):
-        # a weight or index of the wrong type or an unparsable weight string
+        # a weight, witness value or index of the wrong type
         return False
 
 

@@ -3,9 +3,11 @@
 Numbers are never floats: integers are JSON integers in the table format and
 decimal strings elsewhere; rationals are "p/q" strings.  Construction order
 of every document is canonical, so serializing the same mathematical object
-always yields identical bytes.  The table cache, the one large document, is
-written directly from each product's stored int dict, byte-identical to
-`json.dumps(doc, indent=2)`, and read back into one int dict per product.
+always yields identical bytes.  The two large documents are written directly,
+byte-identical to `json.dumps(doc, indent=2)`: the table cache from each
+product's stored int dict, read back into one int dict per product, and a
+certificate as a stream of fragments, so its whole text is never held at
+once; a certificate's integral numbers are read back as ints.
 
 Loading validates the document shape and turns every defect into a
 one-line `ValueError`.  Saving writes a temporary file in the target's
@@ -21,7 +23,7 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import AffineExpression, ClassVector, sorted_terms
+from .algebra import AffineExpression, ClassVector, exact, sorted_terms
 from .basis import enumerate_basis
 from .certify import Certificate, BoundProof, ConstraintSystem
 from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
@@ -30,11 +32,12 @@ from .ring import MultiplicationTable, revalidate_table
 TABLE_FORMAT_VERSION = 1
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_INTEGER_RE = re.compile(r"^-?\d+$")
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """An int or a Fraction as "p", or as "p/q" when it is not integral."""
+    return str(exact(x))
 
 
 def parse_rational(s: str) -> Fraction:
@@ -43,8 +46,21 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _parse_number(s):
+    """A rational string as an exact number: an int when integral, else a Fraction."""
+    if isinstance(s, str) and _INTEGER_RE.match(s):
+        return int(s)
+    return exact(parse_rational(s))
+
+
 def _index(lam) -> list[int]:
     return [int(lam[0]), int(lam[1])]
+
+
+def _pair_text(lam, depth: int) -> str:
+    """An index as the `[a, b]` of a key nested `depth` levels deep."""
+    pad = "  " * depth
+    return f"[\n{pad}  {int(lam[0])},\n{pad}  {int(lam[1])}\n{pad}]"
 
 
 def _as_index(obj) -> tuple[int, int]:
@@ -73,12 +89,13 @@ def _field(obj, key: str, what: str, kind=None):
     return value
 
 
-def _write_atomic(path, text: str):
+def _write_atomic(path, fragments):
+    """Write the concatenation of the text `fragments` to path, atomically."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(fragments)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -117,9 +134,7 @@ def _table_text(table: MultiplicationTable) -> str:
     """`canonical_dumps` of the table document, byte for byte, written directly:
     each index's `[a, b]` is formatted once per depth it is nested at."""
     def fragments(depth):
-        pad = "  " * depth
-        return {lam: f"[\n{pad}  {lam[0]},\n{pad}  {lam[1]}\n{pad}]"
-                for lam in table.basis}
+        return {lam: _pair_text(lam, depth) for lam in table.basis}
     basis, pair, term = fragments(2), fragments(3), fragments(5)
     products = []
     for lam, mu in table.pairs():
@@ -178,7 +193,7 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
 
 
 def save_table(table: MultiplicationTable, path):
-    _write_atomic(path, _table_text(table))
+    _write_atomic(path, (_table_text(table),))
 
 
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
@@ -227,7 +242,7 @@ def spec_from_dict(data: dict) -> DeformationSpec:
 
 
 def save_spec(spec: DeformationSpec, path):
-    _write_atomic(path, canonical_dumps(spec_to_dict(spec)))
+    _write_atomic(path, (canonical_dumps(spec_to_dict(spec)),))
 
 
 def load_spec(path) -> DeformationSpec:
@@ -247,37 +262,65 @@ def _entry(obj, key: str, what: str, items):
     return items[i]
 
 
-def certificate_to_dict(cert: Certificate, system: ConstraintSystem) -> dict:
-    unknown_pos = {k: i for i, k in enumerate(system.unknowns)}
-    constraint_dump = []
-    for expr, (mu, nu, d) in zip(system.constraints, system.provenance):
-        terms = sorted(((unknown_pos[k], v) for k, v in expr.linear.items()))
-        constraint_dump.append({
-            "provenance": {"mu": _index(mu), "nu": _index(nu), "d": d},
-            "constant": format_rational(expr.constant),
-            "terms": [{"unknown": i, "coeff": format_rational(v)} for i, v in terms],
-        })
-    bounds = [{
-        "unknown": unknown_pos[b.unknown],
-        "direction": b.direction,
-        "weights": [{"constraint": i, "weight": format_rational(w)}
-                    for i, w in b.weights],
-    } for b in cert.bounds]
-    witness = None
-    if cert.witness is not None:
-        witness = [{"unknown": unknown_pos[k], "value": format_rational(v)}
-                   for k, v in sorted(cert.witness.items(),
-                                      key=lambda kv: unknown_pos[kv[0]])]
-    return {
-        "n": cert.n,
-        "mode": cert.mode,
-        "conclusion": cert.conclusion,
-        "unknowns": [_key_to_json(cert.mode, k) for k in cert.unknowns],
-        "bounds": bounds,
-        "witness": witness,
-        "stats": cert.stats,
-        "constraint_dump": constraint_dump,
-    }
+def _json(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2)` for a value nested `depth` levels deep."""
+    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
+
+
+def _list_fragments(items, depth: int):
+    """A JSON list nested `depth` levels deep, from its items' texts."""
+    opener = "[\n"
+    for item in items:
+        yield opener + item
+        opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n" + "  " * depth + "]"
+
+
+def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
+    """`canonical_dumps` of the certificate document, byte for byte, as text
+    fragments: one per unknown, bound, witness entry and constraint."""
+    pos = {k: i for i, k in enumerate(system.unknowns)}
+
+    def unknown(key):
+        if cert.mode == MODE_PER_PAIR:
+            return (f'    {{\n      "lambda": {_pair_text(key[0], 3)},'
+                    f'\n      "mu": {_pair_text(key[1], 3)}\n    }}')
+        return f'    {{\n      "mu": {_pair_text(key, 3)}\n    }}'
+
+    def bound(b):
+        weights = "".join(_list_fragments(
+            (f'        {{\n          "constraint": {i},'
+             f'\n          "weight": "{format_rational(w)}"\n        }}'
+             for i, w in b.weights), 3))
+        return (f'    {{\n      "unknown": {pos[b.unknown]},\n      "direction": '
+                f'{_json(b.direction)},\n      "weights": {weights}\n    }}')
+
+    def constraint(expr, provenance):
+        mu, nu, d = provenance
+        terms = "".join(_list_fragments(
+            (f'        {{\n          "unknown": {i},'
+             f'\n          "coeff": "{format_rational(v)}"\n        }}'
+             for i, v in sorted((pos[k], v) for k, v in expr.linear.items())), 3))
+        return (f'    {{\n      "provenance": {{\n        "mu": {_pair_text(mu, 4)},'
+                f'\n        "nu": {_pair_text(nu, 4)},\n        "d": {d}\n      }},'
+                f'\n      "constant": "{format_rational(expr.constant)}",'
+                f'\n      "terms": {terms}\n    }}')
+
+    yield (f'{{\n  "n": {cert.n},\n  "mode": {_json(cert.mode)},'
+           f'\n  "conclusion": {_json(cert.conclusion)},\n  "unknowns": ')
+    yield from _list_fragments(map(unknown, cert.unknowns), 1)
+    yield ',\n  "bounds": '
+    yield from _list_fragments(map(bound, cert.bounds), 1)
+    yield ',\n  "witness": '
+    if cert.witness is None:
+        yield "null"
+    else:
+        yield from _list_fragments(
+            (f'    {{\n      "unknown": {pos[k]},\n      "value": "{format_rational(v)}"\n    }}'
+             for k, v in sorted(cert.witness.items(), key=lambda kv: pos[kv[0]])), 1)
+    yield f',\n  "stats": {_json(cert.stats, 1)},\n  "constraint_dump": '
+    yield from _list_fragments(map(constraint, system.constraints, system.provenance), 1)
+    yield "\n}\n"
 
 
 def certificate_from_dict(data: dict):
@@ -292,10 +335,10 @@ def certificate_from_dict(data: dict):
     provenance = []
     for c in _field(data, "constraint_dump", "certificate", list):
         linear = {_entry(t, "unknown", "constraint term", unknowns):
-                  parse_rational(_field(t, "coeff", "constraint term"))
+                  _parse_number(_field(t, "coeff", "constraint term"))
                   for t in _field(c, "terms", "constraint", list)}
         constraints.append(AffineExpression(
-            parse_rational(_field(c, "constant", "constraint")), linear))
+            _parse_number(_field(c, "constant", "constraint")), linear))
         p = _field(c, "provenance", "constraint")
         provenance.append((_as_index(_field(p, "mu", "provenance")),
                            _as_index(_field(p, "nu", "provenance")),
@@ -305,7 +348,7 @@ def certificate_from_dict(data: dict):
         BoundProof(_entry(b, "unknown", "bound", unknowns),
                    _field(b, "direction", "bound", str),
                    tuple((_entry(w, "constraint", "weight", range(len(constraints))),
-                          parse_rational(_field(w, "weight", "weight")))
+                          _parse_number(_field(w, "weight", "weight")))
                          for w in _field(b, "weights", "bound", list)))
         for b in _field(data, "bounds", "certificate", list))
     witness = _field(data, "witness", "certificate")
@@ -313,7 +356,7 @@ def certificate_from_dict(data: dict):
         if not isinstance(witness, list):
             raise ValueError("certificate field 'witness' is not a list")
         witness = {_entry(w, "unknown", "witness entry", unknowns):
-                   parse_rational(_field(w, "value", "witness entry"))
+                   _parse_number(_field(w, "value", "witness entry"))
                    for w in witness}
     stats = {key: _as_int(count)
              for key, count in _field(data, "stats", "certificate", dict).items()}
@@ -323,7 +366,7 @@ def certificate_from_dict(data: dict):
 
 
 def save_certificate(cert: Certificate, system: ConstraintSystem, path):
-    _write_atomic(path, canonical_dumps(certificate_to_dict(cert, system)))
+    _write_atomic(path, _certificate_fragments(cert, system))
 
 
 def load_certificate(path):

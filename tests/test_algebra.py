@@ -79,6 +79,16 @@ def test_affine_evaluation():
     assert e.evaluate({"a": Fraction(1, 2), "b": 3}) == -1
 
 
+def test_affine_expression_refuses_floats():
+    with pytest.raises(TypeError, match="exact number"):
+        AffineExpression(0.5)
+    with pytest.raises(TypeError, match="exact number"):
+        AffineExpression(0, {"a": 0.5})
+    e = AffineExpression(Fraction(4, 2), {"a": Fraction(3, 1), "b": Fraction(1, 2)})
+    assert type(e.constant) is int and type(e.linear["a"]) is int
+    assert e.linear["b"] == Fraction(1, 2)
+
+
 def test_rank_mismatch():
     v = ClassVector(3, {(1, 0): 1})
     w = ClassVector(4, {(1, 0): 1})

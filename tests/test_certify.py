@@ -4,9 +4,10 @@ import pytest
 
 from osglines.algebra import AffineExpression
 from osglines.basis import degree
+from osglines import certify
 from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
                               CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO,
-                              MismatchError, ResourceLimitError,
+                              DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
                               build_constraints, certify_uniqueness,
                               replay_proof, verify_certificate)
 from osglines.deformation import MODE_PER_MU, MODE_PER_PAIR, pair_keys
@@ -84,15 +85,31 @@ def test_tampered_certificates_rejected(table3):
     assert not verify_certificate(system, rebuild(bad))
 
 
+@pytest.mark.parametrize("weight", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_weight_that_is_not_an_exact_number_is_rejected(table3, weight):
+    # each stands for the weight 1 that it replaces, and is still refused
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    b0 = cert.bounds[0]
+    (idx, w), rest = b0.weights[0], b0.weights[1:]
+    assert w == 1 and verify_certificate(system, cert)
+    bounds = (BoundProof(b0.unknown, b0.direction, ((idx, weight),) + rest),) + cert.bounds[1:]
+    assert verify_certificate(system, cert._replace(bounds=bounds)) is False
+
+
 def toy_system(constraints):
     return ConstraintSystem(3, MODE_PER_PAIR, ("x", "y"),
                             tuple(constraints), (((0, 0), (0, 0), 1),) * len(constraints))
 
 
-def test_not_unique_toy_system():
+def not_unique_toy_system():
     # x - y >= 0, y >= -1: unbounded feasible set
-    system = toy_system([AffineExpression(0, {"x": 1, "y": -1}),
-                         AffineExpression(1, {"y": 1})])
+    return toy_system([AffineExpression(0, {"x": 1, "y": -1}),
+                       AffineExpression(1, {"y": 1})])
+
+
+def test_not_unique_toy_system():
+    system = not_unique_toy_system()
     cert = certify_uniqueness(system)
     assert cert.conclusion == CONCLUSION_NOT_UNIQUE
     assert cert.witness is not None
@@ -102,6 +119,9 @@ def test_not_unique_toy_system():
     fake = Certificate(cert.n, cert.mode, cert.conclusion, cert.unknowns,
                        (), {"x": Fraction(0), "y": Fraction(0)}, cert.stats)
     assert not verify_certificate(system, fake)
+    # so is a witness whose values are floats, even feasible ones
+    floats = cert._replace(witness={k: float(v) for k, v in cert.witness.items()})
+    assert not verify_certificate(system, floats)
 
 
 def test_pinned_toy_system_certifies():
@@ -199,6 +219,35 @@ def test_propagation_agrees_with_fm(table3, table4, table5, table6):
             assert verify_certificate(system, fast)
             assert verify_certificate(system, slow)
             assert slow.stats["fm_unknowns"] == len(system.unknowns)
+
+
+def test_fm_fallback_and_witness_never_produce_a_float(monkeypatch, table3, table4,
+                                                       table5):
+    # with int rows, an FM bound or a witness value written as `a / b` would
+    # be a float; every interval endpoint, weight and witness value must be
+    # an int or a Fraction
+    endpoints = []
+    interval = certify._interval
+
+    def recorded(rows, var):
+        lo, hi, lo_row, hi_row = interval(rows, var)
+        endpoints.extend(x for x in (lo, hi) if x is not None)
+        return lo, hi, lo_row, hi_row
+
+    monkeypatch.setattr(certify, "_interval", recorded)
+    certs = [certify._certify(build_constraints(table, mode), DEFAULT_ROW_LIMIT,
+                              propagate=False)
+             for table in (table3, table4, table5)
+             for mode in (MODE_PER_PAIR, MODE_PER_MU)]
+    # x - y >= 0 and 2y + 1 >= 0 pin the witness to a non-integral point
+    halves = toy_system([AffineExpression(0, {"x": 1, "y": -1}),
+                         AffineExpression(1, {"y": 2})])
+    certs += [certify_uniqueness(not_unique_toy_system()), certify_uniqueness(halves)]
+    assert certs[-1].witness == {"x": Fraction(-1, 2), "y": Fraction(-1, 2)}
+    weights = [w for cert in certs for bound in cert.bounds for _, w in bound.weights]
+    witness = [v for cert in certs if cert.witness for v in cert.witness.values()]
+    assert endpoints and weights and len(witness) == 4
+    assert all(type(x) in (int, Fraction) for x in endpoints + weights + witness)
 
 
 def test_fm_settles_what_propagation_cannot():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from osglines import serialize
+from osglines.algebra import AffineExpression
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
-from osglines.certify import build_constraints, certify_uniqueness, verify_certificate
+from osglines.certify import (CONCLUSION_NOT_UNIQUE, ConstraintSystem, build_constraints,
+                              certify_uniqueness, verify_certificate)
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 
 
@@ -48,6 +50,30 @@ def test_certificate_round_trip(tmp_path, table3):
     path2 = tmp_path / "cert2.json"
     serialize.save_certificate(cert2, system2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_certificate_text_matches_the_stdlib_encoder(tmp_path, table3, table4, table5):
+    # per-mu keys so that the toy saves; x - y >= 0 and 2y + 1 >= 0 give it a
+    # non-integral witness
+    x, y = (1, 0), (1, 1)
+    toy = ConstraintSystem(3, MODE_PER_MU, (x, y),
+                           (AffineExpression(0, {x: 1, y: -1}), AffineExpression(1, {y: 2})),
+                           (((1, 1), (2, 1), 1),) * 2)
+    systems = [build_constraints(table, mode) for table in (table3, table4, table5)
+               for mode in (MODE_PER_PAIR, MODE_PER_MU)] + [toy]
+    path = tmp_path / "cert.json"
+    for system in systems:
+        serialize.save_certificate(certify_uniqueness(system), system, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == serialize.canonical_dumps(json.loads(text))
+        cert, loaded = serialize.load_certificate(path)
+        assert verify_certificate(loaded, cert)
+        numbers = [w for bound in cert.bounds for _, w in bound.weights]
+        numbers += [v for e in loaded.constraints for v in (e.constant, *e.linear.values())]
+        numbers += list((cert.witness or {}).values())
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in numbers)
+    assert cert.conclusion == CONCLUSION_NOT_UNIQUE
+    assert cert.witness == {x: Fraction(-1, 2), y: Fraction(-1, 2)}
 
 
 def test_table_requires_known_version(tmp_path, capsys, table3):
