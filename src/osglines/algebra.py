@@ -50,7 +50,7 @@ def exact(x):
 
 
 def _check_exponent(d):
-    if not isinstance(d, int) or d < 0:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"q-exponent must be a nonnegative integer, got {d!r}")
 
 

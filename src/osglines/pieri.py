@@ -4,8 +4,9 @@ Each rule is a finite case table on the index (a, b) being multiplied.  The
 raw tables can emit index pairs outside the valid set (for example a diagonal
 pair (t, t) with t > n-2); those terms are dropped, i.e. treated as the zero
 class.  This zero convention is checked downstream: every product the ring
-computes must be homogeneous (`MultiplicationTable._recurse`), and the
-product-identity suite must hold.
+computes must be homogeneous (`MultiplicationTable._checked`, on the lazy
+walk and on the column fill alike), and the product-identity suite must
+hold.
 
 Both rules produce only nonnegative integer coefficients.  They are defined
 for rank n >= 3: at n = 2 the index (1,1) is not a valid class, so there is

@@ -14,9 +14,13 @@ Hence
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
 computed on plain ints.  A table from `lazy_table` stores no products: each
-is computed when first asked for, in the int memo of its column mu, and that
-memo's dict is kept as the product's one storage, which `product` wraps in
-`Fraction`s on read; `build_table` asks for every product.
+is computed when first asked for, in the int memo of its column mu, running
+only the rules it depends on, and that memo's dict is kept as the product's
+one storage, which `product` wraps in `Fraction`s on read.  `build_table`
+fills each column once instead: it runs the rule of every class of degree
+<= |mu| in that order, stores the column's dicts of the products it wants,
+and drops the column.  Both walks apply one rule step (`_apply`) and one
+homogeneity check (`_checked`).
 
 `check_commutativity` recomputes every product by a second, independent
 algorithm, kept only as that reference: it expresses each class in the
@@ -28,7 +32,7 @@ The recursion runs on ints (the memo is seeded with 1, the Pieri
 coefficients are int literals), so every structure constant is an integer;
 every product is checked to be homogeneous when it is computed, and a
 violation aborts.  `revalidate_table` recomputes every product of a table
-loaded from a cache by the same recursion and compares.
+loaded from a cache by the same column fill and compares.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import ClassVector
+from .algebra import ClassVector, _check_exponent, sorted_terms
 from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
                     degree, enumerate_basis, enumerate_degree, is_valid,
                     max_degree, top_class)
@@ -63,7 +67,9 @@ class MultiplicationTable:
     Products are stored once per unordered pair, keyed by basis position, as
     int dicts {(nu, d): int}: `terms` reads one, `product` wraps it in new
     `Fraction`s.  A table from `lazy_table` computes a missing product on
-    first request by the Pieri recursion; a loaded cache is complete.
+    first request by the Pieri recursion (`_recurse`, which keeps a memo per
+    column); `build_table` fills every column in one pass (`_by_column`,
+    which keeps none); a loaded cache is complete.
     """
 
     def __init__(self, n: int, basis: list[Index], products: dict):
@@ -116,18 +122,28 @@ class MultiplicationTable:
             if deps:
                 todo += [x, *deps]
                 continue
-            acc: dict = {}
-            times_special = self._times[rule.special]
-            for (nu, d), c in col[rule.pred].items():
-                for nu2, k, dd in times_special[nu]:
-                    key = (nu2, d + dd)
-                    acc[key] = acc.get(key, 0) + k * c
-            for o, k, dd in rule.others:
-                for (nu, d), c in col[o].items():
-                    key = (nu, d + dd)
-                    acc[key] = acc.get(key, 0) - k * c
-            col[x] = {key: c for key, c in acc.items() if c}
-        terms = col[lam]
+            self._apply(col, x, rule)
+        return self._checked(lam, mu, col[lam])
+
+    def _apply(self, col: dict, x: Index, rule: Rule):
+        """Store tau[x] * tau[mu] in the column col of mu by x's rule,
+        S (tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu], reading the
+        entries of pred and every o, which col must already hold."""
+        acc: dict = {}
+        times_special = self._times[rule.special]
+        for (nu, d), c in col[rule.pred].items():
+            for nu2, k, dd in times_special[nu]:
+                key = (nu2, d + dd)
+                acc[key] = acc.get(key, 0) + k * c
+        for o, k, dd in rule.others:
+            for (nu, d), c in col[o].items():
+                key = (nu, d + dd)
+                acc[key] = acc.get(key, 0) - k * c
+        col[x] = {key: c for key, c in acc.items() if c}
+
+    def _checked(self, lam: Index, mu: Index, terms: dict) -> dict:
+        """`terms`, once every term is checked to have the degree of
+        tau[lam] * tau[mu]; RuntimeError otherwise."""
         want = degree(lam) + degree(mu)
         for nu, d in terms:
             if degree(nu) + 2 * self.n * d != want:
@@ -135,12 +151,26 @@ class MultiplicationTable:
         return terms
 
     def _by_column(self):
-        """Every unordered pair once, column by column: (lam, mu) for lam <= mu.
-        Each column's int memo is dropped once its pairs have been visited."""
+        """(lam, mu, tau[lam] * tau[mu]) for every unordered pair once, lam <= mu,
+        column by column, each product checked to be homogeneous.
+
+        Each column mu is filled once: from the unit entry, the rule of every
+        class of degree <= |mu| runs in rule order (`_rule_key`), so each rule
+        finds the entries it reads.  The column is a local dict, dropped once
+        its products are yielded; `_columns` is not touched.
+        """
+        n = self.n
+        order = sorted(self.basis[1:], key=lambda x: _rule_key(n, x))
+        steps = [(x, self._rules[x]) for x in order]
+        upto = {0: 0}  # degree d -> the number of steps of degree <= d
+        for i, x in enumerate(order, 1):
+            upto[degree(x)] = i
         for j, mu in enumerate(self.basis):
+            col = {(0, 0): {(mu, 0): 1}}
+            for x, rule in steps[:upto[degree(mu)]]:
+                self._apply(col, x, rule)
             for lam in self.basis[:j + 1]:
-                yield lam, mu
-            self._columns.pop(mu, None)
+                yield lam, mu, self._checked(lam, mu, col[lam])
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -265,6 +295,13 @@ Rule = namedtuple("Rule", "special pred others")
 # tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
 
 
+def _rule_key(n: int, lam: Index) -> tuple[int, int]:
+    """The total order rules resolve in: (|lam|, lam1), lam1 descending in
+    degree 2n-1."""
+    d = degree(lam)
+    return (d, -lam[0] if d == 2 * n - 1 else lam[0])
+
+
 def _rule(n: int, lam: Index) -> Rule:
     """The unitriangular Pieri rule of a class lam != (0,0), by its case:
 
@@ -277,8 +314,8 @@ def _rule(n: int, lam: Index) -> Rule:
 
     `others` is the rest of that Pieri expansion.  Raises `GenerationFailure`
     unless pred is a class, lam has coefficient 1 at q^0, and pred and every
-    other term come before lam in the order (|lam|, lam1), with lam1
-    descending in degree 2n-1; so every chain of rules ends.
+    other term come before lam in the order `_rule_key`; so every chain of
+    rules ends, and running the rules in that order finds each term computed.
     """
     l1, l2 = lam
     if l2 == 0 and 1 <= l1 <= 2 * n - 3:
@@ -295,11 +332,9 @@ def _rule(n: int, lam: Index) -> Rule:
     if not is_valid(n, pred) or (lam, 1, 0) not in terms:
         raise GenerationFailure(f"class {lam} (rank {n}) has no unitriangular Pieri rule")
     others = tuple(t for t in terms if t[0] != lam)
-
-    def key(x):
-        return (degree(x), -x[0] if degree(x) == 2 * n - 1 else x[0])
+    key = _rule_key(n, lam)
     for o in (pred, *(o for o, _, _ in others)):
-        if key(o) >= key(lam):
+        if _rule_key(n, o) >= key:
             raise GenerationFailure(f"the rule of class {lam} (rank {n}) depends on {o}, "
                                     f"which does not come before it")
     return Rule(special, pred, others)
@@ -319,22 +354,23 @@ def lazy_table(n: int) -> MultiplicationTable:
 def build_table(n: int) -> MultiplicationTable:
     """The complete multiplication table for rank n (3 <= n <= MAX_RING_RANK).
 
-    `lazy_table(n)` with every product asked for, column by column in the
-    walk `revalidate_table` shares; each column's int memo is dropped once
-    its products are stored.
+    `lazy_table(n)` with every column filled in one pass of the rules, the
+    walk `revalidate_table` shares; each product stored is its column's own
+    dict, and no column memo is kept.
     """
     table = lazy_table(n)
-    for lam, mu in table._by_column():
-        table.terms(lam, mu)
+    for lam, mu, terms in table._by_column():
+        table._products[(lam, mu)] = terms
     return table
 
 
 def revalidate_table(table: MultiplicationTable):
     """Recompute every product of a loaded table by its own Pieri recursion,
-    column by column on ints as `build_table` walks them, and compare each
-    exactly with the stored one; ValueError at the first that differs."""
-    for lam, mu in table._by_column():
-        if table.terms(lam, mu) != table._recurse(lam, mu):
+    one column fill at a time on ints as `build_table` fills them, and compare
+    each exactly with the stored one; ValueError at the first that differs."""
+    stored = table._products
+    for lam, mu, terms in table._by_column():
+        if stored.get((lam, mu)) != terms:
             raise ValueError(f"cached product {lam}*{mu} disagrees with the "
                              f"Pieri recursion")
 
@@ -354,9 +390,9 @@ def multiply(table: MultiplicationTable, x: ClassVector, y: ClassVector) -> Clas
 
 
 def gw_constant(table: MultiplicationTable, lam, mu, nu, d: int) -> Fraction:
-    """The coefficient of q^d tau[nu] in tau[lam] * tau[mu]; may be negative."""
-    if d < 0:
-        raise ValueError("q-exponent must be nonnegative")
+    """The coefficient of q^d tau[nu] in tau[lam] * tau[mu]; may be negative.
+    ValueError unless d is a nonnegative int (not a bool)."""
+    _check_exponent(d)
     terms = table.terms(lam, mu)
     nu = tuple(nu)
     if nu not in table.pos:
@@ -377,11 +413,13 @@ def pairing_rank(table: MultiplicationTable, rows, cols) -> int:
 
 
 def has_negative_constant(table: MultiplicationTable):
-    """(True, witness) for the first negative structure constant in scan order."""
+    """(True, witness) for the first negative structure constant in scan order:
+    the first pair of `pairs()`, then the first of its terms in canonical order."""
     for lam, mu in table.pairs():
-        for nu, d, c in table.product(lam, mu).flat_items():
-            if c < 0:
-                return True, {"lambda": lam, "mu": mu, "nu": nu, "d": d, "coeff": c}
+        terms = table.terms(lam, mu)
+        if any(c < 0 for c in terms.values()):
+            (nu, d), c = next(kv for kv in sorted_terms(terms) if kv[1] < 0)
+            return True, {"lambda": lam, "mu": mu, "nu": nu, "d": d, "coeff": Fraction(c)}
     return False, None
 
 

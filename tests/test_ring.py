@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,12 @@ def test_gw_examples(table3):
         gw_constant(table3, (2, 2), (5, 2), (3, 0), 0)
 
 
+def test_gw_refuses_an_exponent_that_is_not_an_int(table3):
+    for d in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="q-exponent"):
+            gw_constant(table3, (1, 0), (5, 0), (0, 0), d)
+
+
 def test_pairing_examples(table3):
     assert poincare_pairing(table3, (0, 0), (5, 4)) == 1
     assert poincare_pairing(table3, (1, 0), (5, 4)) == 0
@@ -171,6 +178,10 @@ def test_negativity(table3, table4):
         lam, mu = witness["lambda"], witness["mu"]
         prod = table.product(lam, mu)
         assert prod.coefficient(witness["nu"], witness["d"]) == witness["coeff"]
+        # the first negative term of the first such pair, as a Fraction
+        first = next((lam, mu, nu, d, c) for lam, mu in table.pairs()
+                     for nu, d, c in table.product(lam, mu).flat_items() if c < 0)
+        assert tuple(witness.values()) == first and type(witness["coeff"]) is Fraction
         # products by the two special classes never go negative
         for special in ((1, 0), (1, 1)):
             for lam in table.basis:
@@ -366,6 +377,8 @@ def test_recursion_refuses_a_rule_out_of_order(monkeypatch):
     monkeypatch.setattr(ring, "_tau11_raw", with_a_later_term)
     with pytest.raises(GenerationFailure, match="does not come before"):
         lazy_table(4).product((1, 1), (1, 1))
+    with pytest.raises(GenerationFailure, match="does not come before"):
+        build_table(4)
 
 
 def test_commutativity_catches_a_wrong_recursion(monkeypatch):
@@ -389,6 +402,42 @@ def test_lazy_table_builds_only_the_rules_a_product_uses():
     # tau[1,0] Pieri terms of the one class in column (1,0)'s entry for (0,0)
     assert set(lazy._rules) == {(1, 0)}
     assert set(lazy._times[(1, 0)]) == {(1, 0)} and not lazy._times[(1, 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_column_fill_matches_the_lazy_walk(tmp_path, monkeypatch, n):
+    with monkeypatch.context() as m:  # the full fill never runs the lazy walk
+        def refuse(self, lam, mu):
+            raise AssertionError(f"lazy walk asked for {lam}*{mu}")
+        m.setattr(ring.MultiplicationTable, "_recurse", refuse)
+        full = build_table(n)
+        serialize.save_table(full, tmp_path / "t.json")
+        loaded = serialize.load_table(tmp_path / "t.json", revalidate=True)
+    assert not full._columns and not loaded._columns
+    lazy = lazy_table(n)
+    rng = random.Random(n)
+    pairs = [pair if rng.random() < 0.5 else pair[::-1] for pair in lazy.pairs()]
+    rng.shuffle(pairs)
+    for lam, mu in pairs:
+        lazy.terms(lam, mu)
+    assert full._products == lazy._products == loaded._products
+
+
+def test_column_fill_checks_homogeneity(tmp_path, monkeypatch):
+    path = tmp_path / "t4.json"
+    serialize.save_table(build_table(4), path)
+    rule_of = ring._rule
+
+    def off_degree(n, lam):  # tau[1,1] = tau[1,1]*tau[0,0], corrupted to subtract tau[1,0]
+        rule = rule_of(n, lam)
+        return rule._replace(others=(((1, 0), 1, 0),)) if lam == (1, 1) else rule
+
+    monkeypatch.setattr(ring, "_rule", off_degree)
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
+        build_table(4)
+    # the fill refuses before any product is compared with the good cache
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
+        serialize.load_table(path, revalidate=True)
 
 
 def test_full_table_matches_lazy_products_n7():
