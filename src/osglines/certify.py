@@ -27,22 +27,23 @@ degrees by induction: the Pieri-lower step multiplies sigma[1,1] by
 sigma[pred] = tau[pred], since pred lies below degree 2n or in a degree
 already settled.
 Every displayed identity is checked termwise; a discrepancy raises
-`MismatchError` naming the step.
+`MismatchError` naming the step and the first coefficient that differs.
 
-All symbolic work happens in affine expressions; a quadratic term anywhere
-would raise `QuadraticTermError` and is treated as a bug, never ignored.
+The two routes share no arithmetic.  Route A's symbolic work happens in
+affine expressions (`AffineExpression`); route B reads the table's int
+products directly and keeps each symbolic vector as one int dict, split by
+unknown.  In both, a quadratic term would raise `QuadraticTermError` and is
+treated as a bug, never ignored.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .algebra import AffineExpression, ClassVector, exact
-from .basis import degree, enumerate_degree, max_degree
-from .deformation import (DeformationSpec, MODE_PER_PAIR, positivity_terms,
-                          to_sigma, to_tau)
-from .ring import (MultiplicationTable, collapse_terms, diagonal_power,
-                   multiply, power_class, shift_terms)
+from .algebra import AffineExpression, QuadraticTermError, exact, sorted_terms
+from .basis import degree, enumerate_degree, is_valid, max_degree
+from .deformation import DeformationSpec, MODE_PER_PAIR, pair_keys, positivity_terms
+from .ring import MultiplicationTable, collapse_terms, power_class, shift_terms
 
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"
 CONCLUSION_NOT_UNIQUE = "NotUnique"
@@ -429,14 +430,97 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 
 # ---------------------------------------------------------------------------
 # Route B: structured replay of the uniqueness argument
+#
+# Route B keeps its own arithmetic, on ints.  A symbolic vector is one dict
+# {(nu, d, u): int}: the coefficient of q^d at the class nu, split by
+# unknown, with u None for the constant part and the key (lam, kap) of the
+# unknown a(lam, kap) otherwise; zeros are dropped.  Everything the replay
+# multiplies is linear in the unknowns, so this is exact, and a product that
+# would not be raises QuadraticTermError.
 
 
 ReplayStep = namedtuple("ReplayStep", "tag subject verified deductions")
 ReplayReport = namedtuple("ReplayReport", "n steps unknowns all_zero conclusion resolutions")
 
 
-def _unknown(key) -> AffineExpression:
-    return AffineExpression.unknown(key)
+def _times(table: MultiplicationTable, x: dict, y: dict) -> dict:
+    """x * y for symbolic vectors in tau coordinates, by the table's int products."""
+    acc: dict = {}
+    for (nu1, d1, u1), c1 in x.items():
+        for (nu2, d2, u2), c2 in y.items():
+            if u1 is not None and u2 is not None:
+                raise QuadraticTermError(f"product of two terms with unknowns: "
+                                         f"a{u1} * a{u2}")
+            u = u2 if u1 is None else u1
+            c12, d12 = c1 * c2, d1 + d2
+            for (nu, d), c in table.terms(nu1, nu2).items():
+                key = (nu, d + d12, u)
+                acc[key] = acc.get(key, 0) + c12 * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _to_sigma(n: int, slices: list, v: dict) -> dict:
+    """v, given in tau coordinates, in sigma coordinates: each term c q^d
+    tau[nu] with |nu| >= 2n adds c a(nu, kap) q^(d+1) sigma[kap] for every
+    kap in `slices[|nu| - 2n]`.  Correction classes are never corrected, so
+    one pass is exact; a term that already carries an unknown there would
+    need a quadratic one."""
+    acc = dict(v)
+    for (nu, d, u), c in v.items():
+        dk = degree(nu) - 2 * n
+        if dk < 0:
+            continue
+        if u is not None:
+            raise QuadraticTermError(f"correction of the term a{u} at {nu}, q^{d}")
+        for kap in slices[dk]:
+            key = (kap, d + 1, (nu, kap))
+            acc[key] = acc.get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _display(n: int, terms) -> dict:
+    """The symbolic vector of (index, coeff, q-exponent, unknown) terms; an
+    index outside the index set contributes nothing, the zero convention of
+    the closed forms (as in `ClassVector.from_terms`)."""
+    acc: dict = {}
+    for nu, c, d, u in terms:
+        if is_valid(n, nu):
+            key = (nu, d, u)
+            acc[key] = acc.get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _groups(v: dict) -> dict:
+    """{(nu, d): {u: int}}: each coefficient of v, its unknowns in v's order."""
+    groups: dict = {}
+    for (nu, d, u), c in v.items():
+        groups.setdefault((nu, d), {})[u] = c
+    return groups
+
+
+def _coefficient_text(group: dict) -> str:
+    """One coefficient {u: int} as text, such as 1 - a((5, 1), (0, 0))."""
+    text = str(group[None]) if None in group else ""
+    for u, c in group.items():
+        if u is None:
+            continue
+        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"a{u}"
+        if text:
+            text += (" - " if c < 0 else " + ") + term
+        else:
+            text = ("-" if c < 0 else "") + term
+    return text or "0"
+
+
+def _mismatch(tag, subject, engine: dict, expected: dict) -> MismatchError:
+    """The error naming the first coefficient, in canonical order, where the
+    engine's expansion and the display differ."""
+    got, want = _groups(engine), _groups(expected)
+    nu, d = next(k for k, _ in sorted_terms({**got, **want}) if got.get(k) != want.get(k))
+    engine_c, display_c = (_coefficient_text(g.get((nu, d), {})) for g in (got, want))
+    return MismatchError(tag, f"subject {subject}: the coefficient of q^{d} [{nu[0]},{nu[1]}] "
+                              f"is {engine_c} in the engine's expansion and {display_c} "
+                              f"in the display")
 
 
 def replay_proof(table: MultiplicationTable) -> ReplayReport:
@@ -454,16 +538,22 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
       pair-upper          degrees above 2n: the collapsed product exposes
                           -a per correction class, or adjacent sums -(a+a')
 
+    Every vector, engine side and display side, is a symbolic int vector
+    {(nu, d, u): int} (u None for the constant, else the unknown's key):
+    the engine multiplies the table's int products (`MultiplicationTable.terms`)
+    and changes basis by the corrections a(lam, kap) q sigma[kap], and the
+    displays come from `power_class`, `collapse_terms` and `shift_terms`.
     Each upper display is collapse_terms(lam) minus a q shift_terms(kap, t)
     per correction class kap, and one deduction is read off per distinct
-    term: -a gives a <= 0, -(a+a') gives a + a' <= 0, 1 - a gives nothing.
-    The sign deductions are combined exactly as the argument combines them
-    (a >= 0 together with a <= 0, or with a + a' <= 0 and a' >= 0) and the
-    conclusion records whether every unknown is forced to zero.
+    coefficient: -a gives a <= 0, -(a+a') gives a + a' <= 0, 1 - a gives
+    nothing.  The sign deductions are combined exactly as the argument
+    combines them (a >= 0 together with a <= 0, or with a + a' <= 0 and
+    a' >= 0) and the conclusion records whether every unknown is forced to
+    zero.
     """
     n = table.n
-    spec = DeformationSpec.symbolic(n, MODE_PER_PAIR)
-    unknowns = tuple(spec.entries)
+    unknowns = tuple(pair_keys(n))
+    slices = [enumerate_degree(n, d) for d in range(2 * n - 2)]  # correction classes
     steps: list[ReplayStep] = []
     nonneg: set = set()
     nonpos: set = set()
@@ -476,15 +566,16 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
 
     def check(tag, subject, engine, expected, deductions):
         if engine != expected:
-            raise MismatchError(tag, f"subject {subject}: engine expansion "
-                                     f"{engine!r} != display {expected!r}")
+            raise _mismatch(tag, subject, engine, expected)
         steps.append(ReplayStep(tag, subject, True, deductions))
 
     # multiplier powers of tau[1,1]
-    powers = {t: diagonal_power(table, t) for t in range(0, n)}
+    e11 = {((1, 1), 0, None): 1}
+    powers = {0: {((0, 0), 0, None): 1}}
     for t in range(1, n):
+        powers[t] = _times(table, powers[t - 1], e11)
         check("diagonal-power", t, powers[t],
-              ClassVector.from_terms(n, power_class(n, t)), [])
+              _display(n, [(nu, c, d, None) for nu, c, d in power_class(n, t)]), [])
 
     def settle_degree(d_lam):
         """Combine the recorded sign facts for all unknowns of one degree."""
@@ -505,13 +596,13 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
 
     def lower(lam):
         """sigma[1,1] * sigma[lam1-1, lam2-1] = sigma[lam] + sum a q sigma[kap]."""
-        kappas = enumerate_degree(n, degree(lam) - 2 * n)
+        kappas = slices[degree(lam) - 2 * n]
         # sigma[pred] = tau[pred]: |pred| < 2n, or settle_degree(|pred|)
         # has already forced every unknown of pred to zero
-        engine = to_sigma(spec, multiply(table, ClassVector.basis(n, (1, 1)),
-                                         ClassVector.basis(n, (lam[0] - 1, lam[1] - 1))))
-        expected = ClassVector.from_terms(
-            n, [(lam, 1, 0)] + [(kap, _unknown((lam, kap)), 1) for kap in kappas])
+        engine = _to_sigma(n, slices, _times(table, e11,
+                                             {((lam[0] - 1, lam[1] - 1), 0, None): 1}))
+        expected = _display(n, [(lam, 1, 0, None)]
+                            + [(kap, 1, 1, (lam, kap)) for kap in kappas])
         check("pieri-lower", lam, engine, expected,
               [("nonneg", (lam, kap)) for kap in kappas])
         nonneg.update((lam, kap) for kap in kappas)
@@ -519,16 +610,17 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
     def upper(tag, lam):
         """tau[1,1]^t * sigma[lam] (t = 2n - lam1) and its deductions."""
         t = 2 * n - lam[0]
-        terms = collapse_terms(n, lam)
-        for kap in enumerate_degree(n, degree(lam) - 2 * n):
-            terms += [(nu, -_unknown((lam, kap)) * c, d + 1)
-                      for nu, c, d in shift_terms(n, kap, t)]
-        expected = ClassVector.from_terms(n, terms)
-        engine = to_sigma(spec, multiply(table, powers[t],
-                                         to_tau(spec, ClassVector.basis(n, lam))))
-        signs = dict.fromkeys(tuple(c.linear) for _, _, c in expected.flat_items()
-                              if isinstance(c, AffineExpression) and not c.constant
-                              and all(v < 0 for v in c.linear.values()))
+        kappas = slices[degree(lam) - 2 * n]
+        terms = [(nu, c, d, None) for nu, c, d in collapse_terms(n, lam)]
+        for kap in kappas:
+            terms += [(nu, -c, d + 1, (lam, kap)) for nu, c, d in shift_terms(n, kap, t)]
+        expected = _display(n, terms)
+        # sigma[lam] = tau[lam] - sum a(lam, kap) q tau[kap]
+        sigma_lam = {(lam, 0, None): 1, **{(kap, 1, (lam, kap)): -1 for kap in kappas}}
+        engine = _to_sigma(n, slices, _times(table, powers[t], sigma_lam))
+        # a coefficient with no constant and only negative values: its unknowns
+        signs = dict.fromkeys(tuple(g) for _, g in sorted_terms(_groups(expected))
+                              if None not in g and all(c < 0 for c in g.values()))
         check(tag, lam, engine, expected,
               [("nonpos" if len(k) == 1 else "pair-nonpos",) + k for k in signs])
         nonpos.update(k[0] for k in signs if len(k) == 1)

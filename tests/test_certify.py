@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from osglines.algebra import AffineExpression
+from osglines.algebra import AffineExpression, ClassVector, QuadraticTermError
 from osglines.basis import degree
 from osglines import certify
 from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
@@ -11,7 +12,7 @@ from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
                               build_constraints, certify_uniqueness,
                               replay_proof, verify_certificate)
 from osglines.deformation import MODE_PER_MU, MODE_PER_PAIR, pair_keys
-from osglines.ring import MultiplicationTable, lazy_table
+from osglines.ring import MultiplicationTable, build_table, lazy_table
 from osglines.serialize import save_certificate
 
 
@@ -168,13 +169,72 @@ def test_replay_agrees_with_elimination(table3):
     assert cert.conclusion == report.conclusion
 
 
+def _tampered(table, lam, mu, terms):
+    """A copy of `table` whose product tau[lam] * tau[mu] is `terms`."""
+    products = dict(table._products)
+    products[table._pair(lam, mu)] = terms
+    return MultiplicationTable(table.n, list(table.basis), products)
+
+
 def test_replay_detects_tampered_table(table3):
-    products = dict(table3._products)
     # corrupt the square of tau[1,1]
-    products[((1, 1), (1, 1))] = {((4, 0), 0): 1}
-    tampered = MultiplicationTable(3, list(table3.basis), products)
-    with pytest.raises(MismatchError):
+    tampered = _tampered(table3, (1, 1), (1, 1), {((4, 0), 0): 1})
+    with pytest.raises(MismatchError, match="diagonal-power") as info:
         replay_proof(tampered)
+    assert info.value.step == "diagonal-power"
+    assert str(info.value) == ("diagonal-power: subject 2: the coefficient of q^0 [4,0] "
+                               "is 1 in the engine's expansion and 0 in the display")
+
+
+def test_replay_mismatch_names_the_coefficient_with_its_unknowns(table3):
+    # tau[1,1] * tau[5,1] = q tau[2,0]; adding q tau[1,1] puts 1 - a in the
+    # engine's expansion where the display has -a
+    tampered = _tampered(table3, (1, 1), (5, 1), {((2, 0), 1): 1, ((1, 1), 1): 1})
+    with pytest.raises(MismatchError, match="collapse-upper") as info:
+        replay_proof(tampered)
+    assert str(info.value) == (
+        "collapse-upper: subject (5, 1): the coefficient of q^1 [1,1] is "
+        "1 - a((5, 1), (0, 0)) in the engine's expansion and -a((5, 1), (0, 0)) "
+        "in the display")
+
+
+def test_replay_quadratic_guard_is_active(table3):
+    # with tau[1,0] * tau[1,1] = tau[5,1], the t = 1 product for lam = (5,2)
+    # puts -a((5,2),(1,0)) on tau[5,1], whose own correction would be quadratic
+    tampered = _tampered(table3, (1, 0), (1, 1), {((5, 1), 0): 1})
+    with pytest.raises(QuadraticTermError):
+        replay_proof(tampered)
+
+
+# sha256 of repr((steps, list(resolutions.items()), unknowns, conclusion)) of
+# replay_proof(build_table(n)), computed with the Fraction-valued replay
+REPLAY_REPORT_DIGESTS = {
+    3: "e842d175132bfe6cc248ebaba02e64e756f33bc13382e11de150d78df52a1c41",
+    4: "715efe401faba89c85d5358fe895398aa89ee51b5578679efafdc8e3ddcfcf9b",
+    5: "c47e773f8218b4fee2e4849c5eb4f452f66ca9f30259636452c2e70fb1fcbf15",
+    6: "27f194734ebf4cad59eddbc48790ce27d77103178da829a4f195cfc232d44a07",
+    7: "5d1dc67dd48f074cf3580bf9f98831d647c0cbe330e24b2ff0b9726c49b90498",
+    8: "478c19f4b8cb8e7f9db2d0fdab7b9fa0dc1c500396b9e68e83d3201aeb177466",
+}
+
+
+def test_replay_report_matches_the_parent(table3, table4, table5, table6):
+    tables = {t.n: t for t in (table3, table4, table5, table6)}
+    for n, digest in REPLAY_REPORT_DIGESTS.items():
+        r = replay_proof(tables.get(n) or build_table(n))
+        assert r.unknowns == tuple(pair_keys(n))
+        text = repr((r.steps, list(r.resolutions.items()), r.unknowns, r.conclusion))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def test_replay_uses_none_of_route_a_arithmetic(monkeypatch, table4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("route B used route A's arithmetic")
+
+    monkeypatch.setattr(AffineExpression, "__init__", refuse)
+    monkeypatch.setattr(ClassVector, "_wrap", refuse)
+    for table in (table4, lazy_table(5)):
+        assert replay_proof(table).conclusion == CONCLUSION_UNIQUE_ZERO
 
 
 def test_replay_instance_values(table3):
@@ -201,7 +261,6 @@ def test_replay_reads_every_sign_off_the_display(table4):
 def test_quadratic_guard_is_active(table3):
     # multiplying two symbolically deformed classes of high degree would need
     # a quadratic term; the algebra layer must refuse rather than mis-expand
-    from osglines.algebra import QuadraticTermError
     from osglines.deformation import DeformationSpec, deformed_product
     spec = DeformationSpec.symbolic(3, MODE_PER_PAIR)
     with pytest.raises(QuadraticTermError):
