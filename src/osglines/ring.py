@@ -482,7 +482,10 @@ def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
         raise ValueError(f"unknown identity part {part!r}; expected one of {IDENTITY_PARTS}")
     checked = 0
     bad = []
-    powers = {t: diagonal_power(table, t) for t in range(0, n)}
+    e11 = ClassVector.basis(n, (1, 1))
+    powers = [ClassVector.basis(n, (0, 0))]  # powers[t] = tau[1,1]^t, t < n
+    for t in range(1, n):
+        powers.append(multiply(table, powers[t - 1], e11))
 
     def record(params, got, terms):
         nonlocal checked

@@ -3,11 +3,12 @@
 Numbers are never floats: integers are JSON integers in the table format and
 decimal strings elsewhere; rationals are "p/q" strings.  Construction order
 of every document is canonical, so serializing the same mathematical object
-always yields identical bytes.  The two large documents are written directly,
-byte-identical to `json.dumps(doc, indent=2)`: the table cache from each
-product's stored int dict, read back into one int dict per product, and a
-certificate as a stream of fragments, so its whole text is never held at
-once; a certificate's integral numbers are read back as ints.
+always yields identical bytes.  The two large documents, the table cache and
+a certificate, are written directly as streams of text fragments (one per
+product, or per unknown, bound and constraint) byte-identical to
+`json.dumps(doc, indent=2)`, so neither whole text is ever held at once.  A
+table reads back into one int dict per product, and a certificate's integral
+numbers read back as ints.
 
 Loading validates the document shape and turns every defect into a
 one-line `ValueError`.  Saving writes a temporary file in the target's
@@ -61,6 +62,15 @@ def _pair_text(lam, depth: int) -> str:
     """An index as the `[a, b]` of a key nested `depth` levels deep."""
     pad = "  " * depth
     return f"[\n{pad}  {int(lam[0])},\n{pad}  {int(lam[1])}\n{pad}]"
+
+
+def _list_fragments(items, depth: int):
+    """A JSON list nested `depth` levels deep, from its items' texts."""
+    opener = "[\n"
+    for item in items:
+        yield opener + item
+        opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n" + "  " * depth + "]"
 
 
 def _as_index(obj) -> tuple[int, int]:
@@ -130,29 +140,30 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
 # multiplication table cache
 
 
-def _table_text(table: MultiplicationTable) -> str:
-    """`canonical_dumps` of the table document, byte for byte, written directly:
-    each index's `[a, b]` is formatted once per depth it is nested at."""
-    def fragments(depth):
-        return {lam: _pair_text(lam, depth) for lam in table.basis}
-    basis, pair, term = fragments(2), fragments(3), fragments(5)
-    products = []
-    for lam, mu in table.pairs():
+def _table_fragments(table: MultiplicationTable):
+    """`canonical_dumps` of the table document: the header and basis, then each product."""
+    pair, term = ({lam: _pair_text(lam, depth) for lam in table.basis} for depth in (3, 5))
+
+    def product(lam, mu):
         terms = []
         for (nu, d), c in sorted_terms(table.terms(lam, mu)):
-            if c.denominator != 1:
+            if type(c) is not int:  # the reader refuses a bool, a float or a Fraction
                 raise ValueError(f"non-integer coefficient {c} in table serialization")
             terms.append(f'        {{\n          "nu": {term[nu]},\n          "d": {d},'
-                         f'\n          "coeff": {c.numerator}\n        }}')
+                         f'\n          "coeff": {c}\n        }}')
+        # joined here, not by `_list_fragments`: a generator per product slows small saves
         body = "[\n" + ",\n".join(terms) + "\n      ]" if terms else "[]"
-        products.append(f'    {{\n      "lambda": {pair[lam]},\n      "mu": {pair[mu]},'
-                        f'\n      "terms": {body}\n    }}')
-    return (f'{{\n  "version": {TABLE_FORMAT_VERSION},\n  "n": {table.n},'
-            '\n  "basis": [\n    ' + ",\n    ".join(basis.values())
-            + '\n  ],\n  "products": [\n' + ",\n".join(products) + "\n  ]\n}\n")
+        return (f'    {{\n      "lambda": {pair[lam]},\n      "mu": {pair[mu]},'
+                f'\n      "terms": {body}\n    }}')
+
+    yield (f'{{\n  "version": {TABLE_FORMAT_VERSION},\n  "n": {table.n},\n  "basis": '
+           + "".join(_list_fragments((f"    {_pair_text(lam, 2)}" for lam in table.basis), 1))
+           + ',\n  "products": ')
+    yield from _list_fragments((product(lam, mu) for lam, mu in table.pairs()), 1)
+    yield "\n}\n"
 
 
-def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTable:
+def table_from_dict(data: dict) -> MultiplicationTable:
     if not isinstance(data, dict):
         raise ValueError("table document is not a JSON object")
     version = data.get("version")
@@ -182,23 +193,22 @@ def table_from_dict(data: dict, *, revalidate: bool = False) -> MultiplicationTa
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
             acc[(nu, d)] = acc.get((nu, d), 0) + _as_int(_field(t, "coeff", "term"))
         products[(lam, mu)] = {key: c for key, c in acc.items() if c}
-    missing = sum(1 for i, lam in enumerate(basis) for mu in basis[i:]
-                  if (lam, mu) not in products)
+    missing = len(basis) * (len(basis) + 1) // 2 - len(products)  # the keys are distinct pairs
     if missing:
         raise ValueError(f"table is missing {missing} products")
-    table = MultiplicationTable(n, basis, products)
-    if revalidate:
-        revalidate_table(table)
-    return table
+    return MultiplicationTable(n, basis, products)
 
 
 def save_table(table: MultiplicationTable, path):
-    _write_atomic(path, (_table_text(table),))
+    _write_atomic(path, _table_fragments(table))
 
 
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return table_from_dict(json.load(fh), revalidate=revalidate)
+        table = table_from_dict(json.load(fh))
+    if revalidate:
+        revalidate_table(table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +226,8 @@ def _key_from_json(mode: str, obj, what: str):
     mu = _as_index(_field(obj, "mu", what))
     if mode == MODE_PER_PAIR:
         return (_as_index(_field(obj, "lambda", what)), mu)
+    if "lambda" in obj:
+        raise ValueError(f"{what} has a 'lambda' field in {mode} mode")
     return mu
 
 
@@ -227,14 +239,11 @@ def spec_to_dict(spec: DeformationSpec) -> dict:
 
 def spec_from_dict(data: dict) -> DeformationSpec:
     n = _as_int(_field(data, "n", "deformation spec"))
-    mode = data.get("mode", MODE_PER_PAIR)
+    mode = _field(data, "mode", "deformation spec")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     entries = {}
-    raw = data.get("entries", [])
-    if not isinstance(raw, list):
-        raise ValueError(f"spec entries must be a list, got {raw!r}")
-    for e in raw:
+    for e in _field(data, "entries", "deformation spec", list):
         a = parse_rational(_field(e, "a", "spec entry"))
         key = _key_from_json(mode, e, "spec entry")
         entries[key] = entries.get(key, Fraction(0)) + a
@@ -265,15 +274,6 @@ def _entry(obj, key: str, what: str, items):
 def _json(obj, depth: int = 0) -> str:
     """`json.dumps(obj, indent=2)` for a value nested `depth` levels deep."""
     return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
-
-
-def _list_fragments(items, depth: int):
-    """A JSON list nested `depth` levels deep, from its items' texts."""
-    opener = "[\n"
-    for item in items:
-        yield opener + item
-        opener = ",\n"
-    yield "[]" if opener == "[\n" else "\n" + "  " * depth + "]"
 
 
 def _certificate_fragments(cert: Certificate, system: ConstraintSystem):

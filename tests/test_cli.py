@@ -448,6 +448,23 @@ def _int_slots(node):
             yield from _int_slots(child)
 
 
+def _per_mu_entry_with_lambda():
+    doc = serialize.spec_to_dict(VALID_SPECS[1])
+    doc["entries"][0]["lambda"] = [5, 1]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["cache", "certificate", "per-mu-with-lambda"])
+def test_other_documents_are_refused_as_a_spec(valid_cache, valid_certificate, kind):
+    # the spec reader defaults nothing: a table cache or a certificate is not
+    # read as the zero deformation, and a per-mu entry cannot name a lambda
+    doc = {"cache": valid_cache, "certificate": valid_certificate,
+           "per-mu-with-lambda": _per_mu_entry_with_lambda()}[kind]
+    code, out, err = _main_on(doc, "check-positivity", "--n", "3", "--spec", "PATH")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("kind", ["cache", "certificate", "spec"])
 def test_each_integer_given_as_a_float_is_refused(valid_cache, valid_certificate, kind):
     # a float index must never reach a lookup (items[1.0] is a TypeError) and

@@ -1,9 +1,11 @@
+import copy
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from osglines import serialize
+from osglines import build_table, serialize
 from osglines.algebra import AffineExpression
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
@@ -52,15 +54,20 @@ def test_certificate_round_trip(tmp_path, table3):
     assert path.read_bytes() == path2.read_bytes()
 
 
+X, Y = (1, 0), (1, 1)
+
+
+def _toy_system():
+    """A NotUnique system: per-mu keys so that it saves; X - Y >= 0 and
+    2Y + 1 >= 0 give it a non-integral witness."""
+    return ConstraintSystem(3, MODE_PER_MU, (X, Y),
+                            (AffineExpression(0, {X: 1, Y: -1}), AffineExpression(1, {Y: 2})),
+                            (((1, 1), (2, 1), 1),) * 2)
+
+
 def test_certificate_text_matches_the_stdlib_encoder(tmp_path, table3, table4, table5):
-    # per-mu keys so that the toy saves; x - y >= 0 and 2y + 1 >= 0 give it a
-    # non-integral witness
-    x, y = (1, 0), (1, 1)
-    toy = ConstraintSystem(3, MODE_PER_MU, (x, y),
-                           (AffineExpression(0, {x: 1, y: -1}), AffineExpression(1, {y: 2})),
-                           (((1, 1), (2, 1), 1),) * 2)
     systems = [build_constraints(table, mode) for table in (table3, table4, table5)
-               for mode in (MODE_PER_PAIR, MODE_PER_MU)] + [toy]
+               for mode in (MODE_PER_PAIR, MODE_PER_MU)] + [_toy_system()]
     path = tmp_path / "cert.json"
     for system in systems:
         serialize.save_certificate(certify_uniqueness(system), system, path)
@@ -73,7 +80,7 @@ def test_certificate_text_matches_the_stdlib_encoder(tmp_path, table3, table4, t
         numbers += list((cert.witness or {}).values())
         assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in numbers)
     assert cert.conclusion == CONCLUSION_NOT_UNIQUE
-    assert cert.witness == {x: Fraction(-1, 2), y: Fraction(-1, 2)}
+    assert cert.witness == {X: Fraction(-1, 2), Y: Fraction(-1, 2)}
 
 
 def test_table_requires_known_version(tmp_path, capsys, table3):
@@ -120,10 +127,12 @@ def test_empty_product_saves_as_an_empty_list(tmp_path, table3):
 
 
 def test_non_integer_coefficient_is_not_saved(tmp_path, table3):
-    table = _table_with(table3, ((1, 0), (1, 0)), {((2, 0), 0): Fraction(1, 2)})
-    with pytest.raises(ValueError, match="non-integer coefficient"):
-        serialize.save_table(table, tmp_path / "t.json")
-    assert not list(tmp_path.iterdir())
+    # the reader refuses a bool or a float, so the writer must not write one
+    for coeff in (Fraction(1, 2), True, 1.0):
+        table = _table_with(table3, ((1, 0), (1, 0)), {((2, 0), 0): coeff})
+        with pytest.raises(ValueError, match="non-integer coefficient"):
+            serialize.save_table(table, tmp_path / "t.json")
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["table", "spec", "certificate"])
@@ -184,3 +193,87 @@ def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
     with pytest.raises(ValueError) as info:
         serialize.load_certificate(path)
     assert "\n" not in str(info.value)
+
+
+def test_table_save_streams(tmp_path):
+    # the text is written one product at a time, never held whole
+    table = build_table(8)
+    path = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        serialize.save_table(table, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+def _required_fields(schema, node=None, path=()):
+    """(path, key) for every field the schema lists as required, where the path
+    leads from the document to the object: a str is a key, None a list item."""
+    node = schema if node is None else node
+    if "$ref" in node:
+        node = schema["$defs"][node["$ref"].rsplit("/", 1)[1]]
+    for key in node.get("required", ()):
+        yield path, key
+    for key, sub in node.get("properties", {}).items():
+        yield from _required_fields(schema, sub, path + (key,))
+    if isinstance(node.get("items"), dict):
+        yield from _required_fields(schema, node["items"], path + (None,))
+    for sub in node.get("oneOf", ()):
+        yield from _required_fields(schema, sub, path)
+
+
+def _objects_at(node, path):
+    if not path:
+        if isinstance(node, dict):
+            yield node
+    elif path[0] is None:
+        for item in node if isinstance(node, list) else ():
+            yield from _objects_at(item, path[1:])
+    elif isinstance(node, dict) and path[0] in node:
+        yield from _objects_at(node[path[0]], path[1:])
+
+
+def _valid_documents(kind, table3, tmp_path):
+    path = tmp_path / "doc.json"
+    if kind == "table":
+        serialize.save_table(table3, path)
+        return [json.loads(path.read_text())]
+    if kind == "certificate":
+        docs = []
+        for system in (build_constraints(table3, MODE_PER_PAIR), _toy_system()):
+            serialize.save_certificate(certify_uniqueness(system), system, path)
+            docs.append(json.loads(path.read_text()))
+        return docs
+    return [serialize.spec_to_dict(spec) for spec in (
+        DeformationSpec(3, MODE_PER_PAIR, {((5, 1), (0, 0)): Fraction(-1, 2)}),
+        DeformationSpec(3, MODE_PER_MU, {(1, 0): Fraction(2, 7)}))]
+
+
+@pytest.mark.parametrize("kind, schema, read", [
+    ("table", "table.schema.json", serialize.table_from_dict),
+    ("certificate", "certificate.schema.json", serialize.certificate_from_dict),
+    ("spec", "deformation_spec.schema.json", serialize.spec_from_dict),
+])
+def test_reader_requires_every_required_field(tmp_path, table3, kind, schema, read):
+    # each field the shipped schema requires, deleted at every nesting level
+    # from a valid document, makes the reader raise a one-line ValueError
+    docs = _valid_documents(kind, table3, tmp_path)
+    required = set(_required_fields(serialize.load_schema(schema)))
+    tried, accepted = set(), []
+    for path, key in sorted(required, key=repr):
+        for doc in map(copy.deepcopy, docs):
+            target = next((o for o in _objects_at(doc, path) if key in o), None)
+            if target is None:
+                continue
+            tried.add((path, key))
+            del target[key]
+            try:
+                read(doc)
+            except ValueError as e:
+                assert "\n" not in str(e)
+            else:
+                accepted.append((doc.get("mode"), path, key))
+    assert accepted == []
+    assert tried == required
