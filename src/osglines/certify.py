@@ -4,9 +4,10 @@ Two independent routes establish, for one rank at a time, that the positivity
 condition on products with sigma[1,1] forces every deformation coefficient to
 zero.
 
-Route A (`build_constraints` + `certify_uniqueness`) is generic: expand every
-product sigma[1,1] * sigma[mu] symbolically, collect one affine inequality
-">= 0" per coefficient, and settle the unknowns by sign propagation with
+Route A (`build_constraints` + `certify_uniqueness`) is generic: write each
+coefficient of every sigma[1,1] * sigma[mu] as an affine form, a closed form
+of the tau[1,1] Pieri rule, keep one inequality ">= 0" per coefficient,
+and settle the unknowns by sign propagation with
 Farkas weights, falling back to exact Fourier-Motzkin elimination for any
 unknown it leaves open.  Propagation chains single rows: once every other
 term of a row is known to be <= 0, the row bounds its last unknown.  Every
@@ -29,11 +30,11 @@ already settled.
 Every displayed identity is checked termwise; a discrepancy raises
 `MismatchError` naming the step and the first coefficient that differs.
 
-The two routes share no arithmetic.  Route A's symbolic work happens in
-affine expressions (`AffineExpression`); route B reads the table's int
-products directly and keeps each symbolic vector as one int dict, split by
-unknown.  In both, a quadratic term would raise `QuadraticTermError` and is
-treated as a bug, never ignored.
+The two routes share no arithmetic.  Route A reads no table product: it
+sums each row on ints from the Pieri rule into an `AffineExpression`; route
+B reads only the table's int products and keeps each symbolic vector as one
+int dict, split by unknown, where a quadratic term would raise
+`QuadraticTermError` and is treated as a bug, never ignored.
 """
 from __future__ import annotations
 
@@ -41,8 +42,9 @@ from collections import deque, namedtuple
 from fractions import Fraction
 
 from .algebra import AffineExpression, QuadraticTermError, exact, sorted_terms
-from .basis import degree, enumerate_degree, is_valid, max_degree
-from .deformation import DeformationSpec, MODE_PER_PAIR, pair_keys, positivity_terms
+from .basis import degree, enumerate_basis, enumerate_degree, is_valid, max_degree
+from .deformation import MODE_PER_PAIR, MODES, mu_keys, pair_keys
+from .pieri import _tau11_raw
 from .ring import MultiplicationTable, collapse_terms, power_class, shift_terms
 
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"
@@ -71,27 +73,50 @@ ConstraintSystem.__doc__ = ("Affine inequalities `expression >= 0` over the "
 
 
 def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> ConstraintSystem:
-    """Symbolic positivity constraints from every product sigma[1,1] * sigma[mu].
+    """Positivity constraints from every product sigma[1,1] * sigma[mu], by a
+    closed form of the tau[1,1] Pieri rule P(x) = tau[1,1] * tau[x] (invalid
+    indices dropped); only `table.n` is read.  As sigma[1,1] = tau[1,1],
 
-    Constant coefficients are nonnegative by the expansion rules and are
-    dropped; everything kept is genuinely affine in the unknowns.
+        tau[1,1] * sigma[mu] = P(mu) - sum over kap of a(mu, kap) q P(kap),
+
+    and back in the sigma basis each term c q^d tau[lam] of P(mu) with
+    |lam| >= 2n adds c a(lam, kap) at (kap, d + 1); the correction part has
+    degree at most 2n - 1, so it is never corrected again.  Rows come mu in
+    basis order, then (nu, d) in canonical order, each with its unknowns in
+    that order of terms.  Constant coefficients are nonnegative by the rule
+    and are dropped.
     """
-    spec = DeformationSpec.symbolic(table.n, mode)
+    n = table.n
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    per_pair = mode == MODE_PER_PAIR
+    kappas = {d: enumerate_degree(n, d - 2 * n) for d in range(2 * n, max_degree(n) + 1)}
+    tau11 = {x: [t for t in _tau11_raw(n, x)[1] if is_valid(n, t[0])]
+             for x in enumerate_basis(n)}
     constraints = []
     provenance = []
-    for mu, nu, d, coeff in positivity_terms(spec, table):
-        if not isinstance(coeff, AffineExpression):
-            coeff = AffineExpression(coeff)
-        if coeff.is_constant():
-            if coeff.constant < 0:
-                raise RuntimeError(
-                    f"negative constant coefficient in sigma[1,1]*sigma[{mu}]: "
-                    f"{coeff.constant} at {nu}, q^{d}")
-            continue
-        constraints.append(coeff)
-        provenance.append((mu, nu, d))
-    return ConstraintSystem(table.n, mode, tuple(spec.entries), tuple(constraints),
-                            tuple(provenance))
+    for mu, p_mu in tau11.items():
+        coeffs = {(nu, d): [c, {}] for nu, c, d in p_mu}  # (nu, d) -> [constant, linear]
+        # c a(lam, kap) at (nu, d) for each (lam, kap, c, nu, d), product part first
+        terms = [(mu, kap, -c, nu, d + 1) for kap in kappas.get(degree(mu), ())
+                 for nu, c, d in tau11[kap]]
+        terms += [(lam, kap, c, kap, d + 1) for lam, c, d in p_mu
+                  for kap in kappas.get(degree(lam), ())]
+        for lam, kap, c, nu, d in terms:
+            linear = coeffs.setdefault((nu, d), [0, {}])[1]
+            key = (lam, kap) if per_pair else kap
+            linear[key] = linear.get(key, 0) + c
+        for (nu, d), (constant, linear) in sorted_terms(coeffs):
+            if not linear:
+                if constant < 0:
+                    raise RuntimeError(
+                        f"negative constant coefficient in sigma[1,1]*sigma[{mu}]: "
+                        f"{constant} at {nu}, q^{d}")
+                continue
+            constraints.append(AffineExpression(constant, linear))
+            provenance.append((mu, nu, d))
+    unknowns = pair_keys(n) if per_pair else mu_keys(n)
+    return ConstraintSystem(n, mode, tuple(unknowns), tuple(constraints), tuple(provenance))
 
 
 # ---------------------------------------------------------------------------

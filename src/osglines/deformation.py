@@ -16,7 +16,7 @@ Two indexing modes for the coefficients are supported:
             the matching degree -- the restricted reading.
 
 Coefficient values may be rationals or affine expressions in named unknowns;
-the latter drive the symbolic constraint generation in `certify`.
+the latter are the tests' reference for the constraint rows of `certify`.
 """
 from __future__ import annotations
 

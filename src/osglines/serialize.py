@@ -100,17 +100,29 @@ def _field(obj, key: str, what: str, kind=None):
 
 
 def _write_atomic(path, fragments):
-    """Write the concatenation of the text `fragments` to path, atomically."""
+    """Write the concatenation of the text `fragments` to path, atomically;
+    an `OSError` names path, never the temporary file."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.writelines(fragments)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _read_json(path):
+    """The JSON document at path; a ValueError naming the file if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{os.fspath(path)} is not a JSON document: {exc}") from None
 
 
 def canonical_dumps(obj) -> str:
@@ -204,8 +216,7 @@ def save_table(table: MultiplicationTable, path):
 
 
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        table = table_from_dict(json.load(fh))
+    table = table_from_dict(_read_json(path))
     if revalidate:
         revalidate_table(table)
     return table
@@ -255,8 +266,7 @@ def save_spec(spec: DeformationSpec, path):
 
 
 def load_spec(path) -> DeformationSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +380,7 @@ def save_certificate(cert: Certificate, system: ConstraintSystem, path):
 
 
 def load_certificate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
+    return certificate_from_dict(_read_json(path))
 
 
 def load_schema(name: str) -> dict:

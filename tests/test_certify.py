@@ -11,7 +11,8 @@ from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
                               DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
                               build_constraints, certify_uniqueness,
                               replay_proof, verify_certificate)
-from osglines.deformation import MODE_PER_MU, MODE_PER_PAIR, pair_keys
+from osglines.deformation import (MODE_PER_MU, MODE_PER_PAIR, DeformationSpec,
+                                  pair_keys, positivity_terms)
 from osglines.ring import MultiplicationTable, build_table, lazy_table
 from osglines.serialize import save_certificate
 
@@ -366,5 +367,61 @@ def test_certify_touches_few_products():
     cert = certify_uniqueness(system)
     assert cert.conclusion == CONCLUSION_UNIQUE_ZERO
     assert verify_certificate(system, cert)
-    pairs = len(lazy.basis) * (len(lazy.basis) + 1) // 2
-    assert 0 < lazy.stored_products() < pairs
+    assert lazy.stored_products() == 0
+
+
+def test_build_constraints_reads_no_table_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("route A read a table product")
+
+    monkeypatch.setattr(MultiplicationTable, "terms", refuse)
+    for n in range(3, 7):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(lazy_table(n), mode)
+            cert = certify_uniqueness(system)
+            assert cert.conclusion == CONCLUSION_UNIQUE_ZERO
+            assert verify_certificate(system, cert)
+
+
+def test_constraints_match_the_symbolic_expansion(table3, table4, table5, table6):
+    # the oracle: expand sigma[1,1] * sigma[mu] with a symbolic deformation on
+    # the table and keep each coefficient that has unknowns, in scan order
+    tables = {t.n: t for t in (table3, table4, table5, table6)}
+    for n in range(3, 9):
+        table = tables.get(n) or lazy_table(n)
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            spec = DeformationSpec.symbolic(n, mode)
+            rows = [(c, (mu, nu, d)) for mu, nu, d, c in positivity_terms(spec, table)
+                    if isinstance(c, AffineExpression) and not c.is_constant()]
+            system = build_constraints(table, mode)
+            assert system.unknowns == tuple(spec.entries)
+            assert system.provenance == tuple(p for _, p in rows)
+            # the same rows, each unknown entering in the same order
+            assert [(e.constant, list(e.linear.items())) for e in system.constraints] \
+                == [(c.constant, list(c.linear.items())) for c, _ in rows]
+
+
+# sha256 of repr((unknowns, [(constant, sorted linear part)], provenance)) of
+# build_constraints(lazy_table(n), mode), computed with the symbolic expansion
+CONSTRAINT_DIGESTS = {
+    (3, MODE_PER_PAIR): "8257932c014dfbaa646938002d89ad332b169f397351cc53578b43c702539dcf",
+    (4, MODE_PER_PAIR): "4fb0306ac62da3afa075005ab7d952a2033aa944c7e410d0319e2a2d3e2016ed",
+    (5, MODE_PER_PAIR): "f7d958cfdd6d359b2d5ca82f6ac7b291055bbc0168b1f23cdc69525abe0eccbf",
+    (6, MODE_PER_PAIR): "31f66d471fd6aee8120d279e36221d60d4d8007aa314eb3e27b3052a24ff337c",
+    (7, MODE_PER_PAIR): "7f401e71e461fd0fd126acb44633249c804ea7bffcf405e71777a978b4ffb60f",
+    (8, MODE_PER_PAIR): "220e7bfbd00fe232830d5c7d8ee98391636e172b883a502bd0e2fb39f9ef9183",
+    (3, MODE_PER_MU): "28c5487ed1accd2a8ef0c779ab719145b0d605fd133303eb755bd35739684471",
+    (4, MODE_PER_MU): "7a3005fd34b0d50c3e2bcd4521b4dc80a34b876b8a17edd51e79fea6ae1021bc",
+    (5, MODE_PER_MU): "040eb075ae27e831f97d9bfe2a5e9ed3142c452b3a1530b9c622390d68bd60c5",
+    (6, MODE_PER_MU): "83e64622ab77652341c254ad2389858306098dd08ffc33b617135c65cb99e9fc",
+    (7, MODE_PER_MU): "7459456a026178c837f1979ce7a20c4c49ae63962ad38be4d44c0ab7898563e7",
+    (8, MODE_PER_MU): "0d988b0d4eea9ff6bf29cf38e75a2311a2d221674774f03147b7e9b8b92a9caa",
+}
+
+
+def test_constraints_match_the_parent():
+    for (n, mode), digest in CONSTRAINT_DIGESTS.items():
+        s = build_constraints(lazy_table(n), mode)
+        text = repr((s.unknowns, [(c.constant, sorted(c.linear.items()))
+                                  for c in s.constraints], s.provenance))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, mode)

@@ -232,6 +232,22 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["certify", "--n", "3", "--emit-certificate"],
+                                  ["table", "--n", "3", "--out"]])
+def test_write_error_names_the_target(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "doc.json")
+    code, out, err = run(capsys, *argv, target)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
+
+
+def test_spec_that_is_not_json_names_the_file(capsys):
+    code, out, err = run(capsys, "check-positivity", "--n", "3", "--spec", os.devnull)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {os.devnull} is not a JSON document: ")
+
+
 def test_spec_rank_mismatch_is_usage_error(capsys, tmp_path):
     spec = tmp_path / "n4.json"
     serialize.save_spec(DeformationSpec.zero(4), spec)
