@@ -13,20 +13,24 @@ Hence
 
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
-computed on plain ints.  A table from `lazy_table` stores no products: each
-is computed when first asked for, in the int memo of its column mu, running
-only the rules it depends on, and that memo's dict is kept as the product's
-one storage, which `product` wraps in `Fraction`s on read.  `build_table`
-fills each column once instead: it runs the rule of every class of degree
-<= |mu| in that order, stores the column's dicts of the products it wants,
-and drops the column.  Both walks apply one rule step (`_apply`) and one
-homogeneity check (`_checked`).
+computed on plain ints, and on int codes: a table codes the term
+q^d tau[nu] as Q * pos(nu) + d (`Q`), and keeps one interned (nu, d) tuple
+per code.  A table from `lazy_table` stores no products: each is computed
+when first asked for, in the coded memo of its column mu, running only the
+rules it depends on.  `build_table` fills each column once instead: it runs
+the rule of every class of degree <= |mu| in that order, keeps the products
+it wants, and drops the column.  Both walks apply one rule step (`_apply`)
+and one homogeneity check (`_checked`), which also turns each product's
+codes into the table's interned keys: every product is stored once as
+{(nu, d): int}, which `product` wraps in `Fraction`s on read.  The lazy walk
+looks up the coded Pieri terms, degree and key of a code on first use; the
+column fill builds them for every code at once.
 
 `check_commutativity` recomputes every product by a second, independent
 algorithm, kept only as that reference: it expresses each class in the
 generator monomials tau[1,0]^i tau[1,1]^j by exact Gaussian elimination in
 its graded slice, and applies the expansion rules to the other factor, on
-ints once each expression is scaled by the lcm of its denominators.
+coded ints once each expression is scaled by the lcm of its denominators.
 
 The recursion runs on ints (the memo is seeded with 1, the Pieri
 coefficients are int literals), so every structure constant is an integer;
@@ -61,26 +65,101 @@ class _Memo(dict):
         return self.setdefault(key, self._fill(key))
 
 
+# A table codes the term q^d tau[nu] as the int Q * pos(nu) + d.  Every
+# product tau[lam] * tau[mu] is homogeneous of degree |lam| + |mu| <=
+# 2(4n-3) = 8n-6, and so is every expansion M1^i M11^j (tau[lam]),
+# i + 2j = |mu|, of `check_commutativity`; a term q^d tau[nu] of such a
+# degree has 2nd <= 8n-6 - |nu| < 8n, so d <= 3 < Q.  Hence no two terms
+# share a code, and sorted codes are the canonical order of `sorted_terms`
+# (basis position, then d).  A Pieri step or q-shift whose term would leave
+# those degrees (and so may leave q^0..q^3) is refused as inhomogeneous
+# (`_Overflow`, `MultiplicationTable._shifted`) before it could alias into
+# the next class.
+Q = 4
+
+
+class _Overflow:
+    """The coded Pieri terms of q^d tau[lam] for d outside lo..hi, where a
+    term would have a degree above `top` = 8n-6 or a negative q-exponent:
+    iterating over it raises the homogeneity check's error."""
+
+    __slots__ = ("lam", "lo", "hi", "top")
+
+    def __init__(self, lam: Index, lo: int, hi: int, top: int):
+        self.lam, self.lo, self.hi, self.top = lam, lo, hi, top
+
+    def __iter__(self):
+        raise RuntimeError(f"a product has an inhomogeneous term: a Pieri term of q^d "
+                           f"{self.lam} has a degree above {self.top} or a negative "
+                           f"q-exponent unless {self.lo} <= d <= {self.hi}")
+
+
+def _pieri_row(n: int, pos: dict, raw_rule, lam: Index) -> list:
+    """For d = 0..Q-1, the valid terms of `raw_rule` at q^d tau[lam], coded:
+    ((code, k), ...), or an `_Overflow` if a term would have a degree above
+    8n-6, or a negative q-exponent."""
+    terms = _valid_terms(n, raw_rule, lam)
+    top, lo, hi, coded = 2 * max_degree(n), 0, Q - 1, []
+    for nu, k, dd in terms:  # d + dd must lie in 0..(top - |nu|) // 2n
+        if dd < -lo:
+            lo = -dd
+        room = (top - degree(nu)) // (2 * n) - dd
+        if room < hi:
+            hi = room
+        coded.append((Q * pos[nu] + dd, k))
+    over = _Overflow(lam, lo, hi, top) if lo > 0 or hi < Q - 1 else None
+    row = [tuple(coded) if lo <= 0 <= hi else over]
+    for d in range(1, Q):
+        row.append(tuple([(code + d, k) for code, k in coded]) if lo <= d <= hi else over)
+    return row
+
+
+class _PieriMemo(dict):
+    """code -> its coded Pieri terms by `raw_rule`, filled on first lookup
+    for the Q codes of the code's class at once."""
+
+    def __init__(self, n: int, basis, pos: dict, raw_rule):
+        self._args = (n, pos, raw_rule)
+        self._basis = basis
+
+    def __missing__(self, code):
+        p = code // Q
+        self.update(zip(range(Q * p, Q * p + Q), _pieri_row(*self._args, self._basis[p])))
+        return self[code]
+
+
+def _pieri_codes(n: int, basis, pos: dict) -> dict:
+    """special -> [the coded Pieri terms of each code], for every code at once."""
+    return {special: [e for lam in basis for e in _pieri_row(n, pos, raw, lam)]
+            for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
+
+
 class MultiplicationTable:
     """All structure constants for a given rank in the tau basis.
 
     Products are stored once per unordered pair, keyed by basis position, as
-    int dicts {(nu, d): int}: `terms` reads one, `product` wraps it in new
+    int dicts {(nu, d): int} whose keys are the table's own interned tuples
+    (`_keys`, one per code): `terms` reads one, `product` wraps it in new
     `Fraction`s.  A table from `lazy_table` computes a missing product on
-    first request by the Pieri recursion (`_recurse`, which keeps a memo per
-    column); `build_table` fills every column in one pass (`_by_column`,
-    which keeps none); a loaded cache is complete.
+    first request by the Pieri recursion (`_recurse`, which keeps a memo of
+    coded terms per column); `build_table` fills every column in one pass
+    (`_by_column`, which keeps none); a loaded cache is complete.
     """
 
     def __init__(self, n: int, basis: list[Index], products: dict):
         self.n = n
-        self.basis = tuple(basis)
-        self.pos = {lam: i for i, lam in enumerate(self.basis)}
+        self.basis = basis = tuple(basis)
+        self.pos = pos = {lam: i for i, lam in enumerate(basis)}
         self._products = products
+        # the lazy walk's lookups, filled per class or code on first use (the
+        # column fill builds its own for every code at once)
         self._rules = _Memo(lambda lam: _rule(n, lam))  # class -> its Rule
-        self._times = _pieri_terms(n)
-        # mu -> {lam: tau[lam]*tau[mu] as {(nu, d): int}}, seeded with the unit
-        self._columns = _Memo(lambda mu: {(0, 0): {(mu, 0): 1}})
+        self._times = {special: _PieriMemo(n, basis, pos, raw)  # special -> {code: terms}
+                       for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
+        self._degrees = _Memo(lambda code: degree(basis[code // Q]) + 2 * n * (code % Q))
+        self._keys = _Memo(lambda code: (basis[code // Q], code % Q))  # code -> interned key
+        # mu -> {lam: tau[lam]*tau[mu] as {code: int}}, seeded with the unit
+        self._columns = _Memo(lambda mu: {(0, 0): {Q * pos[mu]: 1}})
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
         pos = self.pos
@@ -90,6 +169,18 @@ class MultiplicationTable:
             lam, mu = check_index(self.n, lam), check_index(self.n, mu)
             i, j = pos[lam], pos[mu]
         return (lam, mu) if i <= j else (mu, lam)
+
+    def _key_list(self) -> list:
+        """Every code's interned key, in code order; fills `_keys`."""
+        keys = self._keys
+        return [keys.setdefault(Q * p + d, (lam, d))
+                for p, lam in enumerate(self.basis) for d in range(Q)]
+
+    def _key_rows(self) -> dict:
+        """class -> its interned keys (lam, 0), ..., (lam, Q-1), one for each
+        q-exponent a product's term can have."""
+        keys = self._key_list()
+        return {lam: tuple(keys[Q * p:Q * p + Q]) for p, lam in enumerate(self.basis)}
 
     def terms(self, lam, mu) -> dict:
         """tau[lam] * tau[mu] as the stored {(nu, d): int}; do not mutate it."""
@@ -104,8 +195,8 @@ class MultiplicationTable:
         return ClassVector._wrap(self.n, {k: Fraction(c) for k, c in self.terms(lam, mu).items()})
 
     def _recurse(self, lam: Index, mu: Index) -> dict:
-        """tau[lam] * tau[mu] as {(nu, d): int} by the Pieri recursion in column
-        mu, checked to be homogeneous.
+        """tau[lam] * tau[mu] by the Pieri recursion in column mu, checked to
+        be homogeneous and keyed by the interned keys (`_checked`).
 
         Only lam's rule and the rules it depends on run, each at most once
         per column; a memo entry is stored only once it is complete.
@@ -122,55 +213,73 @@ class MultiplicationTable:
             if deps:
                 todo += [x, *deps]
                 continue
-            self._apply(col, x, rule)
-        return self._checked(lam, mu, col[lam])
+            self._apply(col, x, rule, self._times)
+        return self._checked(lam, mu, col[lam], self._degrees, self._keys)
 
-    def _apply(self, col: dict, x: Index, rule: Rule):
-        """Store tau[x] * tau[mu] in the column col of mu by x's rule,
-        S (tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu], reading the
-        entries of pred and every o, which col must already hold."""
+    def _apply(self, col: dict, x: Index, rule: Rule, times: dict):
+        """Store tau[x] * tau[mu] as {code: int} in the column col of mu by x's
+        rule, S (tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu], reading
+        the entries of pred and every o, which col must already hold, and the
+        coded Pieri terms `times[S][code]`."""
         acc: dict = {}
-        times_special = self._times[rule.special]
-        for (nu, d), c in col[rule.pred].items():
-            for nu2, k, dd in times_special[nu]:
-                key = (nu2, d + dd)
-                acc[key] = acc.get(key, 0) + k * c
+        get = acc.get
+        times_special = times[rule.special]
+        for code, c in col[rule.pred].items():
+            for code2, k in times_special[code]:
+                acc[code2] = get(code2, 0) + k * c
         for o, k, dd in rule.others:
-            for (nu, d), c in col[o].items():
-                key = (nu, d + dd)
-                acc[key] = acc.get(key, 0) - k * c
-        col[x] = {key: c for key, c in acc.items() if c}
+            for code, c in (self._shifted(col[o], dd) if dd else col[o]).items():
+                acc[code] = get(code, 0) - k * c
+        col[x] = {code: c for code, c in acc.items() if c}
 
-    def _checked(self, lam: Index, mu: Index, terms: dict) -> dict:
-        """`terms`, once every term is checked to have the degree of
-        tau[lam] * tau[mu]; RuntimeError otherwise."""
+    def _shifted(self, terms: dict, dd: int) -> dict:
+        """The coded `terms` times q^dd; RuntimeError if one leaves q^0..q^(Q-1)."""
+        for code in terms:
+            if not 0 <= code % Q + dd < Q:
+                raise RuntimeError(f"a product has an inhomogeneous term "
+                                   f"{self.basis[code // Q]}, q^{code % Q + dd}")
+        return {code + dd: c for code, c in terms.items()}
+
+    def _checked(self, lam: Index, mu: Index, coded: dict, degrees, keys) -> dict:
+        """tau[lam] * tau[mu] as {(nu, d): int} from its `coded` terms, each
+        keyed by `keys[code]` once it is checked to have the product's degree
+        (`degrees[code]`); RuntimeError otherwise."""
         want = degree(lam) + degree(mu)
-        for nu, d in terms:
-            if degree(nu) + 2 * self.n * d != want:
-                raise RuntimeError(f"product {lam}*{mu} has an inhomogeneous term {nu}, q^{d}")
+        terms = {}
+        for code, c in coded.items():
+            if degrees[code] != want:
+                raise RuntimeError(f"product {lam}*{mu} has an inhomogeneous term "
+                                   f"{self.basis[code // Q]}, q^{code % Q}")
+            terms[keys[code]] = c
         return terms
 
     def _by_column(self):
-        """(lam, mu, tau[lam] * tau[mu]) for every unordered pair once, lam <= mu,
-        column by column, each product checked to be homogeneous.
+        """(lam, mu, tau[lam] * tau[mu]) for every unordered pair once,
+        lam <= mu, column by column, each checked to be homogeneous and keyed
+        by the interned keys.
 
         Each column mu is filled once: from the unit entry, the rule of every
         class of degree <= |mu| runs in rule order (`_rule_key`), so each rule
         finds the entries it reads.  The column is a local dict, dropped once
-        its products are yielded; `_columns` is not touched.
+        its products are yielded; `_columns` is not touched, and the Pieri
+        terms, degrees and keys of every code are looked up in lists built
+        here.
         """
-        n = self.n
-        order = sorted(self.basis[1:], key=lambda x: _rule_key(n, x))
+        n, basis = self.n, self.basis
+        times = _pieri_codes(n, basis, self.pos)
+        degrees = [degree(lam) + 2 * n * d for lam in basis for d in range(Q)]
+        keys = self._key_list()
+        order = sorted(basis[1:], key=lambda x: _rule_key(n, x))
         steps = [(x, self._rules[x]) for x in order]
         upto = {0: 0}  # degree d -> the number of steps of degree <= d
         for i, x in enumerate(order, 1):
             upto[degree(x)] = i
-        for j, mu in enumerate(self.basis):
-            col = {(0, 0): {(mu, 0): 1}}
+        for j, mu in enumerate(basis):
+            col = {(0, 0): {Q * j: 1}}
             for x, rule in steps[:upto[degree(mu)]]:
-                self._apply(col, x, rule)
-            for lam in self.basis[:j + 1]:
-                yield lam, mu, self._checked(lam, mu, col[lam])
+                self._apply(col, x, rule, times)
+            for lam in basis[:j + 1]:
+                yield lam, mu, self._checked(lam, mu, col[lam], degrees, keys)
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -182,25 +291,19 @@ class MultiplicationTable:
         return len(self._products)
 
 
-def _pieri_terms(n: int) -> dict:
-    """special -> {class: its valid Pieri terms}, each filled on first lookup."""
-    return {(1, 0): _Memo(lambda lam: _valid_terms(n, _tau1_raw, lam)),
-            (1, 1): _Memo(lambda lam: _valid_terms(n, _tau11_raw, lam))}
-
-
-def _expansion(times: dict, mu: Index) -> _Memo:
-    """{mon: M1^i(M11^j(tau[mu])) as {(nu, d): int} by `times` = `_pieri_terms(n)`."""
+def _expansion(times: dict, code: int) -> _Memo:
+    """{mon: M1^i(M11^j(the term `code`)) as {code: int}} by the coded Pieri
+    terms `times` = `_pieri_codes(n, basis, pos)`."""
     def expand(mon: tuple[int, int]) -> dict:
         i, j = mon
         terms, prev = (times[(1, 0)], (i - 1, j)) if i else (times[(1, 1)], (0, j - 1))
         acc: dict = {}
-        for (lam, d), c in memo[prev].items():
-            for nu, k, dd in terms[lam]:
-                key = (nu, d + dd)
-                acc[key] = acc.get(key, 0) + c * k
+        for c0, c in memo[prev].items():
+            for code2, k in terms[c0]:
+                acc[code2] = acc.get(code2, 0) + c * k
         return {key: v for key, v in acc.items() if v}
     memo = _Memo(expand)
-    memo[(0, 0)] = {(mu, 0): 1}
+    memo[(0, 0)] = {code: 1}
     return memo
 
 
@@ -210,17 +313,18 @@ def _scaled(expr: dict) -> tuple[int, dict]:
     return lcm, {m: r.numerator * (lcm // r.denominator) for m, r in expr.items()}
 
 
-def _differs(scaled: tuple[int, dict], expansion, flat: dict) -> bool:
-    """Whether sum_m expr[m] * expansion[m] differs from the product `flat`, for
-    `scaled` = `_scaled(expr)`: summed on ints, compared exactly with L * flat."""
+def _differs(scaled: tuple[int, dict], expansion, coded: dict) -> bool:
+    """Whether sum_m expr[m] * expansion[m] differs from the product `coded`
+    ({code: int}), for `scaled` = `_scaled(expr)`: summed on ints, compared
+    exactly with L * coded."""
     lcm, expr = scaled
     acc: dict = {}
     for mon, r in expr.items():
-        for key, c in expansion[mon].items():
-            acc[key] = acc.get(key, 0) + r * c
+        for code, c in expansion[mon].items():
+            acc[code] = acc.get(code, 0) + r * c
     if lcm != 1:
-        flat = {k: lcm * c for k, c in flat.items()}
-    return {k: v for k, v in acc.items() if v} != flat
+        coded = {k: lcm * c for k, c in coded.items()}
+    return {k: v for k, v in acc.items() if v} != coded
 
 
 def _reduce(vec: dict, pivots) -> tuple[dict, dict]:
@@ -264,21 +368,20 @@ def _generator_expressions(n: int) -> dict:
     """Each class lam as {(i, j): r_ij}, tau[lam] = sum r_ij tau[1,0]^i tau[1,1]^j.
 
     Every graded slice is solved by exact elimination of the generator
-    monomials applied to the unit; `check_commutativity`'s reference.
+    monomials applied to the unit, with the terms' codes as coordinates;
+    `check_commutativity`'s reference.
     """
-    unit = _expansion(_pieri_terms(n), (0, 0))
+    basis = enumerate_basis(n)
+    pos = {lam: i for i, lam in enumerate(basis)}
+    unit = _expansion(_pieri_codes(n, basis, pos), Q * pos[(0, 0)])
     exprs: dict = {}
     for total in range(0, max_degree(n) + 1):
-        coord_pos = {c: i for i, c in enumerate(
-            (nu, d) for d in range(total // (2 * n) + 1)
-            for nu in enumerate_degree(n, total - 2 * n * d))}
         # higher tau[1,1] powers first keeps each expression canonical: a
         # diagonal class (t, t) comes out as the pure power tau[1,1]^t
         monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
-        pivots = _pivots((mon, {coord_pos[key]: val for key, val in unit[mon].items()})
-                         for mon in monomials)
+        pivots = _pivots((mon, unit[mon]) for mon in monomials)
         for lam in enumerate_degree(n, total):
-            residual, r = _reduce({coord_pos[(lam, 0)]: Fraction(1)}, pivots)
+            residual, r = _reduce({Q * pos[lam]: Fraction(1)}, pivots)
             if residual:
                 raise GenerationFailure(
                     f"class {lam} (rank {n}) is not generated by the special classes")
@@ -355,8 +458,8 @@ def build_table(n: int) -> MultiplicationTable:
     """The complete multiplication table for rank n (3 <= n <= MAX_RING_RANK).
 
     `lazy_table(n)` with every column filled in one pass of the rules, the
-    walk `revalidate_table` shares; each product stored is its column's own
-    dict, and no column memo is kept.
+    walk `revalidate_table` shares; each product is stored keyed by the
+    table's interned keys, and no column memo is kept.
     """
     table = lazy_table(n)
     for lam, mu, terms in table._by_column():
@@ -524,18 +627,23 @@ def check_commutativity(table: MultiplicationTable) -> list:
     commutative).  The reference expresses each class in the generator
     monomials by solving every graded slice, and assembles
     tau[mu] * tau[lam] = sum r_ij M1^i M11^j (tau[lam]), with the factors in
-    the roles opposite to the recursion's.  It runs on ints: each expression
-    is scaled once by the lcm L of its denominators, and the sum is compared
-    with L times the stored product.  It needs only the rank, so a loaded
-    cache is checked the same way as a built table.
+    the roles opposite to the recursion's.  It runs on ints, coded as the
+    table codes its terms: each expression is scaled once by the lcm L of its
+    denominators, and the sum is compared with L times the stored product.
+    It needs only the rank and the stored products, so a loaded cache is
+    checked the same way as a built table.
     """
-    n = table.n
-    times = _pieri_terms(n)
+    n, basis, pos = table.n, table.basis, table.pos
+    times = _pieri_codes(n, basis, pos)
     scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(n).items()}
+    # the stored keys' codes; a key no code names (q^d, d >= Q) reads as -1,
+    # which no expansion holds
+    codes = {key: code for code, key in enumerate(table._key_list())}
     bad = []
-    for lam in table.basis:
-        expand = _expansion(times, lam)
-        for mu in table.basis[table.pos[lam]:]:
-            if _differs(scaled[mu], expand, table.terms(lam, mu)):
+    for lam in basis:
+        expand = _expansion(times, Q * pos[lam])
+        for mu in basis[pos[lam]:]:
+            coded = {codes.get(key, -1): c for key, c in table.terms(lam, mu).items()}
+            if _differs(scaled[mu], expand, coded):
                 bad.append((lam, mu))
     return bad

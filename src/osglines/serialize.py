@@ -187,8 +187,8 @@ def table_from_dict(data: dict) -> MultiplicationTable:
     # claims a huge rank is rejected without enumerating that rank's basis
     if len(basis) != 2 * n * n or basis != enumerate_basis(n):
         raise ValueError("table basis does not match the canonical basis order")
-    pos = {lam: i for i, lam in enumerate(basis)}
-    products = {}
+    table = MultiplicationTable(n, basis, {})
+    pos, products, rows = table.pos, table._products, table._key_rows()
     for entry in _field(data, "products", "table", list):
         lam = _as_index(_field(entry, "lambda", "product"))
         mu = _as_index(_field(entry, "mu", "product"))
@@ -200,15 +200,27 @@ def table_from_dict(data: dict) -> MultiplicationTable:
             raise ValueError(f"product pair {lam}, {mu} appears twice")
         acc: dict = {}  # the table format has integers where other terms have "p/q"
         for t in _field(entry, "terms", "product", list):
+            if type(t) is dict:  # the writer's shape, mapped to the table's interned key
+                nu, d, c = t.get("nu"), t.get("d"), t.get("coeff")
+                if (type(nu) is list and len(nu) == 2 and type(nu[0]) is int
+                        and type(nu[1]) is int and type(d) is int and type(c) is int):
+                    row = rows.get((nu[0], nu[1]))
+                    if row is not None and 0 <= d < len(row):
+                        key = row[d]
+                        acc[key] = acc.get(key, 0) + c
+                        continue
+            # anything else is checked field by field, each defect one error line
             nu, d = _as_index(_field(t, "nu", "term")), _as_int(_field(t, "d", "term"))
             if nu not in pos or d < 0:
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
-            acc[(nu, d)] = acc.get((nu, d), 0) + _as_int(_field(t, "coeff", "term"))
+            # a term past q^3, which no product has, keeps a key of its own
+            key = rows[nu][d] if d < len(rows[nu]) else (nu, d)
+            acc[key] = acc.get(key, 0) + _as_int(_field(t, "coeff", "term"))
         products[(lam, mu)] = {key: c for key, c in acc.items() if c}
     missing = len(basis) * (len(basis) + 1) // 2 - len(products)  # the keys are distinct pairs
     if missing:
         raise ValueError(f"table is missing {missing} products")
-    return MultiplicationTable(n, basis, products)
+    return table
 
 
 def save_table(table: MultiplicationTable, path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -61,20 +62,26 @@ def test_commutativity_reference_scales_denominators():
     # every r_ij measured at n = 4..8 is an integer, so feed the int reference
     # an expression with denominators: r = 1/2 on two monomials
     n = 3
-    expand = ring._expansion(ring._pieri_terms(n), (1, 0))
+    table = lazy_table(n)  # its basis positions code the terms
+    keys = table._key_list()
+    expand = ring._expansion(ring._pieri_codes(n, table.basis, table.pos),
+                             ring.Q * table.pos[(1, 0)])
+    assert {keys[code]: c for code, c in expand[(1, 0)].items()} \
+        == pieri_tau1(n, (1, 0)).flat
     expr = {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
     want: dict = {}
     for mon, r in expr.items():
-        for key, c in expand[mon].items():
-            want[key] = want.get(key, Fraction(0)) + r * c
-    want = {key: v for key, v in want.items() if v}
+        for code, c in expand[mon].items():
+            want[code] = want.get(code, Fraction(0)) + r * c
+    want = {code: v for code, v in want.items() if v}
     assert any(v.denominator != 1 for v in want.values())
     scaled = ring._scaled(expr)
     assert scaled == (2, {(2, 0): 1, (0, 1): 1})
     assert not ring._differs(scaled, expand, want)
-    for key in want:  # a product that differs by 1 anywhere is reported
-        assert ring._differs(scaled, expand, {**want, key: want[key] + 1})
-    assert ring._differs(scaled, expand, {**want, ((0, 0), 1): Fraction(1)})
+    for code in want:  # a product that differs by 1 anywhere is reported
+        assert ring._differs(scaled, expand, {**want, code: want[code] + 1})
+    q_unit = ring.Q * table.pos[(0, 0)] + 1  # the code of q tau[0,0]
+    assert ring._differs(scaled, expand, {**want, q_unit: Fraction(1)})
 
 
 def test_associativity_exhaustive_n3(table3):
@@ -399,9 +406,14 @@ def test_lazy_table_builds_only_the_rules_a_product_uses():
     lazy = lazy_table(200)
     assert lazy.product((1, 0), (1, 0)) == pieri_tau1(200, (1, 0))
     # tau[1,0] * tau[1,0] = tau[1,0] * (tau[0,0] * tau[1,0]): one rule, and the
-    # tau[1,0] Pieri terms of the one class in column (1,0)'s entry for (0,0)
+    # tau[1,0] Pieri terms of the one class in column (1,0)'s entry for (0,0),
+    # coded at each power of q
     assert set(lazy._rules) == {(1, 0)}
-    assert set(lazy._times[(1, 0)]) == {(1, 0)} and not lazy._times[(1, 1)]
+    assert {code // ring.Q for code in lazy._times[(1, 0)]} == {lazy.pos[(1, 0)]}
+    assert not lazy._times[(1, 1)]
+    # and the degree and interned key of the product's own terms' codes only
+    used = {ring.Q * lazy.pos[nu] + d for nu, d in lazy.terms((1, 0), (1, 0))}
+    assert set(lazy._degrees) == set(lazy._keys) == used
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -466,3 +478,101 @@ def test_full_table_coefficients_are_fractions(tmp_path, table4):
         before = dict(prod.flat)
         prod.flat.clear()
         assert table.product((1, 1), (1, 1)).flat == before != {}
+
+
+# sha256 over repr((lam, mu, list(terms.items()))) for every pair in `pairs()`
+# order: built and lazy tables share one digest, a loaded cache (whose terms
+# come in file order) has its own
+TERM_ORDER_DIGESTS = {
+    3: ("ba05b5e6e49fc1cab23eeb46bad20a7b70aa80e18dbda8ae00005db346792774",
+        "c6831f8239ef7f54bd46591a326f1b0355077932584cb966604198448073fd38"),
+    4: ("6345ee85564cc504df1c21ba12b668dcb2fb932af6b54d091c40fcaf03e36ef5",
+        "71e9ac00a5b9a42c1d1672d96b29cdfdb5b90b4c46a0adad76b5afc650383a79"),
+    5: ("10fee4cb6644a10404adffd718666a8dfb4239f28151faf745a555faf6f99494",
+        "ef5f091edf2c6f5203097f189e56291d292924b89373ca9219faeb23edae73de"),
+    6: ("44f7eabbd18d78db78b5e802b6c2e205965cdefc7ebced91a3a878bd38b1affc",
+        "4b4a6117387cf6fe956d39bcd5c65efcb4317b3f6e6fe0be920413d6c9e9c222"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TERM_ORDER_DIGESTS))
+def test_products_are_keyed_by_interned_keys_in_a_pinned_order(tmp_path, n):
+    path = tmp_path / "t.json"
+    built = build_table(n)
+    serialize.save_table(built, path)
+    built_digest, loaded_digest = TERM_ORDER_DIGESTS[n]
+    for table, digest in ((built, built_digest), (lazy_table(n), built_digest),
+                          (serialize.load_table(path), loaded_digest)):
+        h = hashlib.sha256()
+        for lam, mu in table.pairs():
+            terms = table.terms(lam, mu)
+            h.update(repr((lam, mu, list(terms.items()))).encode())
+        assert h.hexdigest() == digest
+        for terms in table._products.values():
+            for key in terms:
+                nu, d = key
+                assert key is table._keys[ring.Q * table.pos[nu] + d]
+                assert key[0] is table.basis[table.pos[nu]]
+
+
+def _with_a_pieri_term_at_q_Q(lam):
+    """`ring._tau1_raw` with q^Q tau[lam] added to tau[1,0] * tau[lam]."""
+    raw = ring._tau1_raw
+
+    def tampered(n, nu):
+        case, terms = raw(n, nu)
+        return case, terms + (((lam, 1, ring.Q),) if nu == lam else ())
+    return tampered
+
+
+# (1,1) reaches the Pieri step (column (1,1) multiplies its unit entry by
+# tau[1,0]); (0,0), the pred of tau[1,0]'s rule, reaches the q-shift of that
+# rule's other terms
+@pytest.mark.parametrize("lam, pair", [((1, 1), ((1, 0), (1, 1))),
+                                       ((0, 0), ((1, 0), (1, 0)))])
+def test_a_pieri_term_at_q_Q_is_refused_not_aliased(monkeypatch, lam, pair):
+    table = lazy_table(3)
+    # coded naively, q^Q tau[lam] would read as the next class at q^0: for
+    # (1,1) that is tau[3,0], of the degree of tau[1,0] * tau[1,1], where the
+    # grading audit could not see it
+    assert ring.Q * table.pos[(1, 1)] + ring.Q == ring.Q * table.pos[(3, 0)]
+    assert degree((3, 0)) == degree((1, 0)) + degree((1, 1))
+    monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q(lam))
+    for entry in ring._pieri_row(3, table.pos, ring._tau1_raw, lam):
+        with pytest.raises(RuntimeError, match="inhomogeneous"):
+            list(entry)
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
+        build_table(3)
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
+        lazy_table(3).terms(*pair)
+
+
+def test_a_cache_term_past_q3_keeps_its_key_and_is_refused(tmp_path, table3):
+    # no product reaches q^Q, so a well-formed cache term at q^9 has no code:
+    # it loads under its own key, and both checks report it
+    path = tmp_path / "t3.json"
+    serialize.save_table(table3, path)
+    data = json.loads(path.read_text())
+    entry = data["products"][40]
+    entry["terms"].append({"nu": [0, 0], "d": 9, "coeff": 1})
+    path.write_text(json.dumps(data))
+    pair = (tuple(entry["lambda"]), tuple(entry["mu"]))
+    loaded = serialize.load_table(path)
+    assert loaded.terms(*pair)[((0, 0), 9)] == 1
+    assert gw_constant(loaded, *pair, (0, 0), 9) == 1
+    assert check_commutativity(loaded) == [pair]
+    with pytest.raises(ValueError, match="disagrees"):
+        serialize.load_table(path, revalidate=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_commutativity_reference_runs_without_the_recursion(tmp_path, monkeypatch, n):
+    path = tmp_path / "t.json"
+    serialize.save_table(build_table(n), path)
+    loaded = serialize.load_table(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference ran the Pieri recursion")
+    for name in ("_apply", "_recurse", "_by_column"):
+        monkeypatch.setattr(ring.MultiplicationTable, name, refuse)
+    assert check_commutativity(loaded) == []
