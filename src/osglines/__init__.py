@@ -9,11 +9,11 @@ products with the class tau[1,1] admits only the trivial deformation.
 All arithmetic is exact rational arithmetic.
 """
 
-from .algebra import AffineExpression, ClassVector, QuadraticTermError
+from .algebra import AffineExpression, ClassVector
 from .basis import (betti_numbers, degree, enumerate_basis, enumerate_degree,
                     is_valid, max_degree, top_class)
 from .certify import (Certificate, ConstraintSystem, MismatchError,
-                      ResourceLimitError, build_constraints,
+                      QuadraticTermError, ResourceLimitError, build_constraints,
                       certify_uniqueness, replay_proof, verify_certificate,
                       CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO)
 from .deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR,

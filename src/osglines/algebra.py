@@ -8,31 +8,23 @@ q-coefficient of a class is the slice of the map at that class's index.
 Everything is exact: a class vector's coefficients are rationals
 (`fractions.Fraction`), and an affine form keeps each integral value as an
 int and any other as a `Fraction`.  There is no floating point anywhere.
-Coefficients may also be `AffineExpression` values, which is how symbolic
-computations with unknown deformation coefficients are carried out.
-Multiplying two expressions that both contain unknowns raises
-`QuadraticTermError`: nothing in this package is allowed to leave the affine
-world.
+An `AffineExpression` is a record, not a number: it is the row type of route
+A's constraint systems and of the certificate reader, and it is never a
+coefficient of a class vector.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import Index, check_index, degree, index_sort_key, is_valid
-
-
-class QuadraticTermError(ArithmeticError):
-    """Product of two expressions that both contain unknowns."""
+from .basis import Index, check_index, degree, index_pair, index_sort_key, is_valid
 
 
 def as_coeff(x):
-    """Coerce to an exact coefficient (Fraction or AffineExpression)."""
+    """Coerce an int or a Fraction to a Fraction coefficient."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, AffineExpression):
-        return x
     raise TypeError(f"not an exact coefficient: {x!r}")
 
 
@@ -72,62 +64,13 @@ class AffineExpression:
                 lin[key] = val
         self.linear = lin
 
-    @classmethod
-    def unknown(cls, key) -> "AffineExpression":
-        return cls(0, {key: 1})
-
-    def is_constant(self) -> bool:
-        return not self.linear
-
-    def __bool__(self) -> bool:
-        return bool(self.constant) or bool(self.linear)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, AffineExpression):
-            return self.constant == other.constant and self.linear == other.linear
-        if isinstance(other, (int, Fraction)):
-            return not self.linear and self.constant == other
-        return NotImplemented
+        if not isinstance(other, AffineExpression):
+            return NotImplemented
+        return self.constant == other.constant and self.linear == other.linear
 
     def __hash__(self):
         return hash((self.constant, frozenset(self.linear.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffineExpression(self.constant + other, self.linear)
-        if isinstance(other, AffineExpression):
-            lin = dict(self.linear)
-            for k, v in other.linear.items():
-                lin[k] = lin.get(k, 0) + v
-            return AffineExpression(self.constant + other.constant, lin)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineExpression(-self.constant, {k: -v for k, v in self.linear.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffineExpression(self.constant * other,
-                                    {k: v * other for k, v in self.linear.items()})
-        if isinstance(other, AffineExpression):
-            if self.linear and other.linear:
-                raise QuadraticTermError(
-                    f"product of two non-constant affine expressions: "
-                    f"({self}) * ({other})")
-            if other.linear:
-                return other * self.constant
-            return self * other.constant
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def evaluate(self, assignment):
         """The exact value at `assignment` ({key: int or Fraction}, missing keys 0)."""
@@ -208,11 +151,12 @@ class ClassVector:
         """Build from (index, coefficient, q-exponent) triples.
 
         Index pairs outside the valid set contribute nothing; the expansion
-        formulas rely on this zero convention.
+        formulas rely on this zero convention.  A component that is not an
+        int is refused as by `check_index`.
         """
         acc: dict = {}
         for lam, coeff, d in terms:
-            lam = (int(lam[0]), int(lam[1]))
+            lam = index_pair(n, lam)
             if not is_valid(n, lam):
                 continue
             _check_exponent(d)

@@ -9,7 +9,7 @@ Classes of IG(2, 2n+1) are indexed by pairs (l1, l2) of integers subject to
 The cohomological degree of an index is l1 + l2; the top degree is 4n-3.
 Each degree slice is generated directly, and the basis is the slices in
 order of degree.  `check_index` is the one place an index given from outside
-is validated.
+is validated; `ClassVector.from_terms` shares its first step, `index_pair`.
 """
 from __future__ import annotations
 
@@ -56,9 +56,22 @@ def is_valid(n: int, lam) -> bool:
     return True
 
 
+def index_pair(n: int, lam) -> Index:
+    """lam as a pair of ints.  A component may be an int or a string naming
+    one; any other (a float or a bool, which int() would truncate) is
+    refused with `check_index`'s error."""
+    l1, l2 = lam[0], lam[1]
+    if type(l1) is not int or type(l2) is not int:
+        if any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in (l1, l2)):
+            raise ValueError(f"index {tuple(lam)} is not valid for rank {n}")
+        l1, l2 = int(l1), int(l2)
+    return (l1, l2)
+
+
 def check_index(n: int, lam) -> Index:
-    """lam as a pair of ints; ValueError unless it is a class of rank n."""
-    lam = (int(lam[0]), int(lam[1]))
+    """lam as a pair of ints (`index_pair`); ValueError unless it is a class
+    of rank n."""
+    lam = index_pair(n, lam)
     if not is_valid(n, lam):
         raise ValueError(f"index {lam} is not valid for rank {n}")
     return lam

@@ -20,10 +20,10 @@ in the certificate and can be re-checked by plain weighted summation
 
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
 multiply sigma[lam] by the matching power of sigma[1,1] so that everything
-collapses into the quantum range, compare the engine's symbolic expansion
-with the closed-form display it is supposed to equal (built from the
-collapse and shift identities stated in `ring`), and read the sign
-deductions off that display.  Degree 2n classes are settled first, higher
+collapses into the quantum range, compare the engine's expansion (affine
+in the unknowns) with the closed-form display it is supposed to equal
+(built from the collapse and shift identities stated in `ring`), and read
+the sign deductions off that display.  Degree 2n classes are settled first, higher
 degrees by induction: the Pieri-lower step multiplies sigma[1,1] by
 sigma[pred] = tau[pred], since pred lies below degree 2n or in a degree
 already settled.
@@ -32,8 +32,8 @@ Every displayed identity is checked termwise; a discrepancy raises
 
 The two routes share no arithmetic.  Route A reads no table product: it
 sums each row on ints from the Pieri rule into an `AffineExpression`; route
-B reads only the table's int products and keeps each symbolic vector as one
-int dict, split by unknown, where a quadratic term would raise
+B reads only the table's int products and keeps each vector as one int
+dict, split by unknown, where a quadratic term would raise
 `QuadraticTermError` and is treated as a bug, never ignored.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .algebra import AffineExpression, QuadraticTermError, exact, sorted_terms
+from .algebra import AffineExpression, exact, sorted_terms
 from .basis import degree, enumerate_basis, enumerate_degree, is_valid, max_degree
 from .deformation import MODE_PER_PAIR, MODES, mu_keys, pair_keys
 from .pieri import _tau11_raw
@@ -55,6 +55,10 @@ DEFAULT_ROW_LIMIT = 200_000
 
 class ResourceLimitError(RuntimeError):
     """The constraint count or an elimination exceeded the working-row ceiling."""
+
+
+class QuadraticTermError(ArithmeticError):
+    """Route B met a product of two terms that both carry unknowns."""
 
 
 class MismatchError(RuntimeError):
@@ -456,7 +460,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Route B: structured replay of the uniqueness argument
 #
-# Route B keeps its own arithmetic, on ints.  A symbolic vector is one dict
+# Route B keeps its own arithmetic, on ints.  A vector is one int dict
 # {(nu, d, u): int}: the coefficient of q^d at the class nu, split by
 # unknown, with u None for the constant part and the key (lam, kap) of the
 # unknown a(lam, kap) otherwise; zeros are dropped.  Everything the replay
@@ -469,7 +473,7 @@ ReplayReport = namedtuple("ReplayReport", "n steps unknowns all_zero conclusion 
 
 
 def _times(table: MultiplicationTable, x: dict, y: dict) -> dict:
-    """x * y for symbolic vectors in tau coordinates, by the table's int products."""
+    """x * y for int vectors in tau coordinates, by the table's int products."""
     acc: dict = {}
     for (nu1, d1, u1), c1 in x.items():
         for (nu2, d2, u2), c2 in y.items():
@@ -504,7 +508,7 @@ def _to_sigma(n: int, slices: list, v: dict) -> dict:
 
 
 def _display(n: int, terms) -> dict:
-    """The symbolic vector of (index, coeff, q-exponent, unknown) terms; an
+    """The int vector of (index, coeff, q-exponent, unknown) terms; an
     index outside the index set contributes nothing, the zero convention of
     the closed forms (as in `ClassVector.from_terms`)."""
     acc: dict = {}
@@ -563,7 +567,7 @@ def replay_proof(table: MultiplicationTable) -> ReplayReport:
       pair-upper          degrees above 2n: the collapsed product exposes
                           -a per correction class, or adjacent sums -(a+a')
 
-    Every vector, engine side and display side, is a symbolic int vector
+    Every vector, engine side and display side, is an int vector
     {(nu, d, u): int} (u None for the constant, else the unknown's key):
     the engine multiplies the table's int products (`MultiplicationTable.terms`)
     and changes basis by the corrections a(lam, kap) q sigma[kap], and the

@@ -15,15 +15,18 @@ Two indexing modes for the coefficients are supported:
   per-mu    one coefficient per correction class mu, shared by every lam of
             the matching degree -- the restricted reading.
 
-Coefficient values may be rationals or affine expressions in named unknowns;
-the latter are the tests' reference for the constraint rows of `certify`.
+Coefficient values are exact numbers (ints or Fractions, kept as Fractions).
+Route A of `certify` writes each positivity coefficient directly as an
+affine form in the unknown coefficients, by a closed form of the Pieri rule;
+`positivity_terms`, which expands the products for one numeric deformation,
+is its independent reference in the tests.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import AffineExpression, ClassVector, as_coeff
+from .algebra import ClassVector, as_coeff
 from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
                     enumerate_basis, enumerate_degree, index_sort_key, max_degree,
                     MIN_RING_RANK)
@@ -92,18 +95,6 @@ class DeformationSpec:
     @classmethod
     def zero(cls, n: int, mode: str = MODE_PER_PAIR) -> "DeformationSpec":
         return cls(n, mode)
-
-    @classmethod
-    def symbolic(cls, n: int, mode: str = MODE_PER_PAIR) -> "DeformationSpec":
-        """Every legal key mapped to its own unknown."""
-        if mode == MODE_PER_PAIR:
-            entries = {k: AffineExpression.unknown(k) for k in pair_keys(n)}
-        else:
-            entries = {k: AffineExpression.unknown(k) for k in mu_keys(n)}
-        return cls(n, mode, entries)
-
-    def is_numeric(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.entries.values())
 
     def coefficient(self, lam, mu):
         lam, mu = tuple(lam), tuple(mu)
@@ -186,8 +177,6 @@ PositivityReport = namedtuple("PositivityReport", "passes violations")
 def check_positivity(spec: DeformationSpec, table: MultiplicationTable) -> PositivityReport:
     """Do all products of sigma[1,1] with basis sigma classes have nonnegative
     coefficients in the sigma basis?"""
-    if not spec.is_numeric():
-        raise ValueError("positivity check needs a numeric deformation")
     violations = [(mu, nu, d, c) for mu, nu, d, c in positivity_terms(spec, table)
                   if c < 0]
     return PositivityReport(not violations, violations)

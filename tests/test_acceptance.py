@@ -223,7 +223,8 @@ def test_criterion_8_affinity_audit(table3, table4, table5, table6):
     ok = True
     for table in (table3, table4, table5, table6):
         for mode in (MODE_PER_PAIR, MODE_PER_MU):
-            # any quadratic term raises QuadraticTermError inside
+            # route A multiplies nothing: each row is summed from the Pieri
+            # rule, so it is affine by construction; the audit checks its type
             system = build_constraints(table, mode)
             for expr in system.constraints:
                 ok = ok and isinstance(expr, AffineExpression) and bool(expr.linear)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines.algebra import AffineExpression, ClassVector, QuadraticTermError
+from osglines.algebra import AffineExpression, ClassVector
 from osglines.basis import enumerate_basis
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -14,26 +14,10 @@ def qpolys():
     return st.dictionaries(exponents, fractions, max_size=4)
 
 
-def affines():
-    keys = st.sampled_from(["a", "b", "c"])
-    return st.tuples(fractions,
-                     st.dictionaries(keys, fractions, max_size=3)) \
-             .map(lambda t: AffineExpression(t[0], t[1]))
-
-
 def class_vectors(n=3):
     idx = st.sampled_from(enumerate_basis(n))
     return st.dictionaries(idx, qpolys(), max_size=4) \
              .map(lambda d: ClassVector(n, d))
-
-
-@settings(max_examples=80, deadline=None)
-@given(affines(), affines(), fractions)
-def test_affine_laws(e, f, c):
-    assert e + f == f + e
-    assert (e + f) * c == e * c + f * c
-    assert e - e == AffineExpression(0)
-    assert -(-e) == e
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,27 +35,12 @@ def test_cancellation_example():
     assert (v + w).is_zero()
 
 
-def test_affine_scaling_example():
-    e = AffineExpression(2, {"a": 3})
-    scaled = e * Fraction(1, 3)
-    assert scaled == AffineExpression(Fraction(2, 3), {"a": 1})
-
-
 def test_coefficient_extraction():
     v = ClassVector(3, {(1, 0): {1: 5, 0: 2}})
     assert v.coefficient((1, 0), 0) == 2
     assert v.coefficient((1, 0), 1) == 5
     assert ClassVector.zero(3).coefficient((1, 0), 0) == 0
     assert v.coefficient((2, 0), 0) == 0
-
-
-def test_quadratic_product_raises():
-    a = AffineExpression.unknown("a")
-    b = AffineExpression.unknown("b")
-    with pytest.raises(QuadraticTermError):
-        a * b
-    # constant * unknown stays affine
-    assert AffineExpression(2) * a == AffineExpression(0, {"a": 2})
 
 
 def test_affine_evaluation():
@@ -103,6 +72,24 @@ def test_invalid_index_rejected():
         ClassVector(3, {(1, 0): {-1: 1}})
     with pytest.raises(TypeError, match="exact coefficient"):
         ClassVector(3, {(1, 0): {0: 0.5}})
+
+
+def test_affine_expression_is_not_a_coefficient():
+    with pytest.raises(TypeError, match="exact coefficient"):
+        ClassVector(3, {(1, 0): AffineExpression(0, {"a": 1})})
+    with pytest.raises(TypeError, match="exact coefficient"):
+        ClassVector.basis(3, (1, 0), coeff=AffineExpression(2))
+
+
+def test_float_and_bool_index_components_refused():
+    # int() would truncate 1.7 to 1 and read True as 1
+    for lam in ((1.7, 0), (1.0, 0), (True, 0), (1, False)):
+        with pytest.raises(ValueError, match="is not valid for rank 3$"):
+            ClassVector(3, {lam: 1})
+        with pytest.raises(ValueError, match="is not valid for rank 3$"):
+            ClassVector.from_terms(3, [(lam, 1, 0)])
+    # an out-of-range int index still contributes nothing
+    assert ClassVector.from_terms(3, [((9, 0), 1, 0)]).is_zero()
 
 
 def test_bare_coefficient_is_a_constant():

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from osglines.algebra import AffineExpression, ClassVector, QuadraticTermError
-from osglines.basis import degree
+import osglines
+from osglines.algebra import AffineExpression, ClassVector
+from osglines.basis import degree, index_sort_key
 from osglines import certify
 from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
                               CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO,
-                              DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
+                              DEFAULT_ROW_LIMIT, MismatchError, QuadraticTermError,
+                              ResourceLimitError,
                               build_constraints, certify_uniqueness,
                               replay_proof, verify_certificate)
 from osglines.deformation import (MODE_PER_MU, MODE_PER_PAIR, DeformationSpec,
-                                  pair_keys, positivity_terms)
+                                  mu_keys, pair_keys, positivity_terms)
 from osglines.ring import MultiplicationTable, build_table, lazy_table
 from osglines.serialize import save_certificate
 
@@ -260,12 +262,16 @@ def test_replay_reads_every_sign_off_the_display(table4):
 
 
 def test_quadratic_guard_is_active(table3):
-    # multiplying two symbolically deformed classes of high degree would need
-    # a quadratic term; the algebra layer must refuse rather than mis-expand
-    from osglines.deformation import DeformationSpec, deformed_product
-    spec = DeformationSpec.symbolic(3, MODE_PER_PAIR)
-    with pytest.raises(QuadraticTermError):
-        deformed_product(spec, table3, (4, 2), (4, 2))
+    # route B is the only raiser, and raises the class the package exports:
+    # in its product of two symbolic vectors ...
+    assert osglines.QuadraticTermError is QuadraticTermError
+    a, b = {((0, 0), 0, "a"): 1}, {((0, 0), 0, "b"): 1}
+    with pytest.raises(osglines.QuadraticTermError, match="two terms with unknowns"):
+        certify._times(table3, a, b)
+    # ... and in its change of basis, on a tampered table
+    tampered = _tampered(table3, (1, 0), (1, 1), {((5, 1), 0): 1})
+    with pytest.raises(osglines.QuadraticTermError, match="correction of the term"):
+        replay_proof(tampered)
 
 
 def test_propagation_agrees_with_fm(table3, table4, table5, table6):
@@ -384,21 +390,62 @@ def test_build_constraints_reads_no_table_product(monkeypatch):
 
 
 def test_constraints_match_the_symbolic_expansion(table3, table4, table5, table6):
-    # the oracle: expand sigma[1,1] * sigma[mu] with a symbolic deformation on
-    # the table and keep each coefficient that has unknowns, in scan order
+    # the oracle: the affine expansion of every coefficient of sigma[1,1] *
+    # sigma[mu], read off numeric deformations on the table.  A row's constant
+    # is its coefficient under the zero spec, and its entry for unknown k is
+    # the coefficient under the unit spec {k: 1} less that constant; the rows
+    # are the coefficients with a nonzero linear part, in scan order
     tables = {t.n: t for t in (table3, table4, table5, table6)}
     for n in range(3, 9):
         table = tables.get(n) or lazy_table(n)
+        pos = {mu: i for i, mu in enumerate(table.basis)}
         for mode in (MODE_PER_PAIR, MODE_PER_MU):
-            spec = DeformationSpec.symbolic(n, mode)
-            rows = [(c, (mu, nu, d)) for mu, nu, d, c in positivity_terms(spec, table)
-                    if isinstance(c, AffineExpression) and not c.is_constant()]
+            keys = pair_keys(n) if mode == MODE_PER_PAIR else mu_keys(n)
+
+            def coefficients(entries):
+                spec = DeformationSpec(n, mode, entries)
+                return {(mu, nu, d): c for mu, nu, d, c in positivity_terms(spec, table)}
+
+            constant = coefficients({})
+            linear = {}
+            for k in keys:
+                unit = coefficients({k: 1})
+                for p in unit.keys() | constant.keys():
+                    if v := unit.get(p, 0) - constant.get(p, 0):
+                        linear.setdefault(p, {})[k] = v
+            rows = sorted(linear, key=lambda p: (pos[p[0]], index_sort_key(p[1]), p[2]))
             system = build_constraints(table, mode)
-            assert system.unknowns == tuple(spec.entries)
-            assert system.provenance == tuple(p for _, p in rows)
-            # the same rows, each unknown entering in the same order
-            assert [(e.constant, list(e.linear.items())) for e in system.constraints] \
-                == [(c.constant, list(c.linear.items())) for c, _ in rows]
+            assert system.unknowns == tuple(keys)
+            assert system.provenance == tuple(rows)
+            assert [(e.constant, e.linear) for e in system.constraints] \
+                == [(constant.get(p, 0), linear[p]) for p in rows]
+
+
+# sha256 of repr([(constant, list(linear.items()))]) of build_constraints(
+# lazy_table(n), mode): each row's unknowns in the order its terms insert
+# them, which `_propagate` reads; computed while the symbolic expansion was
+# the oracle and pinned each row's insertion order
+ROW_ORDER_DIGESTS = {
+    (3, MODE_PER_PAIR): "5dcf116eb798292053b93d6a0920fb3834e9faa2fa4313ba93491a98dbc1cd13",
+    (4, MODE_PER_PAIR): "d0649b24edfe9d0a0315b31115c6be03744835d7680cd5acef1803aab3c470c9",
+    (5, MODE_PER_PAIR): "93deff1b2fdeefdfc363103f273c35d18c51c886bc4bb3a7afe6155cd241064a",
+    (6, MODE_PER_PAIR): "02d596e6117692c30542cf68cccc473ddf97afd2e80f4ad73f0a1daa967e4a7d",
+    (7, MODE_PER_PAIR): "7fd65032ebc62cb36f2b2358b877a4971418e987affdc019806358581e3e2786",
+    (8, MODE_PER_PAIR): "82584e29e60d763fead20089415bb6a32d154fbaf97f48d28a56e29c118319d7",
+    (3, MODE_PER_MU): "c4bfa9aadab786cba3a245af4ff0ccc9d7d1cca0b03bfa1f61ba4dbb37b43306",
+    (4, MODE_PER_MU): "1058177da30bf141cc51ccef8effa0cafba443b7173c71b479aa2c380532768e",
+    (5, MODE_PER_MU): "e4677dd3ef7d21e6cb35508ede4b2788b64eeb3f0936694f6e5dd16cc783b3fe",
+    (6, MODE_PER_MU): "0656a8ff22db251705f4f0726abd654e864d4a9c1a8cd96aac2f5c7763840007",
+    (7, MODE_PER_MU): "c0bfb2600a36289cad22d6a198a244f561140836abcc32e485b352fcdb641a4c",
+    (8, MODE_PER_MU): "aa76c837c8f7d81a7ec2f4d5485ae3d47be2f16e7cc75e8e441f45fae74bac25",
+}
+
+
+def test_constraint_rows_keep_their_insertion_order():
+    for (n, mode), digest in ROW_ORDER_DIGESTS.items():
+        s = build_constraints(lazy_table(n), mode)
+        text = repr([(c.constant, list(c.linear.items())) for c in s.constraints])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, mode)
 
 
 # sha256 of repr((unknowns, [(constant, sorted linear part)], provenance)) of

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines.algebra import ClassVector
+from osglines.algebra import AffineExpression, ClassVector
 from osglines.basis import degree, enumerate_basis, enumerate_degree
 from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR, MODES,
                                   check_positivity, deformed_product, mu_keys,
@@ -47,8 +47,14 @@ def test_single_entry_example():
             assert sig[lam] == ClassVector.basis(3, lam)
 
 
+def full_spec(n, mode):
+    """Every legal key set to its own nonzero value (1, 2, 3, ... in key order)."""
+    keys = pair_keys(n) if mode == MODE_PER_PAIR else mu_keys(n)
+    return DeformationSpec(n, mode, {k: i for i, k in enumerate(keys, 1)})
+
+
 def test_low_degree_classes_never_corrected():
-    spec = DeformationSpec.symbolic(3, MODE_PER_PAIR)
+    spec = full_spec(3, MODE_PER_PAIR)
     sig = sigma_from_tau(spec)
     for lam in enumerate_basis(3):
         if degree(lam) < 6:
@@ -72,7 +78,9 @@ def test_corrections_equal_the_slice_scan(spec):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symbolic_corrections_equal_the_slice_scan(n, mode):
-    spec = DeformationSpec.symbolic(n, mode)
+    # every key corrects, each by its own value, so a misplaced or repeated
+    # correction shows
+    spec = full_spec(n, mode)
     for lam in enumerate_basis(n):
         assert list(spec.corrections(lam)) == slice_scan(spec, lam)
 
@@ -89,6 +97,12 @@ def test_malformed_keys_rejected():
         DeformationSpec(3, MODE_PER_MU, {(4, 0): Fraction(1)})
     with pytest.raises(ValueError):
         DeformationSpec(3, "other", {})
+    # a float or bool component is refused, not truncated: int() would read
+    # (5.5, 1) as (5, 1), a legal key
+    for mode, key in ((MODE_PER_PAIR, ((5.5, 1), (0, 0))), (MODE_PER_PAIR, ((5, 1), (0.0, 0))),
+                      (MODE_PER_PAIR, ((5, 1), (False, 0))), (MODE_PER_MU, (True, 0))):
+        with pytest.raises(ValueError, match="malformed key .*is not valid for rank 3$"):
+            DeformationSpec(3, mode, {key: 1})
 
 
 def test_zero_values_dropped():
@@ -139,9 +153,14 @@ def test_positivity_failure_example(table3):
     assert ((4, 0), (0, 0), 1, Fraction(-1)) in report.violations
 
 
-def test_positivity_requires_numeric_spec(table3):
-    with pytest.raises(ValueError, match="numeric"):
-        check_positivity(DeformationSpec.symbolic(3), table3)
+def test_positivity_requires_numeric_spec():
+    # a spec holds exact numbers only, so check_positivity never sees another
+    with pytest.raises(TypeError, match="exact coefficient"):
+        DeformationSpec(3, MODE_PER_PAIR, {((5, 1), (0, 0)): AffineExpression(0, {"a": 1})})
+    with pytest.raises(TypeError, match="exact coefficient"):
+        DeformationSpec(3, MODE_PER_MU, {(0, 0): AffineExpression(1)})
+    with pytest.raises(TypeError, match="exact coefficient"):
+        DeformationSpec(3, MODE_PER_PAIR, {((5, 1), (0, 0)): 0.5})
 
 
 @settings(max_examples=25, deadline=None)
