@@ -17,28 +17,22 @@ at once too, since such a table costs only its basis.
 The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
 directory for a default cache file.
+
+Each call imports only the modules its subcommand runs: at the top this
+module imports only `serialize`, which writes the output, and `algebra`,
+which `serialize` loads anyway; each handler imports the engine modules it
+calls, and `certify`'s parser declares the flags whose choices and defaults
+live in the engine when it first parses.
 """
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
-from .algebra import ClassVector
-from .basis import (betti_numbers, check_index, check_ring_rank,
-                    enumerate_basis, enumerate_degree, max_degree, top_class)
-from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
-                      build_constraints, certify_uniqueness, replay_proof,
-                      verify_certificate)
-from .deformation import MODE_PER_PAIR, MODES, check_positivity
-from .expr import ExpressionSyntaxError, evaluate_expression, parse_expression
-from .pieri import pieri_tau1, pieri_tau11
-from .ring import (IDENTITY_PARTS, build_table, check_commutativity,
-                   gw_constant, has_negative_constant, lazy_table, multiply,
-                   pairing_rank, revalidate_table, verify_identities)
 from . import serialize
+from .algebra import ClassVector
 
 SUITES = ("identities", "assoc", "pairing", "betti", "negativity")
 ASSOC_SAMPLES = 10_000
@@ -116,6 +110,7 @@ def _emit(args, payload: dict, text_lines, latex: str):
 
 
 def _cmd_basis(args):
+    from .basis import enumerate_basis, enumerate_degree
     if args.degree is None:
         indices = enumerate_basis(args.n)
     else:
@@ -129,6 +124,8 @@ def _cmd_basis(args):
 
 
 def _cmd_mult(args):
+    from .expr import evaluate_expression, parse_expression
+    from .ring import lazy_table
     ast = parse_expression(args.expression)
     result = evaluate_expression(ast, lazy_table(args.n))
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
@@ -138,6 +135,7 @@ def _cmd_mult(args):
 
 
 def _cmd_pieri(args):
+    from .pieri import pieri_tau1, pieri_tau11
     fn = pieri_tau1 if args.cls == "1" else pieri_tau11
     result = fn(args.n, args.with_index)
     payload = {"command": "pieri", "n": args.n, "class": args.cls,
@@ -148,6 +146,8 @@ def _cmd_pieri(args):
 
 
 def _cmd_gw(args):
+    from .basis import check_index
+    from .ring import gw_constant, lazy_table
     for idx in (args.lam, args.mu, args.nu):
         check_index(args.n, idx)
     if args.d < 0:
@@ -162,6 +162,9 @@ def _cmd_gw(args):
 
 
 def _suite_checks(args, table):
+    from .basis import betti_numbers, enumerate_degree, max_degree, top_class
+    from .ring import (IDENTITY_PARTS, check_commutativity, has_negative_constant,
+                       multiply, pairing_rank, verify_identities)
     n = args.n
     checks = []
     if args.suite == "identities":
@@ -176,6 +179,7 @@ def _suite_checks(args, table):
         if n <= 3:
             triples = [(x, y, z) for x in basis for y in basis for z in basis]
         else:
+            import random
             rng = random.Random(ASSOC_SEED + n)
             triples = [tuple(rng.choice(basis) for _ in range(3))
                        for _ in range(ASSOC_SAMPLES)]
@@ -233,6 +237,7 @@ def _suite_checks(args, table):
 
 
 def _cmd_verify(args):
+    from .ring import lazy_table
     checks = _suite_checks(args, lazy_table(args.n))
     passed = all(c["passed"] for c in checks)
     payload = {"command": "verify", "n": args.n, "suite": args.suite,
@@ -247,7 +252,23 @@ def _cmd_verify(args):
     return 0 if passed else 1
 
 
+def _certify_flags(p):
+    from .certify import DEFAULT_ROW_LIMIT
+    from .deformation import MODE_PER_PAIR, MODES
+    p.add_argument("--mode", choices=MODES, default=MODE_PER_PAIR)
+    p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
+    p.add_argument("--emit-certificate", metavar="PATH", default=None)
+    p.add_argument("--max-rows", type=int, default=DEFAULT_ROW_LIMIT,
+                   help="working-row ceiling for route A (sign propagation "
+                        "with Farkas weights, falling back to FM for any "
+                        "unknown it leaves open): bounds the initial "
+                        "constraint count and every FM intermediate system")
+
+
 def _cmd_certify(args):
+    from .certify import (MismatchError, ResourceLimitError, build_constraints,
+                          certify_uniqueness, replay_proof, verify_certificate)
+    from .ring import lazy_table
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")
     if args.max_rows < 1:
@@ -255,21 +276,29 @@ def _cmd_certify(args):
     table = lazy_table(args.n)
     results = []
     cert_path = None
-    if args.method in ("fm", "both"):
-        system = build_constraints(table, args.mode)
-        cert = certify_uniqueness(system, max_rows=args.max_rows)
-        verified = verify_certificate(system, cert)
-        results.append({"method": "fm", "conclusion": cert.conclusion,
-                        "verified": verified,
-                        "unknowns": len(system.unknowns)})
-        if args.emit_certificate:
-            serialize.save_certificate(cert, system, args.emit_certificate)
-            cert_path = args.emit_certificate
-    if args.method in ("replay", "both"):
-        report = replay_proof(table)
-        results.append({"method": "replay", "conclusion": report.conclusion,
-                        "steps": len(report.steps),
-                        "unknowns": len(report.unknowns)})
+    try:
+        if args.method in ("fm", "both"):
+            system = build_constraints(table, args.mode)
+            cert = certify_uniqueness(system, max_rows=args.max_rows)
+            verified = verify_certificate(system, cert)
+            results.append({"method": "fm", "conclusion": cert.conclusion,
+                            "verified": verified,
+                            "unknowns": len(system.unknowns)})
+            if args.emit_certificate:
+                serialize.save_certificate(cert, system, args.emit_certificate)
+                cert_path = args.emit_certificate
+        if args.method in ("replay", "both"):
+            report = replay_proof(table)
+            results.append({"method": "replay", "conclusion": report.conclusion,
+                            "steps": len(report.steps),
+                            "unknowns": len(report.unknowns)})
+    except (ResourceLimitError, MismatchError) as exc:  # a mathematical failure: exit 1
+        if args.format == "json":
+            sys.stdout.write(serialize.canonical_dumps(
+                {"command": args.command, "error": str(exc)}))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
     agree = len({r["conclusion"] for r in results}) == 1
     payload = {"command": "certify", "n": args.n, "mode": args.mode,
                "method": args.method, "results": results, "agree": agree,
@@ -285,6 +314,9 @@ def _cmd_certify(args):
 
 
 def _cmd_check_positivity(args):
+    from .basis import check_ring_rank
+    from .deformation import check_positivity
+    from .ring import lazy_table
     check_ring_rank(args.n)
     spec = serialize.load_spec(args.spec)
     if spec.n != args.n:
@@ -317,6 +349,7 @@ def _default_cache_path(n: int):
 
 
 def _cmd_table(args):
+    from .ring import build_table, revalidate_table
     if args.revalidate and not args.load:
         raise ValueError("--revalidate needs --load: a built table is not revalidated")
     saved_to = args.out or (None if args.load else _default_cache_path(args.n))
@@ -351,12 +384,29 @@ def _cmd_table(args):
 # ---------------------------------------------------------------------------
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser.  `declare(parser)`, when given, adds flags whose
+    choices or defaults come from engine modules, as the parser first parses
+    (which its `--help` does too), so no other subcommand imports them."""
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osglines",
         description="Exact quantum cohomology of the odd symplectic "
                     "Grassmannian of lines IG(2, 2n+1).")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
 
     def common(p):
         p.add_argument("--n", type=int, required=True, metavar="N",
@@ -392,17 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.set_defaults(handler=_cmd_verify)
 
-    p = common(sub.add_parser("certify",
+    p = common(sub.add_parser("certify", declare=_certify_flags,
                               help="certify that positivity forces the "
                                    "trivial deformation"))
-    p.add_argument("--mode", choices=MODES, default=MODE_PER_PAIR)
-    p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
-    p.add_argument("--emit-certificate", metavar="PATH", default=None)
-    p.add_argument("--max-rows", type=int, default=DEFAULT_ROW_LIMIT,
-                   help="working-row ceiling for route A (sign propagation "
-                        "with Farkas weights, falling back to FM for any "
-                        "unknown it leaves open): bounds the initial "
-                        "constraint count and every FM intermediate system")
     p.set_defaults(handler=_cmd_certify)
 
     p = common(sub.add_parser("check-positivity",
@@ -426,14 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ResourceLimitError, MismatchError) as exc:
-        if args.format == "json":
-            sys.stdout.write(serialize.canonical_dumps(
-                {"command": args.command, "error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ExpressionSyntaxError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # an ExpressionSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

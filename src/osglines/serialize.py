@@ -14,6 +14,11 @@ Loading validates the document shape and turns every defect into a
 one-line `ValueError`.  Saving writes a temporary file in the target's
 directory and renames it over the target, so a reader never sees a
 half-written file, even in a shared cache directory.
+
+Only `algebra` and `basis` are imported with this module, so writing a CLI
+document loads no other part of the engine; the readers import `ring`,
+`deformation` and `certify` where they build a table, a spec or a
+certificate.
 """
 from __future__ import annotations
 
@@ -22,13 +27,15 @@ import json
 import os
 import re
 from fractions import Fraction
-from importlib import resources
 
 from .algebra import AffineExpression, ClassVector, exact, sorted_terms
 from .basis import enumerate_basis
-from .certify import Certificate, BoundProof, ConstraintSystem
-from .deformation import DeformationSpec, MODE_PER_PAIR, MODES
-from .ring import MultiplicationTable, revalidate_table
+
+TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
+if TYPE_CHECKING:
+    from .certify import Certificate, ConstraintSystem
+    from .deformation import DeformationSpec
+    from .ring import MultiplicationTable
 
 TABLE_FORMAT_VERSION = 1
 
@@ -176,6 +183,7 @@ def _table_fragments(table: MultiplicationTable):
 
 
 def table_from_dict(data: dict) -> MultiplicationTable:
+    from .ring import MultiplicationTable
     if not isinstance(data, dict):
         raise ValueError("table document is not a JSON object")
     version = data.get("version")
@@ -230,6 +238,7 @@ def save_table(table: MultiplicationTable, path):
 def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
     table = table_from_dict(_read_json(path))
     if revalidate:
+        from .ring import revalidate_table
         revalidate_table(table)
     return table
 
@@ -238,16 +247,26 @@ def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
 # deformation specs
 
 
-def _key_to_json(mode: str, key) -> dict:
-    """A deformation key (a spec entry's or a certificate unknown's) as JSON."""
-    if mode == MODE_PER_PAIR:
+def _mode(data, what: str):
+    """The document's coefficient mode, and whether it is the per-pair mode."""
+    from .deformation import MODE_PER_PAIR, MODES
+    mode = _field(data, "mode", what)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode, mode == MODE_PER_PAIR
+
+
+def _key_to_json(per_pair: bool, key) -> dict:
+    """A spec entry's deformation key as JSON."""
+    if per_pair:
         return {"lambda": _index(key[0]), "mu": _index(key[1])}
     return {"mu": _index(key)}
 
 
-def _key_from_json(mode: str, obj, what: str):
+def _key_from_json(mode: str, per_pair: bool, obj, what: str):
+    """A deformation key (a spec entry's or a certificate unknown's) from JSON."""
     mu = _as_index(_field(obj, "mu", what))
-    if mode == MODE_PER_PAIR:
+    if per_pair:
         return (_as_index(_field(obj, "lambda", what)), mu)
     if "lambda" in obj:
         raise ValueError(f"{what} has a 'lambda' field in {mode} mode")
@@ -255,20 +274,21 @@ def _key_from_json(mode: str, obj, what: str):
 
 
 def spec_to_dict(spec: DeformationSpec) -> dict:
-    entries = [{**_key_to_json(spec.mode, key), "a": format_rational(val)}
+    from .deformation import MODE_PER_PAIR
+    per_pair = spec.mode == MODE_PER_PAIR
+    entries = [{**_key_to_json(per_pair, key), "a": format_rational(val)}
                for key, val in spec.items()]
     return {"n": spec.n, "mode": spec.mode, "entries": entries}
 
 
 def spec_from_dict(data: dict) -> DeformationSpec:
+    from .deformation import DeformationSpec
     n = _as_int(_field(data, "n", "deformation spec"))
-    mode = _field(data, "mode", "deformation spec")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    mode, per_pair = _mode(data, "deformation spec")
     entries = {}
     for e in _field(data, "entries", "deformation spec", list):
         a = parse_rational(_field(e, "a", "spec entry"))
-        key = _key_from_json(mode, e, "spec entry")
+        key = _key_from_json(mode, per_pair, e, "spec entry")
         entries[key] = entries.get(key, Fraction(0)) + a
     return DeformationSpec(n, mode, entries)
 
@@ -301,10 +321,12 @@ def _json(obj, depth: int = 0) -> str:
 def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
     """`canonical_dumps` of the certificate document, byte for byte, as text
     fragments: one per unknown, bound, witness entry and constraint."""
+    from .deformation import MODE_PER_PAIR
     pos = {k: i for i, k in enumerate(system.unknowns)}
+    per_pair = cert.mode == MODE_PER_PAIR
 
     def unknown(key):
-        if cert.mode == MODE_PER_PAIR:
+        if per_pair:
             return (f'    {{\n      "lambda": {_pair_text(key[0], 3)},'
                     f'\n      "mu": {_pair_text(key[1], 3)}\n    }}')
         return f'    {{\n      "mu": {_pair_text(key, 3)}\n    }}'
@@ -347,11 +369,10 @@ def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
 
 def certificate_from_dict(data: dict):
     """Rebuild (certificate, constraint system) from a self-contained dump."""
+    from .certify import BoundProof, Certificate, ConstraintSystem
     n = _as_int(_field(data, "n", "certificate"))
-    mode = _field(data, "mode", "certificate")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    unknowns = tuple(_key_from_json(mode, u, "unknown")
+    mode, per_pair = _mode(data, "certificate")
+    unknowns = tuple(_key_from_json(mode, per_pair, u, "unknown")
                      for u in _field(data, "unknowns", "certificate", list))
     constraints = []
     provenance = []
@@ -397,6 +418,7 @@ def load_certificate(path):
 
 def load_schema(name: str) -> dict:
     """Load one of the shipped JSON schemas by file name."""
+    from importlib import resources
     text = resources.files("osglines").joinpath("schemas").joinpath(name) \
                     .read_text("utf-8")
     return json.loads(text)

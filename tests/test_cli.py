@@ -13,8 +13,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines import cli, serialize
-from osglines.certify import verify_certificate
+from osglines import certify, ring, serialize
+from osglines.certify import MismatchError, verify_certificate
 from osglines.cli import SUITES, main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 from osglines.expr import MAX_NESTING
@@ -95,7 +95,7 @@ def test_verify_suites(capsys, cli_schema, monkeypatch, suite):
     def refuse(n):
         raise AssertionError("verify built the full table")
 
-    monkeypatch.setattr(cli, "build_table", refuse)  # every suite reads lazy_table
+    monkeypatch.setattr(ring, "build_table", refuse)  # every suite reads lazy_table
     code, doc = run_json(capsys, cli_schema, "verify", "--n", "3",
                          "--suite", suite)
     assert code == 0
@@ -139,6 +139,20 @@ def test_certify_resource_cap_is_math_failure(capsys, cli_schema):
     assert "error" in doc
     code, _, err = run(capsys, "certify", "--n", "3", "--max-rows", "1")
     assert code == 1 and "error" in err
+
+
+def test_certify_mismatch_is_math_failure(capsys, cli_schema, monkeypatch):
+    def mismatch(table):
+        raise MismatchError("conclusion", "degree 5 unknowns not all settled")
+
+    monkeypatch.setattr(certify, "replay_proof", mismatch)
+    code, doc = run_json(capsys, cli_schema, "certify", "--n", "3",
+                         "--method", "replay")
+    assert code == 1
+    assert doc == {"command": "certify",
+                   "error": "conclusion: degree 5 unknowns not all settled"}
+    code, out, err = run(capsys, "certify", "--n", "3", "--method", "replay")
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_certify_max_rows_below_one_is_usage_error(capsys):
@@ -586,6 +600,100 @@ def test_cli_import_leaves_dataclasses_out():
                    "print('dataclasses' in sys.modules)", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Runs one CLI call in a fresh interpreter; prints its exit code, then the
+# osglines modules the call loaded.
+_LOADED_BY = ("import contextlib, io, sys\n"
+              "from osglines.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('osglines.')))")
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["basis", "--n", "3"], {"ring", "pieri", "deformation", "certify", "expr"}),
+    (["pieri", "--n", "3", "--class", "11", "--with", "5,3"],
+     {"ring", "deformation", "certify", "expr"}),
+    (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify"}),
+    (["gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"],
+     {"deformation", "certify"}),
+    (["check-positivity", "--n", "3", "--spec", "SPEC"], {"certify", "expr"}),
+    (["certify", "--n", "3", "--method", "both"], {"expr"}),
+    (["table", "--n", "3", "--out", "OUT"], {"deformation", "certify", "expr"}),
+    (["table", "--n", "3", "--load", "OUT", "--revalidate"],
+     {"deformation", "certify", "expr"}),
+    *((["verify", "--n", "3", "--suite", suite], {"deformation", "certify", "expr"})
+      for suite in SUITES),
+], ids=["basis", "pieri", "mult", "gw", "check-positivity", "certify", "table-out",
+        "table-load", *(f"verify-{suite}" for suite in SUITES)])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
+    spec, out = tmp_path / "spec.json", tmp_path / "t.json"
+    serialize.save_spec(DeformationSpec.zero(3), spec)
+    serialize.save_table(ring.lazy_table(3), out)
+    argv = [str(spec) if a == "SPEC" else str(out) if a == "OUT" else a for a in argv]
+    proc = _python("-c", _LOADED_BY, *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert not {f"osglines.{m}" for m in unused} & set(loaded)
+
+
+def test_help_exits_zero():
+    for argv in ([], ["certify"]):
+        proc = _python("-m", "osglines.cli", *argv, "--help", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: osglines")
+    # certify's flags are declared as its parser first parses
+    assert "--mode {per-pair,per-mu}" in proc.stdout and "--max-rows" in proc.stdout
+
+
+# The package namespace at the commit that made it lazy: every public name of
+# the parent, where `import osglines` imported every module.
+PACKAGE_NAMES = {
+    "algebra": ["AffineExpression", "ClassVector"],
+    "basis": ["betti_numbers", "degree", "enumerate_basis", "enumerate_degree",
+              "is_valid", "max_degree", "top_class"],
+    "certify": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "Certificate",
+                "ConstraintSystem", "MismatchError", "QuadraticTermError",
+                "ResourceLimitError", "build_constraints", "certify_uniqueness",
+                "replay_proof", "verify_certificate"],
+    "deformation": ["DeformationSpec", "MODE_PER_MU", "MODE_PER_PAIR",
+                    "check_positivity", "deformed_product", "sigma_from_tau",
+                    "to_sigma", "to_tau"],
+    "expr": ["ExpressionSyntaxError", "evaluate_expression", "format_expression",
+             "parse_expression"],
+    "pieri": ["pieri_tau1", "pieri_tau11", "tau11_case", "tau1_case"],
+    "ring": ["GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
+             "build_table", "check_commutativity", "diagonal_power", "gw_constant",
+             "has_negative_constant", "lazy_table", "multiply", "poincare_pairing",
+             "verify_identities"],
+    "serialize": ["load_certificate", "load_spec", "load_table", "save_certificate",
+                  "save_spec", "save_table"],
+}
+
+
+def test_package_namespace_is_lazy_and_complete():
+    proc = _python("-c", "import sys, osglines; "
+                   "print(*(m for m in sys.modules if m.startswith('osglines.')))",
+                   timeout=60)
+    assert proc.returncode == 0 and proc.stdout.split() == [], proc.stdout + proc.stderr
+
+    import importlib
+    import osglines
+    public = set(PACKAGE_NAMES)
+    for module, names in PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"osglines.{module}")
+        assert getattr(osglines, module) is mod
+        for name in names:
+            assert getattr(osglines, name) is getattr(mod, name), name
+        public.update(names)
+    assert public <= set(dir(osglines))
+    star = {}
+    exec("from osglines import *", star)
+    assert {k for k in star if not k.startswith("_")} == public
+    with pytest.raises(AttributeError):
+        osglines.no_such_name
 
 
 @pytest.mark.parametrize("argv", [
