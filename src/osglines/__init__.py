@@ -18,15 +18,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": ("AffineExpression", "ClassVector"),
-    "basis": ("betti_numbers", "degree", "enumerate_basis", "enumerate_degree",
-              "is_valid", "max_degree", "top_class"),
+    "basis": ("MODE_PER_MU", "MODE_PER_PAIR", "betti_numbers", "degree",
+              "enumerate_basis", "enumerate_degree", "is_valid", "max_degree",
+              "top_class"),
     "certify": ("Certificate", "ConstraintSystem", "MismatchError",
                 "QuadraticTermError", "ResourceLimitError", "build_constraints",
                 "certify_uniqueness", "replay_proof", "verify_certificate",
                 "CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO"),
-    "deformation": ("DeformationSpec", "MODE_PER_MU", "MODE_PER_PAIR",
-                    "check_positivity", "deformed_product", "sigma_from_tau",
-                    "to_sigma", "to_tau"),
+    "deformation": ("DeformationSpec", "check_positivity", "deformed_product",
+                    "sigma_from_tau", "to_sigma", "to_tau"),
     "expr": ("ExpressionSyntaxError", "evaluate_expression",
              "format_expression", "parse_expression"),
     "pieri": ("pieri_tau1", "pieri_tau11", "tau1_case", "tau11_case"),

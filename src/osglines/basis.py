@@ -10,6 +10,9 @@ The cohomological degree of an index is l1 + l2; the top degree is 4n-3.
 Each degree slice is generated directly, and the basis is the slices in
 order of degree.  `check_index` is the one place an index given from outside
 is validated; `ClassVector.from_terms` shares its first step, `index_pair`.
+
+The deformation unknowns are indices too: `pair_keys` in the per-pair mode,
+`mu_keys` in the per-mu mode; `check_mode` is the one place a mode is checked.
 """
 from __future__ import annotations
 
@@ -23,6 +26,10 @@ MIN_RING_RANK = 3  # products of the two special classes need (1,1) in the index
 # commands and by enumerate_basis (2n^2 classes); enumerate_degree costs
 # O(n) at any rank and is not capped
 MAX_RING_RANK = 1000
+
+MODE_PER_PAIR = "per-pair"
+MODE_PER_MU = "per-mu"
+MODES = (MODE_PER_PAIR, MODE_PER_MU)
 
 
 def check_rank(n: int, minimum: int = MIN_RANK) -> int:
@@ -77,6 +84,13 @@ def check_index(n: int, lam) -> Index:
     return lam
 
 
+def check_mode(mode) -> bool:
+    """Whether `mode` is the per-pair mode; ValueError unless it is in MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode == MODE_PER_PAIR
+
+
 def degree(lam) -> int:
     return lam[0] + lam[1]
 
@@ -124,3 +138,14 @@ def betti_numbers(n: int) -> list[int]:
     """Sizes of the degree slices, degrees 0..4n-3."""
     check_rank(n)
     return [len(enumerate_degree(n, d)) for d in range(max_degree(n) + 1)]
+
+
+def pair_keys(n: int) -> list[tuple[Index, Index]]:
+    """All legal (lam, mu) coefficient keys in canonical order."""
+    return [(lam, mu) for d in range(2 * n, max_degree(n) + 1)
+            for lam in enumerate_degree(n, d) for mu in enumerate_degree(n, d - 2 * n)]
+
+
+def mu_keys(n: int) -> list[Index]:
+    """All legal per-mu coefficient keys (classes that correct something)."""
+    return classes_in_degrees(n, range(2 * n - 2))

@@ -22,7 +22,7 @@ Route B (`replay_proof`) follows the structure of the uniqueness argument:
 multiply sigma[lam] by the matching power of sigma[1,1] so that everything
 collapses into the quantum range, compare the engine's expansion (affine
 in the unknowns) with the closed-form display it is supposed to equal
-(built from the collapse and shift identities stated in `ring`), and read
+(built from the collapse and shift identities stated in `pieri`), and read
 the sign deductions off that display.  Degree 2n classes are settled first, higher
 degrees by induction: the Pieri-lower step multiplies sigma[1,1] by
 sigma[pred] = tau[pred], since pred lies below degree 2n or in a degree
@@ -42,10 +42,13 @@ from collections import deque, namedtuple
 from fractions import Fraction
 
 from .algebra import AffineExpression, exact, sorted_terms
-from .basis import degree, enumerate_basis, enumerate_degree, is_valid, max_degree
-from .deformation import MODE_PER_PAIR, MODES, mu_keys, pair_keys
-from .pieri import _tau11_raw
-from .ring import MultiplicationTable, collapse_terms, power_class, shift_terms
+from .basis import (MODE_PER_PAIR, check_mode, degree, enumerate_basis, enumerate_degree,
+                    is_valid, max_degree, mu_keys, pair_keys)
+from .pieri import _tau11_raw, _valid_terms, collapse_terms, power_class, shift_terms
+
+TYPE_CHECKING = False  # the table only annotates; importing `ring` would load it
+if TYPE_CHECKING:
+    from .ring import MultiplicationTable
 
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"
 CONCLUSION_NOT_UNIQUE = "NotUnique"
@@ -91,12 +94,9 @@ def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> 
     and are dropped.
     """
     n = table.n
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    per_pair = mode == MODE_PER_PAIR
+    per_pair = check_mode(mode)
     kappas = {d: enumerate_degree(n, d - 2 * n) for d in range(2 * n, max_degree(n) + 1)}
-    tau11 = {x: [t for t in _tau11_raw(n, x)[1] if is_valid(n, t[0])]
-             for x in enumerate_basis(n)}
+    tau11 = {x: _valid_terms(n, _tau11_raw, x) for x in enumerate_basis(n)}
     constraints = []
     provenance = []
     for mu, p_mu in tau11.items():

@@ -19,10 +19,9 @@ The `table` subcommand caches multiplication tables as JSON.  With neither
 directory for a default cache file.
 
 Each call imports only the modules its subcommand runs: at the top this
-module imports only `serialize`, which writes the output, and `algebra`,
-which `serialize` loads anyway; each handler imports the engine modules it
-calls, and `certify`'s parser declares the flags whose choices and defaults
-live in the engine when it first parses.
+module imports only `serialize`, which writes the output, and `algebra` and
+`basis`, which `serialize` loads anyway; each handler imports the engine
+modules it calls.
 """
 from __future__ import annotations
 
@@ -33,6 +32,7 @@ from fractions import Fraction
 
 from . import serialize
 from .algebra import ClassVector
+from .basis import MODE_PER_PAIR, MODES
 
 SUITES = ("identities", "assoc", "pairing", "betti", "negativity")
 ASSOC_SAMPLES = 10_000
@@ -252,34 +252,23 @@ def _cmd_verify(args):
     return 0 if passed else 1
 
 
-def _certify_flags(p):
-    from .certify import DEFAULT_ROW_LIMIT
-    from .deformation import MODE_PER_PAIR, MODES
-    p.add_argument("--mode", choices=MODES, default=MODE_PER_PAIR)
-    p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
-    p.add_argument("--emit-certificate", metavar="PATH", default=None)
-    p.add_argument("--max-rows", type=int, default=DEFAULT_ROW_LIMIT,
-                   help="working-row ceiling for route A (sign propagation "
-                        "with Farkas weights, falling back to FM for any "
-                        "unknown it leaves open): bounds the initial "
-                        "constraint count and every FM intermediate system")
-
-
 def _cmd_certify(args):
-    from .certify import (MismatchError, ResourceLimitError, build_constraints,
-                          certify_uniqueness, replay_proof, verify_certificate)
+    from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
+                          build_constraints, certify_uniqueness, replay_proof,
+                          verify_certificate)
     from .ring import lazy_table
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")
-    if args.max_rows < 1:
-        raise ValueError(f"--max-rows must be at least 1, got {args.max_rows}")
+    max_rows = DEFAULT_ROW_LIMIT if args.max_rows is None else args.max_rows
+    if max_rows < 1:
+        raise ValueError(f"--max-rows must be at least 1, got {max_rows}")
     table = lazy_table(args.n)
     results = []
     cert_path = None
     try:
         if args.method in ("fm", "both"):
             system = build_constraints(table, args.mode)
-            cert = certify_uniqueness(system, max_rows=args.max_rows)
+            cert = certify_uniqueness(system, max_rows=max_rows)
             verified = verify_certificate(system, cert)
             results.append({"method": "fm", "conclusion": cert.conclusion,
                             "verified": verified,
@@ -384,29 +373,12 @@ def _cmd_table(args):
 # ---------------------------------------------------------------------------
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser.  `declare(parser)`, when given, adds flags whose
-    choices or defaults come from engine modules, as the parser first parses
-    (which its `--help` does too), so no other subcommand imports them."""
-
-    def __init__(self, *args, declare=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._declare = declare
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._declare is not None:
-            declare, self._declare = self._declare, None
-            declare(self)
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osglines",
         description="Exact quantum cohomology of the odd symplectic "
                     "Grassmannian of lines IG(2, 2n+1).")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--n", type=int, required=True, metavar="N",
@@ -442,9 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.set_defaults(handler=_cmd_verify)
 
-    p = common(sub.add_parser("certify", declare=_certify_flags,
-                              help="certify that positivity forces the "
-                                   "trivial deformation"))
+    p = common(sub.add_parser("certify", help="certify that positivity forces the "
+                                              "trivial deformation"))
+    p.add_argument("--mode", choices=MODES, default=MODE_PER_PAIR)
+    p.add_argument("--method", choices=("fm", "replay", "both"), default="fm")
+    p.add_argument("--emit-certificate", metavar="PATH", default=None)
+    p.add_argument("--max-rows", type=int, default=None,
+                   help="working-row ceiling for route A (sign propagation "
+                        "with Farkas weights, falling back to FM for any "
+                        "unknown it leaves open): bounds the initial "
+                        "constraint count and every FM intermediate system")
     p.set_defaults(handler=_cmd_certify)
 
     p = common(sub.add_parser("check-positivity",

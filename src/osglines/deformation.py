@@ -9,7 +9,7 @@ themselves undeformed (their degree is at most 2n-3).  The grading admits no
 deeper corrections: the top degree 4n-3 is below twice the q-weight 4n, so a
 q^2 correction would need a correction class of negative degree.
 
-Two indexing modes for the coefficients are supported:
+Two indexing modes for the coefficients are supported (`basis.MODES`):
 
   per-pair  one coefficient per (lam, mu) pair -- the general reading;
   per-mu    one coefficient per correction class mu, shared by every lam of
@@ -27,25 +27,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import ClassVector, as_coeff
-from .basis import (Index, check_index, check_rank, classes_in_degrees, degree,
-                    enumerate_basis, enumerate_degree, index_sort_key, max_degree,
-                    MIN_RING_RANK)
+from .basis import (MIN_RING_RANK, MODE_PER_MU, MODE_PER_PAIR, Index, check_index,
+                    check_mode, check_rank, degree, enumerate_basis, index_sort_key)
+from .basis import MODES, mu_keys, pair_keys  # noqa: F401  (re-exported)
 from .ring import MultiplicationTable, multiply
-
-MODE_PER_PAIR = "per-pair"
-MODE_PER_MU = "per-mu"
-MODES = (MODE_PER_PAIR, MODE_PER_MU)
-
-
-def pair_keys(n: int) -> list[tuple[Index, Index]]:
-    """All legal (lam, mu) coefficient keys in canonical order."""
-    return [(lam, mu) for d in range(2 * n, max_degree(n) + 1)
-            for lam in enumerate_degree(n, d) for mu in enumerate_degree(n, d - 2 * n)]
-
-
-def mu_keys(n: int) -> list[Index]:
-    """All legal per-mu coefficient keys (classes that correct something)."""
-    return classes_in_degrees(n, range(2 * n - 2))
 
 
 class DeformationSpec:
@@ -53,8 +38,7 @@ class DeformationSpec:
 
     def __init__(self, n: int, mode: str = MODE_PER_PAIR, entries=None):
         check_rank(n, MIN_RING_RANK)
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        per_pair = check_mode(mode)
         self.n = n
         self.mode = mode
         clean = {}
@@ -68,7 +52,7 @@ class DeformationSpec:
         # by the degree of mu (per-mu), mu in slice order as `items` sorts them
         groups: dict = {}
         for key, val in self.items():
-            group, mu = key if mode == MODE_PER_PAIR else (degree(key), key)
+            group, mu = key if per_pair else (degree(key), key)
             groups.setdefault(group, []).append((mu, val))
         self._corrections = {g: tuple(pairs) for g, pairs in groups.items()}
 

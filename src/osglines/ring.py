@@ -48,7 +48,8 @@ from .algebra import ClassVector, _check_exponent, sorted_terms
 from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
                     degree, enumerate_basis, enumerate_degree, is_valid,
                     max_degree, top_class)
-from .pieri import _tau1_raw, _tau11_raw
+from .pieri import (_tau1_raw, _tau11_raw, _valid_terms, collapse_terms, power_class,
+                    shift_terms)
 
 
 class GenerationFailure(RuntimeError):
@@ -389,11 +390,6 @@ def _generator_expressions(n: int) -> dict:
     return exprs
 
 
-def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
-    """The terms of a raw Pieri rule at lam whose index is a class."""
-    return tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
-
-
 Rule = namedtuple("Rule", "special pred others")
 # tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
 
@@ -533,33 +529,6 @@ def diagonal_power(table: MultiplicationTable, t: int) -> ClassVector:
     for _ in range(t):
         out = multiply(table, out, e11)
     return out
-
-
-def power_class(n: int, t: int) -> list:
-    """tau[1,1]^t as (index, coeff, q-exponent) triples, 1 <= t <= n-1:
-    tau[t,t] for t <= n-2 and tau[n, n-2] for t = n-1."""
-    return [((t, t) if t <= n - 2 else (n, n - 2), 1, 0)]
-
-
-def collapse_terms(n: int, lam: Index) -> list:
-    """tau[1,1]^t * tau[lam] with t = 2n - lam1 and |lam| >= 2n, as triples:
-    q tau[lam2+t, 0], which splits as q tau[2n-1,-1] + q tau[2n-2, 0] when
-    lam2 + t = 2n-2."""
-    t = 2 * n - lam[0]
-    if lam[1] + t == 2 * n - 2:
-        return [((2 * n - 1, -1), 1, 1), ((2 * n - 2, 0), 1, 1)]
-    return [((lam[1] + t, 0), 1, 1)]
-
-
-def shift_terms(n: int, mu: Index, t: int) -> list:
-    """tau[1,1]^t * tau[mu] for 2t + |mu| <= 2n-1, as triples: tau[mu1+t, mu2+t],
-    plus tau[mu1+t+1, mu2+t-1] when 2t + |mu| is 2n-2 or 2n-1; a pair outside
-    the index set is zero.  The identity suite checks t <= n-2; the replay's
-    one t = n-1 multiplier (lam1 = n+1) is checked only against the engine."""
-    terms = [((mu[0] + t, mu[1] + t), 1, 0)]
-    if 2 * t + degree(mu) in (2 * n - 2, 2 * n - 1):
-        terms.append(((mu[0] + t + 1, mu[1] + t - 1), 1, 0))
-    return terms
 
 
 IDENTITY_PARTS = ("diagonal-power", "collapse", "collapse-boundary",

@@ -16,9 +16,10 @@ directory and renames it over the target, so a reader never sees a
 half-written file, even in a shared cache directory.
 
 Only `algebra` and `basis` are imported with this module, so writing a CLI
-document loads no other part of the engine; the readers import `ring`,
-`deformation` and `certify` where they build a table, a spec or a
-certificate.
+document loads no other part of the engine; a document's deformation mode
+is checked by `basis.check_mode`.  Each reader imports the one module whose
+objects it builds: `ring` for a table, `deformation` for a spec and
+`certify` for a certificate.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AffineExpression, ClassVector, exact, sorted_terms
-from .basis import enumerate_basis
+from .basis import MODE_PER_PAIR, check_mode, enumerate_basis
 
 TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
 if TYPE_CHECKING:
@@ -247,15 +248,6 @@ def load_table(path, *, revalidate: bool = False) -> MultiplicationTable:
 # deformation specs
 
 
-def _mode(data, what: str):
-    """The document's coefficient mode, and whether it is the per-pair mode."""
-    from .deformation import MODE_PER_PAIR, MODES
-    mode = _field(data, "mode", what)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode, mode == MODE_PER_PAIR
-
-
 def _key_to_json(per_pair: bool, key) -> dict:
     """A spec entry's deformation key as JSON."""
     if per_pair:
@@ -274,7 +266,6 @@ def _key_from_json(mode: str, per_pair: bool, obj, what: str):
 
 
 def spec_to_dict(spec: DeformationSpec) -> dict:
-    from .deformation import MODE_PER_PAIR
     per_pair = spec.mode == MODE_PER_PAIR
     entries = [{**_key_to_json(per_pair, key), "a": format_rational(val)}
                for key, val in spec.items()]
@@ -284,7 +275,8 @@ def spec_to_dict(spec: DeformationSpec) -> dict:
 def spec_from_dict(data: dict) -> DeformationSpec:
     from .deformation import DeformationSpec
     n = _as_int(_field(data, "n", "deformation spec"))
-    mode, per_pair = _mode(data, "deformation spec")
+    mode = _field(data, "mode", "deformation spec")
+    per_pair = check_mode(mode)
     entries = {}
     for e in _field(data, "entries", "deformation spec", list):
         a = parse_rational(_field(e, "a", "spec entry"))
@@ -321,7 +313,6 @@ def _json(obj, depth: int = 0) -> str:
 def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
     """`canonical_dumps` of the certificate document, byte for byte, as text
     fragments: one per unknown, bound, witness entry and constraint."""
-    from .deformation import MODE_PER_PAIR
     pos = {k: i for i, k in enumerate(system.unknowns)}
     per_pair = cert.mode == MODE_PER_PAIR
 
@@ -371,15 +362,23 @@ def certificate_from_dict(data: dict):
     """Rebuild (certificate, constraint system) from a self-contained dump."""
     from .certify import BoundProof, Certificate, ConstraintSystem
     n = _as_int(_field(data, "n", "certificate"))
-    mode, per_pair = _mode(data, "certificate")
+    mode = _field(data, "mode", "certificate")
+    per_pair = check_mode(mode)
     unknowns = tuple(_key_from_json(mode, per_pair, u, "unknown")
                      for u in _field(data, "unknowns", "certificate", list))
+    last = {k: i for i, k in enumerate(unknowns)}
+    if len(last) != len(unknowns):
+        i = next(i for i, k in enumerate(unknowns) if last[k] != i)
+        raise ValueError(f"unknown {last[unknowns[i]]} repeats unknown {i}")
     constraints = []
     provenance = []
-    for c in _field(data, "constraint_dump", "certificate", list):
+    for j, c in enumerate(_field(data, "constraint_dump", "certificate", list)):
+        terms = _field(c, "terms", "constraint", list)
         linear = {_entry(t, "unknown", "constraint term", unknowns):
                   _parse_number(_field(t, "coeff", "constraint term"))
-                  for t in _field(c, "terms", "constraint", list)}
+                  for t in terms}
+        if len(linear) != len(terms):
+            raise ValueError(f"constraint {j} names an unknown in two terms")
         constraints.append(AffineExpression(
             _parse_number(_field(c, "constant", "constraint")), linear))
         p = _field(c, "provenance", "constraint")
@@ -398,9 +397,12 @@ def certificate_from_dict(data: dict):
     if witness is not None:
         if not isinstance(witness, list):
             raise ValueError("certificate field 'witness' is not a list")
-        witness = {_entry(w, "unknown", "witness entry", unknowns):
-                   _parse_number(_field(w, "value", "witness entry"))
-                   for w in witness}
+        values = {_entry(w, "unknown", "witness entry", unknowns):
+                  _parse_number(_field(w, "value", "witness entry"))
+                  for w in witness}
+        if len(values) != len(witness):
+            raise ValueError("witness names an unknown in two entries")
+        witness = values
     stats = {key: _as_int(count)
              for key, count in _field(data, "stats", "certificate", dict).items()}
     cert = Certificate(n, mode, _field(data, "conclusion", "certificate", str),

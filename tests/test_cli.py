@@ -619,7 +619,7 @@ _LOADED_BY = ("import contextlib, io, sys\n"
     (["gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"],
      {"deformation", "certify"}),
     (["check-positivity", "--n", "3", "--spec", "SPEC"], {"certify", "expr"}),
-    (["certify", "--n", "3", "--method", "both"], {"expr"}),
+    (["certify", "--n", "3", "--method", "both"], {"deformation", "expr"}),
     (["table", "--n", "3", "--out", "OUT"], {"deformation", "certify", "expr"}),
     (["table", "--n", "3", "--load", "OUT", "--revalidate"],
      {"deformation", "certify", "expr"}),
@@ -639,12 +639,54 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
     assert not {f"osglines.{m}" for m in unused} & set(loaded)
 
 
+@pytest.mark.parametrize("code, loaded", [
+    ("import osglines.certify", ["algebra", "basis", "certify", "pieri"]),
+    ("import osglines; osglines.MODE_PER_PAIR", ["basis"]),
+], ids=["certify", "mode"])
+def test_import_loads_exactly(code, loaded):
+    # certify reads the index set and the Pieri rule, never the ring or the
+    # deformation layer; the modes are index-set facts
+    proc = _python("-c", f"import sys; {code}; "
+                   "print(*sorted(m for m in sys.modules if m.startswith('osglines.')))",
+                   timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"osglines.{m}" for m in loaded]
+
+
+# Each module's module-level imports of the package's own modules, outside
+# function bodies and `if TYPE_CHECKING:` blocks.
+MODULE_GRAPH = {
+    "basis": set(),
+    "algebra": {"basis"},
+    "pieri": {"algebra", "basis"},
+    "ring": {"algebra", "basis", "pieri"},
+    "deformation": {"algebra", "basis", "ring"},
+    "certify": {"algebra", "basis", "pieri"},
+    "expr": {"algebra", "ring"},
+    "serialize": {"algebra", "basis"},
+    "cli": {"algebra", "basis", "serialize"},
+}
+
+
+def test_module_graph():
+    import ast
+    graph = {}
+    for path in (SRC / "osglines").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        graph[path.stem] = {node.module or alias.name for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            for alias in node.names}
+    assert graph == MODULE_GRAPH
+
+
 def test_help_exits_zero():
     for argv in ([], ["certify"]):
         proc = _python("-m", "osglines.cli", *argv, "--help", timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: osglines")
-    # certify's flags are declared as its parser first parses
+    # certify's own flags are in its help
     assert "--mode {per-pair,per-mu}" in proc.stdout and "--max-rows" in proc.stdout
 
 

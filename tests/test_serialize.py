@@ -195,6 +195,39 @@ def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
     assert "\n" not in str(info.value)
 
 
+def _repeat_term_unknown(doc):
+    row = next(c for c in doc["constraint_dump"] if c["terms"])
+    row["terms"] = [{"unknown": 0, "coeff": "5"}, {"unknown": 0, "coeff": "1"}]
+    return f"constraint {doc['constraint_dump'].index(row)} names an unknown in two terms"
+
+
+def _repeat_unknown(doc):
+    doc["unknowns"][1] = copy.deepcopy(doc["unknowns"][0])
+    return "unknown 1 repeats unknown 0"
+
+
+def _repeat_witness_unknown(doc):
+    doc["witness"][1]["unknown"] = doc["witness"][0]["unknown"]
+    return "witness names an unknown in two entries"
+
+
+@pytest.mark.parametrize("mutate", [_repeat_term_unknown, _repeat_unknown,
+                                    _repeat_witness_unknown],
+                         ids=["term", "unknown", "witness"])
+def test_certificate_with_a_repeated_entry_is_refused(tmp_path, table3, mutate):
+    # an unknown named twice is refused, never read by keeping one of the two
+    # entries, as the table reader refuses a product that appears twice
+    system = (_toy_system() if mutate is _repeat_witness_unknown
+              else build_constraints(table3, MODE_PER_PAIR))
+    path = tmp_path / "cert.json"
+    serialize.save_certificate(certify_uniqueness(system), system, path)
+    doc = json.loads(path.read_text())
+    message = mutate(doc)
+    with pytest.raises(ValueError, match=message) as info:
+        serialize.certificate_from_dict(doc)
+    assert "\n" not in str(info.value)
+
+
 def test_table_save_streams(tmp_path):
     # the text is written one product at a time, never held whole
     table = build_table(8)
