@@ -7,15 +7,16 @@ zero.
 Route A (`build_constraints` + `certify_uniqueness`) is generic: write each
 coefficient of every sigma[1,1] * sigma[mu] as an affine form, a closed form
 of the tau[1,1] Pieri rule, keep one inequality ">= 0" per coefficient,
-and settle the unknowns by sign propagation with
-Farkas weights, falling back to exact Fourier-Motzkin elimination for any
-unknown it leaves open.  Propagation chains single rows: once every other
-term of a row is known to be <= 0, the row bounds its last unknown.  Every
-constraint here has at most two unknowns with coefficients +-1, and at
-n = 3..8 propagation alone settles every unknown.  Either engine yields,
-for each unknown, nonnegative-weight combinations of the original
-constraints that literally sum to "a >= 0" and "-a >= 0"; these are stored
-in the certificate and can be re-checked by plain weighted summation
+and settle the unknowns by sign propagation with Farkas weights, falling
+back to exact Fourier-Motzkin elimination for any unknown it leaves open.
+Propagation reads the stored rows and chains single ones: once every other
+term of a row is known to be <= 0, the row bounds its last unknown.  FM
+copies the rows into its own form only when it runs.  Every constraint
+here has at most two unknowns with coefficients +-1, and at n = 3..8
+propagation alone settles every unknown.  Either engine yields, for each
+unknown, nonnegative-weight combinations of the original constraints that
+literally sum to "a >= 0" and "-a >= 0"; these are stored in the
+certificate and can be re-checked by plain weighted summation
 (`verify_certificate`), independently of the search.
 
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
@@ -124,11 +125,11 @@ def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> 
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination with combination tracking
+# Fourier-Motzkin elimination with combination tracking, on rows built when it runs
 
 
 class _Row:
-    """lin . a + const >= 0, plus its expression as a combination of originals."""
+    """FM's working row: lin . a + const >= 0, plus its combination of originals."""
 
     __slots__ = ("lin", "const", "combo")
 
@@ -232,8 +233,7 @@ def _interval(rows, var: int):
 
     Returns (lo, hi, lo_row, hi_row); None stands for an unbounded side.
     """
-    lo = hi = None
-    lo_row = hi_row = None
+    lo = hi = lo_row = hi_row = None
     for r in rows:
         c = r.lin.get(var)
         if not c:
@@ -253,42 +253,43 @@ def _interval(rows, var: int):
 # Sign propagation with Farkas weights
 
 
-def _nonpos(p: int, c) -> tuple:
-    """The sign fact that makes the term c * a_p nonpositive."""
-    return (p, -1 if c > 0 else 1)
+def _nonpos(key, c) -> tuple:
+    """The sign fact that makes the term c * a_key nonpositive."""
+    return (key, -1 if c > 0 else 1)
 
 
-def _propagate(rows):
+def _propagate(constraints):
     """Every sign fact reachable by chaining single rows, with its weights.
 
     A fact s * a >= 0 (one unknown a, sign s) follows from a row with
     constant 0 once all its other terms are known to be <= 0: for
     c * a + sum c_j a_j >= 0 and c_j a_j <= 0 the row gives sign(c) * a >= 0.
-    The fact's weights are the row's combination plus |c_j| times the stored
+    The fact's weights are the row itself plus |c_j| times the stored
     weights of each fact used, all divided by |c|, so they sum literally to
     s * a.  Rows wait, indexed by the facts they lack, and fire when at most
     one is missing; first in, first out, so each fact gets a shallow proof.
-    Returns {(unknown position, sign): combination}.
+    Returns {(unknown key, sign): combination}; the rows are read as stored.
 
     The derivations hold on the feasible set; they certify anything only if
     that set is nonempty, which the caller has to establish.
     """
     facts = {}
-    missing = [len(r.lin) for r in rows]        # terms not yet known <= 0
-    waiting = {}                                # fact -> rows lacking it
-    live = [i for i, r in enumerate(rows) if not r.const]
+    missing = [len(e.linear) for e in constraints]  # terms not yet known <= 0
+    waiting = {}                                    # fact -> rows lacking it
+    live = [i for i, e in enumerate(constraints) if not e.constant]
     for i in live:
-        for p, c in rows[i].lin.items():
-            waiting.setdefault(_nonpos(p, c), []).append(i)
+        for k, c in constraints[i].linear.items():
+            waiting.setdefault(_nonpos(k, c), []).append(i)
     queue = deque(i for i in live if missing[i] <= 1)
     while queue:
-        r = rows[queue.popleft()]
-        for p, c in r.lin.items():
-            fact = _nonpos(p, -c)                   # c * a_p >= 0
-            others = [(q, v) for q, v in r.lin.items() if q != p]
+        idx = queue.popleft()
+        lin = constraints[idx].linear
+        for k, c in lin.items():
+            fact = _nonpos(k, -c)                   # c * a_k >= 0
+            others = [(q, v) for q, v in lin.items() if q != k]
             if fact in facts or any(_nonpos(q, v) not in facts for q, v in others):
                 continue
-            combo = dict(r.combo)
+            combo = {idx: 1}
             for q, v in others:
                 for i, w in facts[_nonpos(q, v)].items():
                     combo[i] = combo.get(i, 0) + abs(v) * w
@@ -334,23 +335,24 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
         raise ResourceLimitError(
             f"{len(system.constraints)} constraints exceed the ceiling of "
             f"{max_rows} working rows; raise the ceiling to proceed")
-    base = _rows_from_system(system)
     facts = {}
     # with the origin feasible the feasible set is nonempty, so a derived
     # fact is a real bound; otherwise FM decides, reporting infeasibility
-    if propagate and all(r.const >= 0 for r in base):
-        facts = _propagate(base)
+    if propagate and all(e.constant >= 0 for e in system.constraints):
+        facts = _propagate(system.constraints)
     intervals = {}
     bounds = []
-    peak = [len(base)]
+    peak = [len(system.constraints)]
     fm_unknowns = 0
+    base = None                         # FM's rows, built for the first open unknown
     for k, key in enumerate(system.unknowns):
-        if (k, 1) in facts and (k, -1) in facts:
+        if (key, 1) in facts and (key, -1) in facts:
             intervals[key] = (0, 0)
-            bounds.append(BoundProof(key, "lower", _scaled_weights(facts[(k, 1)])))
-            bounds.append(BoundProof(key, "upper", _scaled_weights(facts[(k, -1)])))
+            bounds.append(BoundProof(key, "lower", _scaled_weights(facts[(key, 1)])))
+            bounds.append(BoundProof(key, "upper", _scaled_weights(facts[(key, -1)])))
             continue
         fm_unknowns += 1
+        base = _rows_from_system(system) if base is None else base
         rows = _project_onto(list(base), k, max_rows, peak)
         lo, hi, lo_row, hi_row = _interval(rows, k)
         intervals[key] = (lo, hi)
@@ -367,7 +369,7 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
     if all(iv == (0, 0) for iv in intervals.values()):
         return Certificate(system.n, system.mode, CONCLUSION_UNIQUE_ZERO,
                            system.unknowns, tuple(bounds), None, stats)
-    witness = _find_witness(system, intervals, max_rows)
+    witness = _find_witness(system, base, intervals, max_rows)
     return Certificate(system.n, system.mode, CONCLUSION_NOT_UNIQUE,
                        system.unknowns, (), witness, stats)
 
@@ -384,13 +386,11 @@ def _substitute(rows, var: int, value):
     return out
 
 
-def _find_witness(system: ConstraintSystem, intervals, max_rows: int) -> dict:
-    """A feasible assignment that is nonzero somewhere, by back-substitution."""
-    free = next(k for k, iv in intervals.items()
-                if iv != (0, 0))
+def _find_witness(system: ConstraintSystem, rows, intervals, max_rows: int) -> dict:
+    """A nonzero feasible assignment, by back-substitution on FM's working rows."""
+    free = next(k for k, iv in intervals.items() if iv != (0, 0))
     order = [free] + [k for k in system.unknowns if k != free]
     pos = {k: i for i, k in enumerate(system.unknowns)}
-    rows = _rows_from_system(system)
     assignment = {}
     for key in order:
         p = pos[key]

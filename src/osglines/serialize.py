@@ -278,10 +278,13 @@ def spec_from_dict(data: dict) -> DeformationSpec:
     mode = _field(data, "mode", "deformation spec")
     per_pair = check_mode(mode)
     entries = {}
-    for e in _field(data, "entries", "deformation spec", list):
+    first = {}                  # key -> position of the entry that states it
+    for i, e in enumerate(_field(data, "entries", "deformation spec", list)):
         a = parse_rational(_field(e, "a", "spec entry"))
         key = _key_from_json(mode, per_pair, e, "spec entry")
-        entries[key] = entries.get(key, Fraction(0)) + a
+        if first.setdefault(key, i) != i:
+            raise ValueError(f"spec entry {i} repeats entry {first[key]}")
+        entries[key] = a
     return DeformationSpec(n, mode, entries)
 
 

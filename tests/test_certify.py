@@ -112,6 +112,12 @@ def not_unique_toy_system():
                        AffineExpression(1, {"y": 1})])
 
 
+def halves_toy_system():
+    # x - y >= 0 and 2y + 1 >= 0 pin the witness to a non-integral point
+    return toy_system([AffineExpression(0, {"x": 1, "y": -1}),
+                       AffineExpression(1, {"y": 2})])
+
+
 def test_not_unique_toy_system():
     system = not_unique_toy_system()
     cert = certify_uniqueness(system)
@@ -305,10 +311,8 @@ def test_fm_fallback_and_witness_never_produce_a_float(monkeypatch, table3, tabl
                               propagate=False)
              for table in (table3, table4, table5)
              for mode in (MODE_PER_PAIR, MODE_PER_MU)]
-    # x - y >= 0 and 2y + 1 >= 0 pin the witness to a non-integral point
-    halves = toy_system([AffineExpression(0, {"x": 1, "y": -1}),
-                         AffineExpression(1, {"y": 2})])
-    certs += [certify_uniqueness(not_unique_toy_system()), certify_uniqueness(halves)]
+    certs += [certify_uniqueness(not_unique_toy_system()),
+              certify_uniqueness(halves_toy_system())]
     assert certs[-1].witness == {"x": Fraction(-1, 2), "y": Fraction(-1, 2)}
     weights = [w for cert in certs for bound in cert.bounds for _, w in bound.weights]
     witness = [v for cert in certs if cert.witness for v in cert.witness.values()]
@@ -347,6 +351,41 @@ def test_propagation_settles_every_unknown(table3, table4, table5):
             cert = certify_uniqueness(system)
             assert cert.stats["fm_unknowns"] == 0
             assert cert.stats["propagated_unknowns"] == len(system.unknowns)
+
+
+def test_propagation_builds_no_fm_rows(monkeypatch):
+    # propagation reads the stored rows; FM's working rows are never built
+    # for a system it settles
+    def refuse(system):
+        raise AssertionError("FM rows built for a system propagation settles")
+
+    monkeypatch.setattr(certify, "_rows_from_system", refuse)
+    for n in range(3, 9):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(lazy_table(n), mode)
+            cert = certify_uniqueness(system)
+            assert cert.conclusion == CONCLUSION_UNIQUE_ZERO, (n, mode)
+            assert verify_certificate(system, cert), (n, mode)
+            assert cert.stats["peak_working_rows"] == len(system.constraints)
+
+
+@pytest.mark.parametrize("make", [not_unique_toy_system, halves_toy_system],
+                         ids=["unbounded", "halves"])
+def test_fm_rows_are_built_once(monkeypatch, make):
+    # the FM fallback and the witness search share one set of working rows
+    calls = []
+    rows_from_system = certify._rows_from_system
+
+    def counted(system):
+        calls.append(system)
+        return rows_from_system(system)
+
+    monkeypatch.setattr(certify, "_rows_from_system", counted)
+    system = make()
+    cert = certify_uniqueness(system)
+    assert cert.conclusion == CONCLUSION_NOT_UNIQUE
+    assert verify_certificate(system, cert)
+    assert len(calls) == 1
 
 
 def test_lazy_table_gives_identical_proofs(tmp_path, table3, table4, table5, table6):

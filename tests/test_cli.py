@@ -299,6 +299,10 @@ def _drop_spec_mu(doc):
     del doc["entries"][0]["mu"]
 
 
+def _repeat_spec_key(doc):
+    doc["entries"].append(copy.deepcopy(doc["entries"][0]))
+
+
 def _fractional_coeff(doc):
     doc["products"][5]["terms"][0]["coeff"] = "1/2"
 
@@ -318,12 +322,12 @@ def _duplicate_pair(doc):
 
 
 @pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
-                                    _drop_table_n, _drop_spec_mu,
+                                    _drop_table_n, _drop_spec_mu, _repeat_spec_key,
                                     _fractional_coeff, _boolean_coeff,
                                     _fractional_d, _duplicate_pair])
 def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     path = tmp_path / "doc.json"
-    if mutate is _drop_spec_mu:
+    if mutate in (_drop_spec_mu, _repeat_spec_key):
         serialize.save_spec(DeformationSpec(3, MODE_PER_PAIR,
                                             {((5, 1), (0, 0)): 1}), path)
         argv = ["check-positivity", "--n", "3", "--spec", str(path)]
@@ -530,11 +534,34 @@ GOLDEN_DIGESTS = [
      "3a97244b7674a65c4975e4082097bb0c1544117decddd168616a4c91f3f36f46"),
     (("certify", "--n", "3", "--mode", "per-mu", "--emit-certificate"),
      "924836d369ded6e3ed45d8029caa70eed9bac804357777f3b143d59b7f96fbf6"),
+    # n = 4..8 as written by commit 83b9e28
+    (("certify", "--n", "4", "--mode", "per-pair", "--emit-certificate"),
+     "8f3571b2a04a53d42984e16ec09ae695ea1263f04eb37169c8633fcebdbc1c60"),
+    (("certify", "--n", "4", "--mode", "per-mu", "--emit-certificate"),
+     "c14b7492cb6056f54f4cc4afe39cbcdf74f1178a0259ab74e55434be58a01bc2"),
+    (("certify", "--n", "5", "--mode", "per-pair", "--emit-certificate"),
+     "6483c9a19b2c47e98f29684470e8f33cc58bc58fbb8c85300074d32a65853672"),
+    (("certify", "--n", "5", "--mode", "per-mu", "--emit-certificate"),
+     "eb314a1850e1c6035f37b2f00832db6b996bff10abf44fd3d38cc5abb04b131d"),
+    (("certify", "--n", "6", "--mode", "per-pair", "--emit-certificate"),
+     "a5ebcf0520d0695d26a11277944dc6ce310246cbdc884694c3d1d7a7728c7fb0"),
+    (("certify", "--n", "6", "--mode", "per-mu", "--emit-certificate"),
+     "225b0ac08e378f2242821633d4b648b17a34d5d81764bfc7bd5ee839260ccc89"),
+    (("certify", "--n", "7", "--mode", "per-pair", "--emit-certificate"),
+     "247068a09c712460abf7cfd21259bd892a44a47c6477ba7bfb28208c80730b65"),
+    (("certify", "--n", "7", "--mode", "per-mu", "--emit-certificate"),
+     "3f8d56635f180bbf4db963e58a49d149a9fbd77a8e0e3ad009e021ca1e60ab9e"),
+    (("certify", "--n", "8", "--mode", "per-pair", "--emit-certificate"),
+     "b5c7cf2736dfe2d91a5a0f54feefeecf2b032c266701de3e46d82ee0f3c227b2"),
+    (("certify", "--n", "8", "--mode", "per-mu", "--emit-certificate"),
+     "b489c1b6a355bfe8c5f1f84f77955d62a9e370b3b7ad455929f1039865b999a0"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
-                         ids=["table", "certificate-per-pair", "certificate-per-mu"])
+                         ids=["table", "certificate-per-pair", "certificate-per-mu"]
+                         + [f"certificate-{mode}-n{n}" for n in range(4, 9)
+                            for mode in ("per-pair", "per-mu")])
 def test_output_bytes_match_golden_digests(capsys, tmp_path, argv, digest):
     import hashlib
     path = tmp_path / "out.json"

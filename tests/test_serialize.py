@@ -228,6 +228,24 @@ def test_certificate_with_a_repeated_entry_is_refused(tmp_path, table3, mutate):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("mode, entries, message", [
+    (MODE_PER_MU, [{"mu": [1, 0], "a": "1"}, {"mu": [0, 0], "a": "5"},
+                   {"mu": [1, 0], "a": "-1"}], "spec entry 2 repeats entry 0"),
+    (MODE_PER_MU, [{"mu": [1, 0], "a": "1"}, {"mu": [1, 0], "a": "2"}],
+     "spec entry 1 repeats entry 0"),
+    (MODE_PER_PAIR, [{"lambda": [5, 1], "mu": [0, 0], "a": "1"},
+                     {"lambda": [5, 1], "mu": [0, 0], "a": "1"}],
+     "spec entry 1 repeats entry 0"),
+], ids=["per-mu-cancelling", "per-mu-summing", "per-pair-equal"])
+def test_spec_with_a_repeated_key_is_refused(mode, entries, message):
+    # two entries for one key are refused, never summed: "1" then "-1" would
+    # read as the zero deformation, which no single entry states
+    doc = {"n": 3, "mode": mode, "entries": entries}
+    with pytest.raises(ValueError, match=message) as info:
+        serialize.spec_from_dict(doc)
+    assert "\n" not in str(info.value)
+
+
 def test_table_save_streams(tmp_path):
     # the text is written one product at a time, never held whole
     table = build_table(8)
