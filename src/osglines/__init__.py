@@ -21,15 +21,15 @@ _EXPORTS = {
     "basis": ("MODE_PER_MU", "MODE_PER_PAIR", "betti_numbers", "degree",
               "enumerate_basis", "enumerate_degree", "is_valid", "max_degree",
               "top_class"),
-    "certify": ("Certificate", "ConstraintSystem", "MismatchError",
-                "QuadraticTermError", "ResourceLimitError", "build_constraints",
-                "certify_uniqueness", "replay_proof", "verify_certificate",
-                "CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO"),
+    "certify": ("MismatchError", "QuadraticTermError", "ResourceLimitError",
+                "certify_uniqueness", "replay_proof"),
     "deformation": ("DeformationSpec", "check_positivity", "deformed_product",
                     "sigma_from_tau", "to_sigma", "to_tau"),
     "expr": ("ExpressionSyntaxError", "evaluate_expression",
              "format_expression", "parse_expression"),
     "pieri": ("pieri_tau1", "pieri_tau11", "tau1_case", "tau11_case"),
+    "proof": ("Certificate", "ConstraintSystem", "build_constraints",
+              "verify_certificate", "CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO"),
     "ring": ("GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
              "build_table", "check_commutativity", "diagonal_power",
              "gw_constant", "has_negative_constant", "lazy_table",

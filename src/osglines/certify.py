@@ -1,23 +1,16 @@
-"""Certified rigidity of the basis under the positivity condition.
+"""The search for the certificate, and a second, structured proof.
 
 Two independent routes establish, for one rank at a time, that the positivity
 condition on products with sigma[1,1] forces every deformation coefficient to
 zero.
 
-Route A (`build_constraints` + `certify_uniqueness`) is generic: write each
-coefficient of every sigma[1,1] * sigma[mu] as an affine form, a closed form
-of the tau[1,1] Pieri rule, keep one inequality ">= 0" per coefficient,
-and settle the unknowns by sign propagation with Farkas weights, falling
-back to exact Fourier-Motzkin elimination for any unknown it leaves open.
-Propagation reads the stored rows and chains single ones: once every other
-term of a row is known to be <= 0, the row bounds its last unknown.  FM
-copies the rows into its own form only when it runs.  Every constraint
-here has at most two unknowns with coefficients +-1, and at n = 3..8
-propagation alone settles every unknown.  Either engine yields, for each
-unknown, nonnegative-weight combinations of the original constraints that
-literally sum to "a >= 0" and "-a >= 0"; these are stored in the
-certificate and can be re-checked by plain weighted summation
-(`verify_certificate`), independently of the search.
+Route A (`certify_uniqueness`) searches for the weights of a certificate;
+`proof` holds the records, the rows and the check, re-exported here.  Sign
+propagation with Farkas weights chains single rows: once every other term
+of a row is known to be <= 0, the row bounds its last unknown.  Exact
+Fourier-Motzkin elimination, on rows it copies only when it runs, settles
+any unknown left open.  Every constraint has at most two unknowns with
+coefficients +-1, and at n = 3..8 propagation alone settles every unknown.
 
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
 multiply sigma[lam] by the matching power of sigma[1,1] so that everything
@@ -31,10 +24,9 @@ already settled.
 Every displayed identity is checked termwise; a discrepancy raises
 `MismatchError` naming the step and the first coefficient that differs.
 
-The two routes share no arithmetic.  Route A reads no table product: it
-sums each row on ints from the Pieri rule into an `AffineExpression`; route
-B reads only the table's int products and keeps each vector as one int
-dict, split by unknown, where a quadratic term would raise
+The two routes share no arithmetic.  Route A's rows read no table product;
+route B reads only the table's int products and keeps each vector as one
+int dict, split by unknown, where a quadratic term would raise
 `QuadraticTermError` and is treated as a bug, never ignored.
 """
 from __future__ import annotations
@@ -42,17 +34,16 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .algebra import AffineExpression, exact, sorted_terms
-from .basis import (MODE_PER_PAIR, check_mode, degree, enumerate_basis, enumerate_degree,
-                    is_valid, max_degree, mu_keys, pair_keys)
-from .pieri import _tau11_raw, _valid_terms, collapse_terms, power_class, shift_terms
+from .algebra import sorted_terms
+from .basis import degree, enumerate_degree, is_valid, max_degree, pair_keys
+from .pieri import collapse_terms, power_class, shift_terms
+# build_constraints and verify_certificate are only re-exported: certify.X is proof.X
+from .proof import (CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO, BoundProof, Certificate,
+                    ConstraintSystem, build_constraints, verify_certificate)
 
 TYPE_CHECKING = False  # the table only annotates; importing `ring` would load it
 if TYPE_CHECKING:
     from .ring import MultiplicationTable
-
-CONCLUSION_UNIQUE_ZERO = "UniqueZero"
-CONCLUSION_NOT_UNIQUE = "NotUnique"
 
 DEFAULT_ROW_LIMIT = 200_000
 
@@ -71,57 +62,6 @@ class MismatchError(RuntimeError):
     def __init__(self, step: str, detail: str):
         super().__init__(f"{step}: {detail}")
         self.step = step
-
-
-# constraints: AffineExpressions, each asserted >= 0; provenance: the (mu, nu, d)
-# identifying each one's source coefficient
-ConstraintSystem = namedtuple("ConstraintSystem", "n mode unknowns constraints provenance")
-ConstraintSystem.__doc__ = ("Affine inequalities `expression >= 0` over the "
-                            "deformation unknowns.")
-
-
-def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> ConstraintSystem:
-    """Positivity constraints from every product sigma[1,1] * sigma[mu], by a
-    closed form of the tau[1,1] Pieri rule P(x) = tau[1,1] * tau[x] (invalid
-    indices dropped); only `table.n` is read.  As sigma[1,1] = tau[1,1],
-
-        tau[1,1] * sigma[mu] = P(mu) - sum over kap of a(mu, kap) q P(kap),
-
-    and back in the sigma basis each term c q^d tau[lam] of P(mu) with
-    |lam| >= 2n adds c a(lam, kap) at (kap, d + 1); the correction part has
-    degree at most 2n - 1, so it is never corrected again.  Rows come mu in
-    basis order, then (nu, d) in canonical order, each with its unknowns in
-    that order of terms.  Constant coefficients are nonnegative by the rule
-    and are dropped.
-    """
-    n = table.n
-    per_pair = check_mode(mode)
-    kappas = {d: enumerate_degree(n, d - 2 * n) for d in range(2 * n, max_degree(n) + 1)}
-    tau11 = {x: _valid_terms(n, _tau11_raw, x) for x in enumerate_basis(n)}
-    constraints = []
-    provenance = []
-    for mu, p_mu in tau11.items():
-        coeffs = {(nu, d): [c, {}] for nu, c, d in p_mu}  # (nu, d) -> [constant, linear]
-        # c a(lam, kap) at (nu, d) for each (lam, kap, c, nu, d), product part first
-        terms = [(mu, kap, -c, nu, d + 1) for kap in kappas.get(degree(mu), ())
-                 for nu, c, d in tau11[kap]]
-        terms += [(lam, kap, c, kap, d + 1) for lam, c, d in p_mu
-                  for kap in kappas.get(degree(lam), ())]
-        for lam, kap, c, nu, d in terms:
-            linear = coeffs.setdefault((nu, d), [0, {}])[1]
-            key = (lam, kap) if per_pair else kap
-            linear[key] = linear.get(key, 0) + c
-        for (nu, d), (constant, linear) in sorted_terms(coeffs):
-            if not linear:
-                if constant < 0:
-                    raise RuntimeError(
-                        f"negative constant coefficient in sigma[1,1]*sigma[{mu}]: "
-                        f"{constant} at {nu}, q^{d}")
-                continue
-            constraints.append(AffineExpression(constant, linear))
-            provenance.append((mu, nu, d))
-    unknowns = pair_keys(n) if per_pair else mu_keys(n)
-    return ConstraintSystem(n, mode, tuple(unknowns), tuple(constraints), tuple(provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +244,6 @@ def _propagate(constraints):
     return facts
 
 
-# direction "lower" proves a >= 0, "upper" proves a <= 0; weights:
-# ((constraint index, weight), ...)
-BoundProof = namedtuple("BoundProof", "unknown direction weights")
-# bounds: BoundProof entries, empty for NotUnique; witness: a nonzero feasible
-# assignment, if any
-Certificate = namedtuple("Certificate", "n mode conclusion unknowns bounds witness stats")
-
-
 def _scaled_weights(combo, scale=1):
     return tuple(sorted((i, w * scale) for i, w in combo.items() if w * scale))
 
@@ -409,52 +341,6 @@ def _find_witness(system: ConstraintSystem, rows, intervals, max_rows: int) -> d
         assignment[key] = value
         rows = _prune(_substitute(rows, p, value))
     return assignment
-
-
-def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
-    """Re-derive every claimed inequality by exact weighted summation.
-
-    Independent of the search: only the stored constraints and the
-    certificate's weight lists are used.  Returns False on any defect
-    (negative weight, bad index, a weight that is not an int or a Fraction,
-    sum not literally equal to the claimed inequality, missing bound, bad
-    witness).  Integral weights are summed as ints.
-    """
-    try:
-        if cert.unknowns != system.unknowns or cert.n != system.n \
-                or cert.mode != system.mode:
-            return False
-        if cert.conclusion == CONCLUSION_UNIQUE_ZERO:
-            seen = set()
-            for bound in cert.bounds:
-                if bound.direction not in ("lower", "upper"):
-                    return False
-                sign = 1 if bound.direction == "lower" else -1
-                target = {bound.unknown: sign}
-                constant = 0
-                linear: dict = {}
-                for idx, w in bound.weights:
-                    w = exact(w)
-                    if w < 0 or not (0 <= idx < len(system.constraints)):
-                        return False
-                    row = system.constraints[idx]
-                    constant += row.constant * w
-                    for k, v in row.linear.items():
-                        linear[k] = linear.get(k, 0) + v * w
-                if constant or {k: v for k, v in linear.items() if v} != target:
-                    return False
-                seen.add((bound.unknown, bound.direction))
-            return all((k, d) in seen for k in system.unknowns
-                       for d in ("lower", "upper"))
-        if cert.conclusion == CONCLUSION_NOT_UNIQUE:
-            if not cert.witness or not any(cert.witness.values()):
-                return False
-            return all(expr.evaluate(cert.witness) >= 0
-                       for expr in system.constraints)
-        return False
-    except (TypeError, ValueError, ZeroDivisionError):
-        # a weight, witness value or index of the wrong type
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -254,8 +254,8 @@ def _cmd_verify(args):
 
 def _cmd_certify(args):
     from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
-                          build_constraints, certify_uniqueness, replay_proof,
-                          verify_certificate)
+                          certify_uniqueness, replay_proof)
+    from .proof import build_constraints, verify_certificate
     from .ring import lazy_table
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")

@@ -19,7 +19,7 @@ Only `algebra` and `basis` are imported with this module, so writing a CLI
 document loads no other part of the engine; a document's deformation mode
 is checked by `basis.check_mode`.  Each reader imports the one module whose
 objects it builds: `ring` for a table, `deformation` for a spec and
-`certify` for a certificate.
+`proof` for a certificate, so reading one never loads the search.
 """
 from __future__ import annotations
 
@@ -34,14 +34,15 @@ from .basis import MODE_PER_PAIR, check_mode, enumerate_basis
 
 TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
 if TYPE_CHECKING:
-    from .certify import Certificate, ConstraintSystem
     from .deformation import DeformationSpec
+    from .proof import Certificate, ConstraintSystem
     from .ring import MultiplicationTable
 
 TABLE_FORMAT_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-_INTEGER_RE = re.compile(r"^-?\d+$")
+# matched whole, ASCII digits only: no trailing newline, no other script's digits
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def format_rational(x) -> str:
@@ -50,14 +51,14 @@ def format_rational(x) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational string: {s!r}")
     return Fraction(s)
 
 
 def _parse_number(s):
     """A rational string as an exact number: an int when integral, else a Fraction."""
-    if isinstance(s, str) and _INTEGER_RE.match(s):
+    if isinstance(s, str) and _INTEGER_RE.fullmatch(s):
         return int(s)
     return exact(parse_rational(s))
 
@@ -150,9 +151,11 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
         nu = _as_index(_field(t, "nu", "term"))
         d = _as_int(_field(t, "d", "term"))
         c = _field(t, "coeff", "term")
-        c = Fraction(c) if isinstance(c, int) else parse_rational(c)
+        c = Fraction(c) if type(c) is int else parse_rational(c)  # never a bool
         slot = acc.setdefault(nu, {})
-        slot[d] = slot.get(d, Fraction(0)) + c
+        if d in slot:
+            raise ValueError(f"term {nu}, q^{d} appears twice")
+        slot[d] = c
     return ClassVector(n, acc)
 
 
@@ -214,17 +217,18 @@ def table_from_dict(data: dict) -> MultiplicationTable:
                 if (type(nu) is list and len(nu) == 2 and type(nu[0]) is int
                         and type(nu[1]) is int and type(d) is int and type(c) is int):
                     row = rows.get((nu[0], nu[1]))
-                    if row is not None and 0 <= d < len(row):
-                        key = row[d]
-                        acc[key] = acc.get(key, 0) + c
+                    if row is not None and 0 <= d < len(row) and row[d] not in acc:
+                        acc[row[d]] = c
                         continue
-            # anything else is checked field by field, each defect one error line
+            # anything else (a repeated term too) is checked field by field, one error line each
             nu, d = _as_index(_field(t, "nu", "term")), _as_int(_field(t, "d", "term"))
             if nu not in pos or d < 0:
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
             # a term past q^3, which no product has, keeps a key of its own
             key = rows[nu][d] if d < len(rows[nu]) else (nu, d)
-            acc[key] = acc.get(key, 0) + _as_int(_field(t, "coeff", "term"))
+            if key in acc:  # refused, never summed, as a repeated pair is
+                raise ValueError(f"product pair {lam}, {mu} lists the term {nu}, q^{d} twice")
+            acc[key] = _as_int(_field(t, "coeff", "term"))
         products[(lam, mu)] = {key: c for key, c in acc.items() if c}
     missing = len(basis) * (len(basis) + 1) // 2 - len(products)  # the keys are distinct pairs
     if missing:
@@ -363,7 +367,7 @@ def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
 
 def certificate_from_dict(data: dict):
     """Rebuild (certificate, constraint system) from a self-contained dump."""
-    from .certify import BoundProof, Certificate, ConstraintSystem
+    from .proof import BoundProof, Certificate, ConstraintSystem
     n = _as_int(_field(data, "n", "certificate"))
     mode = _field(data, "mode", "certificate")
     per_pair = check_mode(mode)

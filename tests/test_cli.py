@@ -667,7 +667,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
 
 
 @pytest.mark.parametrize("code, loaded", [
-    ("import osglines.certify", ["algebra", "basis", "certify", "pieri"]),
+    ("import osglines.certify", ["algebra", "basis", "certify", "pieri", "proof"]),
     ("import osglines; osglines.MODE_PER_PAIR", ["basis"]),
 ], ids=["certify", "mode"])
 def test_import_loads_exactly(code, loaded):
@@ -680,6 +680,27 @@ def test_import_loads_exactly(code, loaded):
     assert proc.stdout.split() == [f"osglines.{m}" for m in loaded]
 
 
+@pytest.mark.parametrize("mode", [MODE_PER_PAIR, MODE_PER_MU])
+def test_certificate_checks_without_the_search(tmp_path, mode):
+    # the checker stands apart from the search it checks: reading a saved
+    # certificate and verifying it loads neither certify nor the ring
+    system = certify.build_constraints(ring.lazy_table(3), mode)
+    path = tmp_path / "cert.json"
+    serialize.save_certificate(certify.certify_uniqueness(system), system, path)
+    proc = _python("-c", "import sys\n"
+                   "from osglines.serialize import load_certificate\n"
+                   "from osglines.proof import verify_certificate\n"
+                   "cert, system = load_certificate(sys.argv[1])\n"
+                   "print(verify_certificate(system, cert), cert.conclusion)\n"
+                   "print(*sorted(m for m in sys.modules if m.startswith('osglines.')))",
+                   str(path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdict, loaded = proc.stdout.splitlines()
+    assert verdict == "True UniqueZero"
+    assert loaded.split() == ["osglines.algebra", "osglines.basis", "osglines.pieri",
+                              "osglines.proof", "osglines.serialize"]
+
+
 # Each module's module-level imports of the package's own modules, outside
 # function bodies and `if TYPE_CHECKING:` blocks.
 MODULE_GRAPH = {
@@ -688,7 +709,8 @@ MODULE_GRAPH = {
     "pieri": {"algebra", "basis"},
     "ring": {"algebra", "basis", "pieri"},
     "deformation": {"algebra", "basis", "ring"},
-    "certify": {"algebra", "basis", "pieri"},
+    "proof": {"algebra", "basis", "pieri"},
+    "certify": {"algebra", "basis", "pieri", "proof"},
     "expr": {"algebra", "ring"},
     "serialize": {"algebra", "basis"},
     "cli": {"algebra", "basis", "serialize"},
@@ -718,7 +740,8 @@ def test_help_exits_zero():
 
 
 # The package namespace at the commit that made it lazy: every public name of
-# the parent, where `import osglines` imported every module.
+# the parent, where `import osglines` imported every module.  The certificate's
+# names later moved to `proof`; certify re-exports them, so each is one object.
 PACKAGE_NAMES = {
     "algebra": ["AffineExpression", "ClassVector"],
     "basis": ["betti_numbers", "degree", "enumerate_basis", "enumerate_degree",
@@ -733,6 +756,8 @@ PACKAGE_NAMES = {
     "expr": ["ExpressionSyntaxError", "evaluate_expression", "format_expression",
              "parse_expression"],
     "pieri": ["pieri_tau1", "pieri_tau11", "tau11_case", "tau1_case"],
+    "proof": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "Certificate",
+              "ConstraintSystem", "build_constraints", "verify_certificate"],
     "ring": ["GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
              "build_table", "check_commutativity", "diagonal_power", "gw_constant",
              "has_negative_constant", "lazy_table", "multiply", "poincare_pairing",

@@ -284,9 +284,12 @@ def _add_inhomogeneous_term(products):
 
 
 def _move_term_within_its_degree(products):
-    term = _entry(products, (2, 1), (3, 1))["terms"][0]
-    nu = tuple(term["nu"])
-    term["nu"] = [*next(c for c in enumerate_degree(3, degree(nu)) if c != nu)]
+    # to a class the product lacks: a term listed twice is refused on loading
+    terms = _entry(products, (2, 1), (4, 2))["terms"]
+    taken = {(tuple(t["nu"]), t["d"]) for t in terms}
+    term = terms[0]
+    term["nu"] = [*next(c for c in enumerate_degree(3, degree(tuple(term["nu"])))
+                        if (c, term["d"]) not in taken)]
 
 
 # One edit each to an n = 3 cache: the unit column, both special-class

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,9 +20,28 @@ def test_rational_strings():
     assert serialize.format_rational(Fraction(-1, 2)) == "-1/2"
     assert serialize.parse_rational("7/3") == Fraction(7, 3)
     assert serialize.parse_rational("-4") == -4
-    for bad in ("1.5", "1/0", "", "a", "1/-2", "--1"):
+    # matched whole and in ASCII digits: no trailing newline, no Arabic-Indic three
+    for bad in ("1.5", "1/0", "", "a", "1/-2", "--1", "1/2\n", "5\n", "\u0663"):
         with pytest.raises(ValueError):
             serialize.parse_rational(bad)
+        with pytest.raises(ValueError):
+            serialize._parse_number(bad)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([{"nu": [1, 0], "d": 0, "coeff": True}], "not a rational string: True"),
+    ([{"nu": [1, 0], "d": 1, "coeff": "1"}, {"nu": [1, 0], "d": 1, "coeff": "-1"}],
+     r"term \(1, 0\), q\^1 appears twice"),
+], ids=["bool", "repeated"])
+def test_class_vector_terms_refuse_a_bool_and_a_repeated_term(terms, message):
+    # as `_as_int` refuses a bool, and a repeated term is never summed
+    with pytest.raises(ValueError, match=message) as info:
+        serialize.class_vector_from_terms(3, terms)
+    assert "\n" not in str(info.value)
+    # a JSON integer coefficient still reads as itself
+    one = [{"nu": [1, 0], "d": 0, "coeff": 1}]
+    assert serialize.class_vector_from_terms(3, one) == \
+        serialize.class_vector_from_terms(3, [{**one[0], "coeff": "1"}])
 
 
 def test_spec_round_trip(tmp_path):
@@ -178,11 +198,15 @@ def _drop_first_provenance(doc):
     doc["constraint_dump"][0].pop("provenance")
 
 
+def _end_first_weight_in_a_newline(doc):
+    doc["bounds"][0]["weights"][0]["weight"] += "\n"
+
+
 @pytest.mark.parametrize("mutate", [
     _drop("mode"), _drop("unknowns"), _set_first_term_unknown,
-    _set_first_bound_unknown, _drop_first_provenance,
+    _set_first_bound_unknown, _drop_first_provenance, _end_first_weight_in_a_newline,
 ], ids=["no-mode", "no-unknowns", "term-unknown-999", "bound-unknown-999",
-        "no-provenance"])
+        "no-provenance", "weight-newline"])
 def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
     system = build_constraints(table3, MODE_PER_PAIR)
     path = tmp_path / "cert.json"
@@ -226,6 +250,46 @@ def test_certificate_with_a_repeated_entry_is_refused(tmp_path, table3, mutate):
     with pytest.raises(ValueError, match=message) as info:
         serialize.certificate_from_dict(doc)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("term", [{"nu": [2, 1], "d": 0, "coeff": 1},
+                                  {"nu": [2, 1], "d": 5, "coeff": 1}],
+                         ids=["writer-shape", "past-q3"])
+def test_table_with_a_repeated_term_is_refused(tmp_path, table3, term):
+    # the fast path for the writer's shape and the field-by-field path both
+    # refuse it; summed, the two would read as coefficient 2
+    path = tmp_path / "t.json"
+    serialize.save_table(table3, path)
+    doc = json.loads(path.read_text())
+    product = doc["products"][1]
+    product["terms"] += [dict(term), dict(term)]
+    lam, mu = tuple(product["lambda"]), tuple(product["mu"])
+    message = f"product pair {lam}, {mu} lists the term (2, 1), q^{term['d']} twice"
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        serialize.table_from_dict(doc)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("layout", [{"separators": (",", ":")}, {"indent": 4},
+                                    {"indent": 2, "sort_keys": True}],
+                         ids=["minified", "indent-4", "key-sorted"])
+def test_readers_accept_any_json_layout(tmp_path, table3, layout):
+    # the readers read JSON, not the writer's text: any valid layout loads
+    path = tmp_path / "doc.json"
+
+    def relaid():
+        path.write_text(json.dumps(json.loads(path.read_text()), **layout))
+        return path
+
+    serialize.save_table(table3, path)
+    table = serialize.load_table(relaid())
+    assert {p: table.terms(*p) for p in table.pairs()} == \
+        {p: table3.terms(*p) for p in table3.pairs()}
+    for mode in (MODE_PER_PAIR, MODE_PER_MU):
+        system = build_constraints(table3, mode)
+        serialize.save_certificate(certify_uniqueness(system), system, path)
+        original = serialize.load_certificate(path)
+        assert serialize.load_certificate(relaid()) == original
 
 
 @pytest.mark.parametrize("mode, entries, message", [
