@@ -8,9 +8,10 @@ Route A (`certify_uniqueness`) searches for the weights of a certificate;
 `proof` holds the records, the rows and the check, re-exported here.  Sign
 propagation with Farkas weights chains single rows: once every other term
 of a row is known to be <= 0, the row bounds its last unknown.  Exact
-Fourier-Motzkin elimination, on rows it copies only when it runs, settles
-any unknown left open.  Every constraint has at most two unknowns with
-coefficients +-1, and at n = 3..8 propagation alone settles every unknown.
+Fourier-Motzkin elimination settles any unknown left open; it too runs on
+the stored rows, keyed by unknown, and adds to each only its combination.
+Every constraint has at most two unknowns with coefficients +-1, and at
+n = 3..80 propagation alone settles every unknown.
 
 Route B (`replay_proof`) follows the structure of the uniqueness argument:
 multiply sigma[lam] by the matching power of sigma[1,1] so that everything
@@ -65,38 +66,29 @@ class MismatchError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination with combination tracking, on rows built when it runs
+# Fourier-Motzkin elimination with combination tracking, on the system's rows
 
 
-class _Row:
-    """FM's working row: lin . a + const >= 0, plus its combination of originals."""
-
-    __slots__ = ("lin", "const", "combo")
-
-    def __init__(self, lin, const, combo):
-        self.lin = lin          # {unknown position: int or Fraction}, no zeros
-        self.const = const
-        self.combo = combo      # {original constraint index: positive int or Fraction}
+# FM's working row: lin . a + const >= 0, lin {unknown key: int or Fraction}
+# with no zeros, and combo {original constraint index: positive weight}
+_Row = namedtuple("_Row", "lin const combo")
 
 
 def _rows_from_system(system: ConstraintSystem):
-    pos = {k: i for i, k in enumerate(system.unknowns)}
-    rows = []
-    for idx, expr in enumerate(system.constraints):
-        lin = {pos[k]: v for k, v in expr.linear.items()}
-        rows.append(_Row(lin, expr.constant, {idx: 1}))
-    return rows
+    """Each stored row as a `_Row`, sharing its `linear` dict: FM makes new
+    rows and never writes to one."""
+    return [_Row(e.linear, e.constant, {i: 1}) for i, e in enumerate(system.constraints)]
 
 
-def _combine(pr: _Row, nr: _Row, var: int) -> _Row:
+def _combine(pr: _Row, nr: _Row, var) -> _Row:
     w_pos = -nr.lin[var]        # > 0
     w_neg = pr.lin[var]         # > 0
     lin = {}
-    for p, v in pr.lin.items():
-        lin[p] = w_pos * v
-    for p, v in nr.lin.items():
-        lin[p] = lin.get(p, 0) + w_neg * v
-    lin = {p: v for p, v in lin.items() if p != var and v}
+    for k, v in pr.lin.items():
+        lin[k] = w_pos * v
+    for k, v in nr.lin.items():
+        lin[k] = lin.get(k, 0) + w_neg * v
+    lin = {k: v for k, v in lin.items() if k != var and v}
     const = w_pos * pr.const + w_neg * nr.const
     combo = {i: w_pos * w for i, w in pr.combo.items()}
     for i, w in nr.combo.items():
@@ -114,7 +106,7 @@ def _prune(rows):
             continue
         lead = min(r.lin)
         s = abs(r.lin[lead])
-        key = tuple(sorted((p, Fraction(v, s)) for p, v in r.lin.items()))
+        key = frozenset((k, Fraction(v, s)) for k, v in r.lin.items())
         c = Fraction(r.const, s)
         kept = best.get(key)
         if kept is None or c < kept[0]:
@@ -122,11 +114,11 @@ def _prune(rows):
     return [r for _, r in best.values()]
 
 
-def _eliminate(rows, var: int, limit: int):
+def _eliminate(rows, var, limit: int):
     pos, neg, rest = [], [], []
     for r in rows:
         c = r.lin.get(var)
-        if c is None or not c:
+        if not c:
             rest.append(r)
         elif c > 0:
             pos.append(r)
@@ -140,36 +132,28 @@ def _eliminate(rows, var: int, limit: int):
     return _prune(out)
 
 
-def _project_onto(rows, keep: int, limit: int, peak=None):
-    """Eliminate every variable except `keep`, cheapest-looking first.
+def _project_onto(rows, keep, limit: int):
+    """Eliminate every unknown except `keep`, cheapest-looking first.
 
-    `peak`, when given, is a one-element list recording the largest working
-    set seen across eliminations.
+    Returns the projected rows and the largest working set seen.
     """
     rows = _prune(rows)
-    remaining = set()
-    for r in rows:
-        remaining.update(r.lin)
-    remaining.discard(keep)
-    while remaining:
-        counts = {v: [0, 0] for v in remaining}
+    peak = len(rows)
+    while True:
+        counts = {}                     # unknown -> [rows with c > 0, rows with c < 0]
         for r in rows:
-            for v in r.lin:
-                if v in counts:
-                    counts[v][r.lin[v] < 0] += 1
-        var = min(remaining, key=lambda v: (counts[v][0] * counts[v][1], v))
+            for k, c in r.lin.items():
+                if k != keep:
+                    counts.setdefault(k, [0, 0])[c < 0] += 1
+        if not counts:
+            return rows, peak
+        var = min(counts, key=lambda k: (counts[k][0] * counts[k][1], k))
         rows = _eliminate(rows, var, limit)
-        if peak is not None:
-            peak[0] = max(peak[0], len(rows))
-        remaining = set()
-        for r in rows:
-            remaining.update(r.lin)
-        remaining.discard(keep)
-    return rows
+        peak = max(peak, len(rows))
 
 
-def _interval(rows, var: int):
-    """Exact feasible interval of one variable from its projected rows.
+def _interval(rows, var):
+    """Exact feasible interval of one unknown from its projected rows.
 
     Returns (lo, hi, lo_row, hi_row); None stands for an unbounded side.
     """
@@ -244,8 +228,12 @@ def _propagate(constraints):
     return facts
 
 
-def _scaled_weights(combo, scale=1):
-    return tuple(sorted((i, w * scale) for i, w in combo.items() if w * scale))
+def _bound(key, direction: str, combo: dict, divisor=1) -> BoundProof:
+    """The bound on `key` with weights `combo` / `divisor`, where `combo` (all
+    positive) sums the rows to `divisor` times the claimed inequality."""
+    if divisor != 1:
+        combo = {i: Fraction(w, divisor) for i, w in combo.items()}
+    return BoundProof(key, direction, tuple(sorted(combo.items())))
 
 
 def certify_uniqueness(system: ConstraintSystem,
@@ -272,62 +260,57 @@ def _certify(system: ConstraintSystem, max_rows: int, propagate: bool) -> Certif
     # fact is a real bound; otherwise FM decides, reporting infeasibility
     if propagate and all(e.constant >= 0 for e in system.constraints):
         facts = _propagate(system.constraints)
-    intervals = {}
     bounds = []
-    peak = [len(system.constraints)]
+    peak = len(system.constraints)
     fm_unknowns = 0
     base = None                         # FM's rows, built for the first open unknown
-    for k, key in enumerate(system.unknowns):
+    free = None                         # the first unknown not pinned to zero
+    for key in system.unknowns:
         if (key, 1) in facts and (key, -1) in facts:
-            intervals[key] = (0, 0)
-            bounds.append(BoundProof(key, "lower", _scaled_weights(facts[(key, 1)])))
-            bounds.append(BoundProof(key, "upper", _scaled_weights(facts[(key, -1)])))
+            bounds.append(_bound(key, "lower", facts.pop((key, 1))))
+            bounds.append(_bound(key, "upper", facts.pop((key, -1))))
             continue
         fm_unknowns += 1
         base = _rows_from_system(system) if base is None else base
-        rows = _project_onto(list(base), k, max_rows, peak)
-        lo, hi, lo_row, hi_row = _interval(rows, k)
-        intervals[key] = (lo, hi)
+        rows, rows_peak = _project_onto(base, key, max_rows)
+        peak = max(peak, rows_peak)
+        lo, hi, lo_row, hi_row = _interval(rows, key)
         if lo == 0 and hi == 0:
-            bounds.append(BoundProof(key, "lower", _scaled_weights(
-                lo_row.combo, Fraction(1, lo_row.lin[k]))))
-            bounds.append(BoundProof(key, "upper", _scaled_weights(
-                hi_row.combo, Fraction(1, -hi_row.lin[k]))))
+            bounds.append(_bound(key, "lower", lo_row.combo, lo_row.lin[key]))
+            bounds.append(_bound(key, "upper", hi_row.combo, -hi_row.lin[key]))
+        elif free is None:
+            free = key
     nvars = len(system.unknowns)
     stats = {"unknowns": nvars, "constraints": len(system.constraints),
-             "peak_working_rows": peak[0],
+             "peak_working_rows": peak,
              "propagated_unknowns": nvars - fm_unknowns,
              "fm_unknowns": fm_unknowns}
-    if all(iv == (0, 0) for iv in intervals.values()):
+    if free is None:
         return Certificate(system.n, system.mode, CONCLUSION_UNIQUE_ZERO,
                            system.unknowns, tuple(bounds), None, stats)
-    witness = _find_witness(system, base, intervals, max_rows)
+    witness = _find_witness(system, base, free, max_rows)
     return Certificate(system.n, system.mode, CONCLUSION_NOT_UNIQUE,
                        system.unknowns, (), witness, stats)
 
 
-def _substitute(rows, var: int, value):
+def _substitute(rows, var, value):
     out = []
     for r in rows:
         c = r.lin.get(var)
-        if c is None or not c:
+        if not c:
             out.append(r)
             continue
-        lin = {p: v for p, v in r.lin.items() if p != var}
+        lin = {k: v for k, v in r.lin.items() if k != var}
         out.append(_Row(lin, r.const + c * value, r.combo))
     return out
 
 
-def _find_witness(system: ConstraintSystem, rows, intervals, max_rows: int) -> dict:
-    """A nonzero feasible assignment, by back-substitution on FM's working rows."""
-    free = next(k for k, iv in intervals.items() if iv != (0, 0))
-    order = [free] + [k for k in system.unknowns if k != free]
-    pos = {k: i for i, k in enumerate(system.unknowns)}
+def _find_witness(system: ConstraintSystem, rows, free, max_rows: int) -> dict:
+    """A nonzero feasible assignment, by back-substitution on FM's working
+    rows, starting from `free`, an unknown not pinned to zero."""
     assignment = {}
-    for key in order:
-        p = pos[key]
-        projected = _project_onto(list(rows), p, max_rows)
-        lo, hi, _, _ = _interval(projected, p)
+    for key in [free] + [k for k in system.unknowns if k != free]:
+        lo, hi, _, _ = _interval(_project_onto(rows, key, max_rows)[0], key)
         if hi is not None and hi != 0:
             value = hi
         elif lo is not None and lo != 0:
@@ -339,7 +322,7 @@ def _find_witness(system: ConstraintSystem, rows, intervals, max_rows: int) -> d
         else:
             value = 0
         assignment[key] = value
-        rows = _prune(_substitute(rows, p, value))
+        rows = _prune(_substitute(rows, key, value))
     return assignment
 
 

@@ -252,10 +252,22 @@ def _cmd_verify(args):
     return 0 if passed else 1
 
 
-def _cmd_certify(args):
-    from .certify import (DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError,
-                          certify_uniqueness, replay_proof)
+def _route_a(args, table, max_rows: int) -> dict:
+    """Route A's result row, with its certificate written when asked for; its
+    system and certificate are freed on return, before route B runs."""
+    from .certify import certify_uniqueness
     from .proof import build_constraints, verify_certificate
+    system = build_constraints(table, args.mode)
+    cert = certify_uniqueness(system, max_rows=max_rows)
+    verified = verify_certificate(system, cert)
+    if args.emit_certificate:
+        serialize.save_certificate(cert, system, args.emit_certificate)
+    return {"method": "fm", "conclusion": cert.conclusion, "verified": verified,
+            "unknowns": len(system.unknowns)}
+
+
+def _cmd_certify(args):
+    from .certify import DEFAULT_ROW_LIMIT, MismatchError, ResourceLimitError, replay_proof
     from .ring import lazy_table
     if args.emit_certificate and args.method == "replay":
         raise ValueError("--emit-certificate needs the fm method")
@@ -263,19 +275,11 @@ def _cmd_certify(args):
     if max_rows < 1:
         raise ValueError(f"--max-rows must be at least 1, got {max_rows}")
     table = lazy_table(args.n)
+    cert_path = args.emit_certificate or None
     results = []
-    cert_path = None
     try:
         if args.method in ("fm", "both"):
-            system = build_constraints(table, args.mode)
-            cert = certify_uniqueness(system, max_rows=max_rows)
-            verified = verify_certificate(system, cert)
-            results.append({"method": "fm", "conclusion": cert.conclusion,
-                            "verified": verified,
-                            "unknowns": len(system.unknowns)})
-            if args.emit_certificate:
-                serialize.save_certificate(cert, system, args.emit_certificate)
-                cert_path = args.emit_certificate
+            results.append(_route_a(args, table, max_rows))
         if args.method in ("replay", "both"):
             report = replay_proof(table)
             results.append({"method": "replay", "conclusion": report.conclusion,

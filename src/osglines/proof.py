@@ -88,8 +88,9 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     Independent of the search: only the stored constraints and the
     certificate's weight lists are used.  Returns False on any defect
     (negative weight, bad index, a weight that is not an int or a Fraction,
-    sum not literally equal to the claimed inequality, missing bound, bad
-    witness).  Integral weights are summed as ints.
+    sum not literally equal to the claimed inequality, missing bound, a
+    witness that is zero, infeasible or names a key that is no unknown).
+    Integral weights are summed as ints.
     """
     try:
         if cert.unknowns != system.unknowns or cert.n != system.n \
@@ -118,10 +119,12 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
             return all((k, d) in seen for k in system.unknowns
                        for d in ("lower", "upper"))
         if cert.conclusion == CONCLUSION_NOT_UNIQUE:
-            if not cert.witness or not any(cert.witness.values()):
+            # nonzero on some unknown of the system, and naming no other key
+            witness = cert.witness
+            if not witness or not witness.keys() <= set(system.unknowns) \
+                    or not any(witness.values()):
                 return False
-            return all(expr.evaluate(cert.witness) >= 0
-                       for expr in system.constraints)
+            return all(expr.evaluate(witness) >= 0 for expr in system.constraints)
         return False
     except (TypeError, ValueError, ZeroDivisionError):
         # a weight, witness value or index of the wrong type

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AffineExpression, ClassVector, exact, sorted_terms
-from .basis import MODE_PER_PAIR, check_mode, enumerate_basis
+from .basis import MODE_PER_PAIR, check_mode, check_ring_rank, enumerate_basis
 
 TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
 if TYPE_CHECKING:
@@ -193,7 +193,7 @@ def table_from_dict(data: dict) -> MultiplicationTable:
     version = data.get("version")
     if type(version) is not int or version != TABLE_FORMAT_VERSION:
         raise ValueError(f"unsupported table format version {version!r}")
-    n = _as_int(_field(data, "n", "table"))
+    n = check_ring_rank(_as_int(_field(data, "n", "table")))
     basis = [_as_index(b) for b in _field(data, "basis", "table", list)]
     # a rank-n basis has 2n^2 classes; checking that first means a cache that
     # claims a huge rank is rejected without enumerating that rank's basis

@@ -134,6 +134,17 @@ def test_not_unique_toy_system():
     assert not verify_certificate(system, floats)
 
 
+def test_witness_must_be_nonzero_on_an_unknown_of_the_system(table3):
+    # n = 3 has only the zero solution; each witness below satisfies every
+    # row, being zero on all of the system's unknowns, and must be refused
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    for witness in ({"not-an-unknown": 5}, {system.unknowns[0]: 0, "x": 1}):
+        fake = cert._replace(conclusion=CONCLUSION_NOT_UNIQUE, bounds=(), witness=witness)
+        assert all(expr.evaluate(witness) >= 0 for expr in system.constraints)
+        assert verify_certificate(system, fake) is False, witness
+
+
 def test_pinned_toy_system_certifies():
     # x >= 0, -x >= 0, y - x >= 0, -y >= 0
     system = toy_system([AffineExpression(0, {"x": 1}),
@@ -386,6 +397,30 @@ def test_fm_rows_are_built_once(monkeypatch, make):
     assert cert.conclusion == CONCLUSION_NOT_UNIQUE
     assert verify_certificate(system, cert)
     assert len(calls) == 1
+
+
+def test_fm_rows_are_the_stored_rows(table3, table4):
+    # FM's first working rows share each stored row's dict, keyed by unknown,
+    # and add only the row's own combination
+    for table in (table3, table4):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(table, mode)
+            rows = certify._rows_from_system(system)
+            assert len(rows) == len(system.constraints)
+            for i, (row, expr) in enumerate(zip(rows, system.constraints)):
+                assert row.lin is expr.linear
+                assert row.const == expr.constant and row.combo == {i: 1}
+
+
+def test_pure_fm_reference(table3, table4, table5, table6):
+    # FM alone decides n = 3..6 without growing past the stored rows
+    for table, peak in zip((table3, table4, table5, table6), (15, 33, 61, 101)):
+        for mode in (MODE_PER_PAIR, MODE_PER_MU):
+            system = build_constraints(table, mode)
+            cert = certify._certify(system, DEFAULT_ROW_LIMIT, propagate=False)
+            assert cert.conclusion == CONCLUSION_UNIQUE_ZERO, (table.n, mode)
+            assert verify_certificate(system, cert), (table.n, mode)
+            assert cert.stats["peak_working_rows"] == peak, (table.n, mode)
 
 
 def test_lazy_table_gives_identical_proofs(tmp_path, table3, table4, table5, table6):

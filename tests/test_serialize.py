@@ -8,6 +8,7 @@ import pytest
 
 from osglines import build_table, serialize
 from osglines.algebra import AffineExpression
+from osglines.basis import enumerate_basis
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
 from osglines.certify import (CONCLUSION_NOT_UNIQUE, ConstraintSystem, build_constraints,
@@ -116,6 +117,25 @@ def test_table_requires_known_version(tmp_path, capsys, table3):
         assert main(["table", "--n", "3", "--load", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_table_of_rank_two_is_refused(tmp_path, capsys):
+    # a well-formed cache of the rank-2 basis: no table has that rank, so the
+    # reader refuses it by its rank, before any product is read or revalidated
+    basis = enumerate_basis(2)
+    doc = {"version": serialize.TABLE_FORMAT_VERSION, "n": 2,
+           "basis": [list(b) for b in basis],
+           "products": [{"lambda": list(lam), "mu": list(mu), "terms": []}
+                        for i, lam in enumerate(basis) for mu in basis[i:]]}
+    assert len(doc["basis"]) == 8 and len(doc["products"]) == 36
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"rank must be >= 3, got 2"):
+        serialize.load_table(path)
+    for extra in ((), ("--revalidate",)):
+        assert main(["table", "--n", "2", "--load", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: rank must be >= 3, got 2\n"
 
 
 def test_table_text_matches_the_stdlib_encoder(tmp_path, table3, table4, table5, table6):
