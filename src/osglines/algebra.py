@@ -4,6 +4,9 @@ A `ClassVector` is one flat map {(index, q-exponent): coefficient}, the same
 shape the ring builds its products in, so a product is wrapped without being
 copied or regrouped.  It is the only polynomial in q in the package: the
 q-coefficient of a class is the slice of the map at that class's index.
+`ClassVector.write` is the one walk that writes a vector's terms as text; a
+vector's repr is the CLI's text form, an expression when its first term is
+positive (the expression grammar has no unary minus).
 
 Everything is exact: a class vector's coefficients are rationals
 (`fractions.Fraction`), and an affine form keeps each integral value as an
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import Index, check_index, degree, index_pair, index_sort_key, is_valid
+from .basis import Index, check_index, index_pair, index_sort_key, is_valid
 
 
 def as_coeff(x):
@@ -68,9 +71,6 @@ class AffineExpression:
         if not isinstance(other, AffineExpression):
             return NotImplemented
         return self.constant == other.constant and self.linear == other.linear
-
-    def __hash__(self):
-        return hash((self.constant, frozenset(self.linear.items())))
 
     def evaluate(self, assignment):
         """The exact value at `assignment` ({key: int or Fraction}, missing keys 0)."""
@@ -172,9 +172,6 @@ class ClassVector:
     def coefficient(self, lam, d: int):
         return self.flat.get((tuple(lam), d), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.flat
-
     def __bool__(self):
         return bool(self.flat)
 
@@ -182,9 +179,6 @@ class ClassVector:
         if not isinstance(other, ClassVector):
             return NotImplemented
         return self.n == other.n and self.flat == other.flat
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.flat.items())))
 
     def _check_rank(self, other: "ClassVector"):
         if self.n != other.n:
@@ -212,19 +206,21 @@ class ClassVector:
         scaled = {k: c * coeff for k, c in self.flat.items()}
         return ClassVector._wrap(self.n, {k: c for k, c in scaled.items() if c})
 
-    def homogeneous_degree(self):
-        """Common value of degree(index) + 2n*q_exponent, or None if mixed or zero."""
-        degrees = {degree(lam) + 2 * self.n * d for lam, d in self.flat}
-        return degrees.pop() if len(degrees) == 1 else None
+    def write(self, coeff, q, cls) -> str:
+        """The terms in canonical order as one signed sum, "0" when there are none.
 
-    def max_q_exponent(self) -> int:
-        return max((d for _, d in self.flat), default=-1)
-
-    def __repr__(self):
-        if not self.flat:
-            return "0"
+        `coeff(m)` writes a magnitude m != 1, `q(d)` the power q^d for d >= 1
+        and `cls(index)` the class; a term is their concatenation.  A negative
+        first term is led by "-", and later terms are joined by " + " or " - ".
+        """
         parts = []
         for lam, d, c in self.flat_items():
-            qs = "" if d == 0 else ("q*" if d == 1 else f"q^{d}*")
-            parts.append(f"({c})*{qs}tau[{lam[0]},{lam[1]}]")
-        return " + ".join(parts)
+            mag = abs(c)
+            lead = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(lead + (coeff(mag) if mag != 1 else "") + (q(d) if d else "") + cls(lam))
+        return " ".join(parts) or "0"
+
+    def __repr__(self):
+        """The text form of the CLI: `-2*q^2*tau[0,0] + 1/2*tau[2,1]`."""
+        return self.write(lambda m: f"{m}*", lambda d: "q*" if d == 1 else f"q^{d}*",
+                          lambda lam: f"tau[{lam[0]},{lam[1]}]")

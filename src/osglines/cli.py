@@ -49,23 +49,8 @@ def _parse_index(text: str):
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}")
 
 
-def _coeff_prefix(c: Fraction, star: str) -> str:
-    return "" if c == 1 else f"{serialize.format_rational(c)}{star}"
-
-
 def render_vector_text(v: ClassVector) -> str:
-    parts = []
-    for nu, d, c in v.flat_items():
-        c = Fraction(c)
-        qs = "" if d == 0 else ("q*" if d == 1 else f"q^{d}*")
-        body = f"{qs}tau[{nu[0]},{nu[1]}]"
-        if not parts:
-            sign, mag = ("-", -c) if c < 0 else ("", c)
-            parts.append(f"{sign}{_coeff_prefix(mag, '*')}{body}")
-        else:
-            sign, mag = ("-", -c) if c < 0 else ("+", c)
-            parts.append(f"{sign} {_coeff_prefix(mag, '*')}{body}")
-    return " ".join(parts) if parts else "0"
+    return repr(v)
 
 
 def _latex_rational(c: Fraction) -> str:
@@ -76,18 +61,9 @@ def _latex_rational(c: Fraction) -> str:
 
 
 def render_vector_latex(v: ClassVector) -> str:
-    parts = []
-    for nu, d, c in v.flat_items():
-        c = Fraction(c)
-        qs = "" if d == 0 else ("q\\," if d == 1 else f"q^{{{d}}}\\,")
-        mag = -c if c < 0 else c
-        coeff = "" if mag == 1 else f"{_latex_rational(mag)}\\,"
-        body = f"{coeff}{qs}\\tau_{{({nu[0]},{nu[1]})}}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+    return v.write(lambda m: f"{_latex_rational(m)}\\,",
+                   lambda d: "q\\," if d == 1 else f"q^{{{d}}}\\,",
+                   lambda lam: f"\\tau_{{({lam[0]},{lam[1]})}}")
 
 
 def _latex_table(rows) -> str:

@@ -6,9 +6,9 @@ Grammar (whitespace insignificant):
     term   := factor ('*' factor)*
     factor := INT | 'q' ('^' INT)? | 'tau' '[' SINT ',' SINT ']' | '(' expr ')'
 
-INT is an unsigned decimal integer; SINT (only inside tau brackets) allows a
-leading '-'.  Negative coefficients are written with the binary '-' of expr;
-there is no unary minus and no exponent on tau.
+INT is an unsigned decimal integer in ASCII digits 0-9; SINT (only inside tau
+brackets) allows a leading '-'.  Negative coefficients are written with the
+binary '-' of expr; there is no unary minus and no exponent on tau.
 
 The AST is plain nested tuples:
 
@@ -37,127 +37,96 @@ class ExpressionSyntaxError(ValueError):
 
 
 MAX_NESTING = 100  # parse and evaluate recurse about 3 frames per level
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(tau)|(q)|([+\-*()\[\],^]))")
+# a number, a symbol, or any other character (an error), each after optional
+# whitespace: every character but trailing whitespace is in some match
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(tau|q|[-+*()\[\],^])|(\S))")
 
 
 def tokenize(src: str):
+    """(kind, value, offset) triples, closed by ("end", None, len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {src[at]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("tau", "tau", m.start(2)))
-        elif m.group(3) is not None:
-            tokens.append(("q", "q", m.start(3)))
+    for m in _TOKEN_RE.finditer(src):
+        number, symbol, other = m.groups()
+        if other is not None:
+            raise ExpressionSyntaxError(f"unexpected character {other!r}", m.start(3))
+        if number is not None:
+            tokens.append(("int", int(number), m.start(1)))
         else:
-            tokens.append((m.group(4), m.group(4), m.start(4)))
-        pos = m.end()
+            tokens.append((symbol, symbol, m.start(2)))
     tokens.append(("end", None, len(src)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = tokenize(src)
-        self.i = 0
-        self.depth = 0
+# One function per production.  Each takes the tokens and the position of its
+# first token and returns (node, position after it); `depth` counts the groups
+# that enclose it.
 
-    def peek(self):
-        return self.tokens[self.i]
+def _unexpected(tok, expected):
+    what = "end of input" if tok[0] == "end" else repr(tok[1])
+    return ExpressionSyntaxError(f"unexpected {what}", tok[2], expected)
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(
-                f"unexpected {self._describe(tok)}", tok[2], (kind,))
-        return self.advance()
+def _expect(tokens, i, kind) -> int:
+    if tokens[i][0] != kind:
+        raise _unexpected(tokens[i], (kind,))
+    return i + 1
 
-    @staticmethod
-    def _describe(tok):
-        return "end of input" if tok[0] == "end" else f"{tok[1]!r}"
 
-    def parse(self):
-        ast = self.parse_sum()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionSyntaxError(
-                f"unexpected {self._describe(tok)}", tok[2],
-                ("+", "-", "*", "end of input"))
-        return ast
+def _sum(tokens, i, depth):
+    term, i = _term(tokens, i, depth)
+    terms = [(1, term)]
+    while tokens[i][0] in ("+", "-"):
+        sign = 1 if tokens[i][0] == "+" else -1
+        term, i = _term(tokens, i + 1, depth)
+        terms.append((sign, term))
+    return ("sum", tuple(terms)), i
 
-    def parse_sum(self):
-        terms = [(1, self.parse_term())]
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
-            terms.append((sign, self.parse_term()))
-        return ("sum", tuple(terms))
 
-    def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek()[0] == "*":
-            self.advance()
-            factors.append(self.parse_factor())
-        return ("product", tuple(factors))
+def _term(tokens, i, depth):
+    factor, i = _factor(tokens, i, depth)
+    factors = [factor]
+    while tokens[i][0] == "*":
+        factor, i = _factor(tokens, i + 1, depth)
+        factors.append(factor)
+    return ("product", tuple(factors)), i
 
-    def parse_signed_int(self) -> int:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.expect("int")
-        return sign * tok[1]
 
-    def parse_factor(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.advance()
-            return ("int", tok[1])
-        if tok[0] == "q":
-            self.advance()
-            if self.peek()[0] == "^":
-                self.advance()
-                k = self.expect("int")[1]
-                return ("q", k)
-            return ("q", 1)
-        if tok[0] == "tau":
-            self.advance()
-            self.expect("[")
-            a = self.parse_signed_int()
-            self.expect(",")
-            b = self.parse_signed_int()
-            self.expect("]")
-            return ("tau", a, b)
-        if tok[0] == "(":
-            if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError(f"nesting deeper than {MAX_NESTING}", tok[2])
-            self.advance()
-            self.depth += 1
-            inner = self.parse_sum()
-            self.expect(")")
-            self.depth -= 1
-            return ("group", inner)
-        raise ExpressionSyntaxError(
-            f"unexpected {self._describe(tok)}", tok[2],
-            ("integer", "q", "tau", "("))
+def _signed_int(tokens, i):
+    sign = 1
+    if tokens[i][0] == "-":
+        sign, i = -1, i + 1
+    i = _expect(tokens, i, "int")
+    return sign * tokens[i - 1][1], i
+
+
+def _factor(tokens, i, depth):
+    kind, value, offset = tokens[i]
+    if kind == "int":
+        return ("int", value), i + 1
+    if kind == "q":
+        if tokens[i + 1][0] != "^":
+            return ("q", 1), i + 1
+        i = _expect(tokens, i + 2, "int")
+        return ("q", tokens[i - 1][1]), i
+    if kind == "tau":
+        a, i = _signed_int(tokens, _expect(tokens, i + 1, "["))
+        b, i = _signed_int(tokens, _expect(tokens, i, ","))
+        return ("tau", a, b), _expect(tokens, i, "]")
+    if kind == "(":
+        if depth == MAX_NESTING:
+            raise ExpressionSyntaxError(f"nesting deeper than {MAX_NESTING}", offset)
+        inner, i = _sum(tokens, i + 1, depth + 1)
+        return ("group", inner), _expect(tokens, i, ")")
+    raise _unexpected(tokens[i], ("integer", "q", "tau", "("))
 
 
 def parse_expression(src: str):
     """Parse source text to an AST; raises ExpressionSyntaxError with offset."""
-    return _Parser(src).parse()
+    tokens = tokenize(src)
+    ast, i = _sum(tokens, 0, 0)
+    if tokens[i][0] != "end":
+        raise _unexpected(tokens[i], ("+", "-", "*", "end of input"))
+    return ast
 
 
 def format_expression(ast) -> str:

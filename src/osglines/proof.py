@@ -89,8 +89,8 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     certificate's weight lists are used.  Returns False on any defect
     (negative weight, bad index, a weight that is not an int or a Fraction,
     sum not literally equal to the claimed inequality, missing bound, a
-    witness that is zero, infeasible or names a key that is no unknown).
-    Integral weights are summed as ints.
+    witness that is not a dict, is zero, infeasible or names a key that is no
+    unknown).  Integral weights are summed as ints.
     """
     try:
         if cert.unknowns != system.unknowns or cert.n != system.n \
@@ -119,9 +119,9 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
             return all((k, d) in seen for k in system.unknowns
                        for d in ("lower", "upper"))
         if cert.conclusion == CONCLUSION_NOT_UNIQUE:
-            # nonzero on some unknown of the system, and naming no other key
+            # a dict, nonzero on some unknown of the system, and naming no other key
             witness = cert.witness
-            if not witness or not witness.keys() <= set(system.unknowns) \
+            if not isinstance(witness, dict) or not witness.keys() <= set(system.unknowns) \
                     or not any(witness.values()):
                 return False
             return all(expr.evaluate(witness) >= 0 for expr in system.constraints)

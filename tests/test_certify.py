@@ -145,6 +145,14 @@ def test_witness_must_be_nonzero_on_an_unknown_of_the_system(table3):
         assert verify_certificate(system, fake) is False, witness
 
 
+def test_witness_that_is_not_a_dict_is_refused(table3):
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    for witness in ([("x", 1)], 5, "ab"):
+        fake = cert._replace(conclusion=CONCLUSION_NOT_UNIQUE, bounds=(), witness=witness)
+        assert verify_certificate(system, fake) is False, witness
+
+
 def test_pinned_toy_system_certifies():
     # x >= 0, -x >= 0, y - x >= 0, -y >= 0
     system = toy_system([AffineExpression(0, {"x": 1}),

@@ -235,6 +235,9 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "offset" in err
     code, _, err = run(capsys, "mult", "--n", "3", "tau[2,2]")
     assert code == 2 and "not valid" in err
+    code, out, err = run(capsys, "mult", "--n", "3", "tau[\u0661,\u0660]*tau[\u0661,\u0660]")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\u0661' at offset 4\n"
     code, _, err = run(capsys, "check-positivity", "--n", "3",
                        "--spec", "/nonexistent/path.json")
     assert code == 2

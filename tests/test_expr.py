@@ -1,9 +1,15 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osglines import expr
 from osglines.algebra import ClassVector
+from osglines.basis import enumerate_basis
+from osglines.cli import render_vector_text
 from osglines.expr import (ExpressionSyntaxError, evaluate_expression,
                            format_expression, parse_expression)
+from osglines.pieri import pieri_tau1, pieri_tau11
 from osglines.ring import multiply
 
 
@@ -47,6 +53,10 @@ def test_error_reporting():
     # no unary minus: negative integers only via the binary '-'
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("-tau[1,0]")
+    # INT is ASCII digits only: an Arabic-Indic one is no digit
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("tau[\u0661,0]")
+    assert str(err.value) == "unexpected character '\u0661' at offset 4"
 
 
 def test_q_exponent_forms():
@@ -101,3 +111,29 @@ def test_indices_validated_at_evaluation_not_parse(table3):
     ast = parse_expression("tau[2,2]")  # parses fine
     with pytest.raises(ValueError, match="not valid"):
         evaluate_expression(ast, table3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_written_vectors_read_back(n, table3, table4):
+    # the reader has no unary minus, so a vector led by a negative term is skipped
+    table = {3: table3, 4: table4}[n]
+    vectors = [f(n, lam) for lam in enumerate_basis(n) for f in (pieri_tau1, pieri_tau11)]
+    vectors += [table.product(lam, mu) for lam, mu in table.pairs()]
+    checked = 0
+    for v in vectors:
+        if v and next(v.flat_items())[2] < 0:
+            continue
+        assert evaluate_expression(parse_expression(render_vector_text(v)), table) == v
+        checked += 1
+    assert checked > len(vectors) // 2
+
+
+def test_readme_states_the_module_grammar():
+    def grammar(text):
+        lines = text.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.strip().startswith("expr   :="))
+        return [line.strip() for line in lines[start:start + 3]]
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme.read_text(encoding="utf-8")
+    assert grammar(readme) == grammar(expr.__doc__)
+    assert grammar(readme)[2].startswith("factor :=")
