@@ -50,7 +50,11 @@ def tokenize(src: str):
         if other is not None:
             raise ExpressionSyntaxError(f"unexpected character {other!r}", m.start(3))
         if number is not None:
-            tokens.append(("int", int(number), m.start(1)))
+            try:
+                tokens.append(("int", int(number), m.start(1)))
+            except ValueError:  # more digits than the interpreter converts to an int
+                raise ExpressionSyntaxError(f"integer of {len(number)} digits is too long",
+                                            m.start(1)) from None
         else:
             tokens.append((symbol, symbol, m.start(2)))
     tokens.append(("end", None, len(src)))

@@ -3,7 +3,8 @@
 Each rule is a finite case table on the index (a, b) being multiplied.  The
 raw tables can emit index pairs outside the valid set (for example a diagonal
 pair (t, t) with t > n-2); those terms are dropped, i.e. treated as the zero
-class, by the one filter `_valid_terms`.  This zero convention is checked
+class, by the one filter `_valid_terms`, which also refuses a term with a
+negative q-exponent.  This zero convention is checked
 downstream: every product the ring computes must be homogeneous
 (`MultiplicationTable._checked`, on the lazy walk and on the column fill
 alike), and the product-identity suite must hold.
@@ -55,8 +56,13 @@ def _tau11_raw(n: int, lam: Index):
 
 
 def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
-    """The terms of a raw Pieri rule at lam whose index is a class."""
-    return tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
+    """The terms of a raw Pieri rule at lam whose index is a class, as
+    (index, coeff, q-exponent) triples; RuntimeError on a negative q-exponent,
+    which no product has and no term code of the ring can hold."""
+    terms = tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
+    if any(dd < 0 for _, _, dd in terms):
+        raise RuntimeError(f"a Pieri term at {lam} has a negative q-exponent")
+    return terms
 
 
 def tau1_case(n: int, lam) -> str:

@@ -13,9 +13,9 @@ Hence
 
     tau[lam] * tau[mu] = S(tau[pred] * tau[mu]) - sum k q^dd tau[o] * tau[mu],
 
-computed on plain ints, and on int codes: a table codes the term
-q^d tau[nu] as Q * pos(nu) + d (`Q`), and keeps one interned (nu, d) tuple
-per code.  A table from `lazy_table` stores no products: each is computed
+computed on plain ints, and on int codes: a table of N classes codes the
+term q^d tau[nu] as d * N + pos(nu), d < `Q`, and keeps one interned (nu, d)
+tuple per code.  A table from `lazy_table` stores no products: each is computed
 when first asked for, in the coded memo of its column mu, running only the
 rules it depends on.  `build_table` fills each column once instead: it runs
 the rule of every class of degree <= |mu| in that order, keeps the products
@@ -43,11 +43,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby
 
 from .algebra import ClassVector, _check_exponent, sorted_terms
 from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
-                    degree, enumerate_basis, enumerate_degree, is_valid,
-                    max_degree, top_class)
+                    degree, enumerate_basis, is_valid, max_degree, top_class)
 from .pieri import (_tau1_raw, _tau11_raw, _valid_terms, collapse_terms, power_class,
                     shift_terms)
 
@@ -66,72 +66,47 @@ class _Memo(dict):
         return self.setdefault(key, self._fill(key))
 
 
-# A table codes the term q^d tau[nu] as the int Q * pos(nu) + d.  Every
-# product tau[lam] * tau[mu] is homogeneous of degree |lam| + |mu| <=
-# 2(4n-3) = 8n-6, and so is every expansion M1^i M11^j (tau[lam]),
-# i + 2j = |mu|, of `check_commutativity`; a term q^d tau[nu] of such a
-# degree has 2nd <= 8n-6 - |nu| < 8n, so d <= 3 < Q.  Hence no two terms
-# share a code, and sorted codes are the canonical order of `sorted_terms`
-# (basis position, then d).  A Pieri step or q-shift whose term would leave
-# those degrees (and so may leave q^0..q^3) is refused as inhomogeneous
-# (`_Overflow`, `MultiplicationTable._shifted`) before it could alias into
-# the next class.
+# A table of N classes codes the term q^d tau[nu] as the int d * N + pos(nu):
+# each (nu, d) has its own code, and times q^dd adds dd * N.  A product
+# tau[lam] * tau[mu], and every expansion M1^i M11^j (tau[lam]), i + 2j = |mu|,
+# of `check_commutativity`, is homogeneous of degree <= 2(4n-3) = 8n-6; its
+# terms q^d tau[nu] have 2nd <= 8n-6 - |nu| < 8n, so d < Q and code < Q * N.
+# The lookups by code hold those Q * N codes: one at or past Q * N is refused
+# as inhomogeneous where it is looked up.
 Q = 4
-
-
-class _Overflow:
-    """The coded Pieri terms of q^d tau[lam] for d outside lo..hi, where a
-    term would have a degree above `top` = 8n-6 or a negative q-exponent:
-    iterating over it raises the homogeneity check's error."""
-
-    __slots__ = ("lam", "lo", "hi", "top")
-
-    def __init__(self, lam: Index, lo: int, hi: int, top: int):
-        self.lam, self.lo, self.hi, self.top = lam, lo, hi, top
-
-    def __iter__(self):
-        raise RuntimeError(f"a product has an inhomogeneous term: a Pieri term of q^d "
-                           f"{self.lam} has a degree above {self.top} or a negative "
-                           f"q-exponent unless {self.lo} <= d <= {self.hi}")
 
 
 def _pieri_row(n: int, pos: dict, raw_rule, lam: Index) -> list:
     """For d = 0..Q-1, the valid terms of `raw_rule` at q^d tau[lam], coded:
-    ((code, k), ...), or an `_Overflow` if a term would have a degree above
-    8n-6, or a negative q-exponent."""
-    terms = _valid_terms(n, raw_rule, lam)
-    top, lo, hi, coded = 2 * max_degree(n), 0, Q - 1, []
-    for nu, k, dd in terms:  # d + dd must lie in 0..(top - |nu|) // 2n
-        if dd < -lo:
-            lo = -dd
-        room = (top - degree(nu)) // (2 * n) - dd
-        if room < hi:
-            hi = room
-        coded.append((Q * pos[nu] + dd, k))
-    over = _Overflow(lam, lo, hi, top) if lo > 0 or hi < Q - 1 else None
-    row = [tuple(coded) if lo <= 0 <= hi else over]
-    for d in range(1, Q):
-        row.append(tuple([(code + d, k) for code, k in coded]) if lo <= d <= hi else over)
-    return row
+    ((code, k), ...)."""
+    N = len(pos)
+    coded = [(dd * N + pos[nu], k) for nu, k, dd in _valid_terms(n, raw_rule, lam)]
+    return [tuple([(code + d * N, k) for code, k in coded]) for d in range(Q)]
 
 
 class _PieriMemo(dict):
     """code -> its coded Pieri terms by `raw_rule`, filled on first lookup
-    for the Q codes of the code's class at once."""
+    for the Q codes of the code's class at once; a code at or past Q * N is
+    refused."""
 
     def __init__(self, n: int, basis, pos: dict, raw_rule):
         self._args = (n, pos, raw_rule)
         self._basis = basis
 
     def __missing__(self, code):
-        p = code // Q
-        self.update(zip(range(Q * p, Q * p + Q), _pieri_row(*self._args, self._basis[p])))
+        N = len(self._basis)
+        if code >= Q * N:
+            raise RuntimeError(f"a product has an inhomogeneous term "
+                               f"{self._basis[code % N]}, q^{code // N}")
+        p = code % N
+        self.update(zip(range(p, Q * N, N), _pieri_row(*self._args, self._basis[p])))
         return self[code]
 
 
 def _pieri_codes(n: int, basis, pos: dict) -> dict:
     """special -> [the coded Pieri terms of each code], for every code at once."""
-    return {special: [e for lam in basis for e in _pieri_row(n, pos, raw, lam)]
+    return {special: [terms for row in zip(*(_pieri_row(n, pos, raw, lam) for lam in basis))
+                      for terms in row]
             for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
 
 
@@ -157,10 +132,11 @@ class MultiplicationTable:
         self._rules = _Memo(lambda lam: _rule(n, lam))  # class -> its Rule
         self._times = {special: _PieriMemo(n, basis, pos, raw)  # special -> {code: terms}
                        for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
-        self._degrees = _Memo(lambda code: degree(basis[code // Q]) + 2 * n * (code % Q))
-        self._keys = _Memo(lambda code: (basis[code // Q], code % Q))  # code -> interned key
+        N = len(basis)
+        self._degrees = _Memo(lambda code: degree(basis[code % N]) + 2 * n * (code // N))
+        self._keys = _Memo(lambda code: (basis[code % N], code // N))  # code -> interned key
         # mu -> {lam: tau[lam]*tau[mu] as {code: int}}, seeded with the unit
-        self._columns = _Memo(lambda mu: {(0, 0): {Q * pos[mu]: 1}})
+        self._columns = _Memo(lambda mu: {(0, 0): {pos[mu]: 1}})
 
     def _pair(self, lam, mu) -> tuple[Index, Index]:
         pos = self.pos
@@ -173,15 +149,14 @@ class MultiplicationTable:
 
     def _key_list(self) -> list:
         """Every code's interned key, in code order; fills `_keys`."""
-        keys = self._keys
-        return [keys.setdefault(Q * p + d, (lam, d))
-                for p, lam in enumerate(self.basis) for d in range(Q)]
+        return [self._keys.setdefault(code, key) for code, key in
+                enumerate((lam, d) for d in range(Q) for lam in self.basis)]
 
     def _key_rows(self) -> dict:
         """class -> its interned keys (lam, 0), ..., (lam, Q-1), one for each
         q-exponent a product's term can have."""
-        keys = self._key_list()
-        return {lam: tuple(keys[Q * p:Q * p + Q]) for p, lam in enumerate(self.basis)}
+        keys, N = self._key_list(), len(self.basis)
+        return {lam: tuple(keys[p::N]) for p, lam in enumerate(self.basis)}
 
     def terms(self, lam, mu) -> dict:
         """tau[lam] * tau[mu] as the stored {(nu, d): int}; do not mutate it."""
@@ -229,17 +204,11 @@ class MultiplicationTable:
             for code2, k in times_special[code]:
                 acc[code2] = get(code2, 0) + k * c
         for o, k, dd in rule.others:
-            for code, c in (self._shifted(col[o], dd) if dd else col[o]).items():
+            shift = dd * len(self.basis)  # times q^dd
+            for code, c in col[o].items():
+                code += shift
                 acc[code] = get(code, 0) - k * c
         col[x] = {code: c for code, c in acc.items() if c}
-
-    def _shifted(self, terms: dict, dd: int) -> dict:
-        """The coded `terms` times q^dd; RuntimeError if one leaves q^0..q^(Q-1)."""
-        for code in terms:
-            if not 0 <= code % Q + dd < Q:
-                raise RuntimeError(f"a product has an inhomogeneous term "
-                                   f"{self.basis[code // Q]}, q^{code % Q + dd}")
-        return {code + dd: c for code, c in terms.items()}
 
     def _checked(self, lam: Index, mu: Index, coded: dict, degrees, keys) -> dict:
         """tau[lam] * tau[mu] as {(nu, d): int} from its `coded` terms, each
@@ -249,8 +218,9 @@ class MultiplicationTable:
         terms = {}
         for code, c in coded.items():
             if degrees[code] != want:
+                d, p = divmod(code, len(self.basis))
                 raise RuntimeError(f"product {lam}*{mu} has an inhomogeneous term "
-                                   f"{self.basis[code // Q]}, q^{code % Q}")
+                                   f"{self.basis[p]}, q^{d}")
             terms[keys[code]] = c
         return terms
 
@@ -268,7 +238,7 @@ class MultiplicationTable:
         """
         n, basis = self.n, self.basis
         times = _pieri_codes(n, basis, self.pos)
-        degrees = [degree(lam) + 2 * n * d for lam in basis for d in range(Q)]
+        degrees = [degree(lam) + 2 * n * d for d in range(Q) for lam in basis]
         keys = self._key_list()
         order = sorted(basis[1:], key=lambda x: _rule_key(n, x))
         steps = [(x, self._rules[x]) for x in order]
@@ -276,11 +246,15 @@ class MultiplicationTable:
         for i, x in enumerate(order, 1):
             upto[degree(x)] = i
         for j, mu in enumerate(basis):
-            col = {(0, 0): {Q * j: 1}}
-            for x, rule in steps[:upto[degree(mu)]]:
-                self._apply(col, x, rule, times)
-            for lam in basis[:j + 1]:
-                yield lam, mu, self._checked(lam, mu, col[lam], degrees, keys)
+            col = {(0, 0): {j: 1}}
+            try:  # a code at or past Q * N is past every list's end
+                for x, rule in steps[:upto[degree(mu)]]:
+                    self._apply(col, x, rule, times)
+                for lam in basis[:j + 1]:
+                    yield lam, mu, self._checked(lam, mu, col[lam], degrees, keys)
+            except IndexError:
+                raise RuntimeError(f"a product in column {mu} has an inhomogeneous "
+                                   f"term past q^{Q - 1}") from None
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -299,9 +273,13 @@ def _expansion(times: dict, code: int) -> _Memo:
         i, j = mon
         terms, prev = (times[(1, 0)], (i - 1, j)) if i else (times[(1, 1)], (0, j - 1))
         acc: dict = {}
-        for c0, c in memo[prev].items():
-            for code2, k in terms[c0]:
-                acc[code2] = acc.get(code2, 0) + c * k
+        try:  # a code at or past Q * N is past the lists' end
+            for c0, c in memo[prev].items():
+                for code2, k in terms[c0]:
+                    acc[code2] = acc.get(code2, 0) + c * k
+        except IndexError:
+            raise RuntimeError(f"an expansion {mon} has an inhomogeneous term past "
+                               f"q^{Q - 1}") from None
         return {key: v for key, v in acc.items() if v}
     memo = _Memo(expand)
     memo[(0, 0)] = {code: 1}
@@ -365,27 +343,26 @@ def _pivots(vectors) -> list:
     return pivots
 
 
-def _generator_expressions(n: int) -> dict:
+def _generator_expressions(table: MultiplicationTable, times: dict) -> dict:
     """Each class lam as {(i, j): r_ij}, tau[lam] = sum r_ij tau[1,0]^i tau[1,1]^j.
 
-    Every graded slice is solved by exact elimination of the generator
-    monomials applied to the unit, with the terms' codes as coordinates;
-    `check_commutativity`'s reference.
+    Every graded slice of the table's basis (the slices in order) is solved
+    by exact elimination of the generator monomials applied to the unit by
+    the coded Pieri terms `times` = `_pieri_codes(n, basis, pos)`, with the
+    terms' codes as coordinates; `check_commutativity`'s reference.
     """
-    basis = enumerate_basis(n)
-    pos = {lam: i for i, lam in enumerate(basis)}
-    unit = _expansion(_pieri_codes(n, basis, pos), Q * pos[(0, 0)])
+    pos, unit = table.pos, _expansion(times, table.pos[(0, 0)])
     exprs: dict = {}
-    for total in range(0, max_degree(n) + 1):
+    for total, classes in groupby(table.basis, degree):
         # higher tau[1,1] powers first keeps each expression canonical: a
         # diagonal class (t, t) comes out as the pure power tau[1,1]^t
         monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
         pivots = _pivots((mon, unit[mon]) for mon in monomials)
-        for lam in enumerate_degree(n, total):
-            residual, r = _reduce({Q * pos[lam]: Fraction(1)}, pivots)
+        for lam in classes:
+            residual, r = _reduce({pos[lam]: Fraction(1)}, pivots)
             if residual:
-                raise GenerationFailure(
-                    f"class {lam} (rank {n}) is not generated by the special classes")
+                raise GenerationFailure(f"class {lam} (rank {table.n}) is not generated "
+                                        f"by the special classes")
             exprs[lam] = {m: v for m, v in r.items() if v}
     return exprs
 
@@ -602,15 +579,15 @@ def check_commutativity(table: MultiplicationTable) -> list:
     It needs only the rank and the stored products, so a loaded cache is
     checked the same way as a built table.
     """
-    n, basis, pos = table.n, table.basis, table.pos
-    times = _pieri_codes(n, basis, pos)
-    scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(n).items()}
+    basis, pos = table.basis, table.pos
+    times = _pieri_codes(table.n, basis, pos)
+    scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(table, times).items()}
     # the stored keys' codes; a key no code names (q^d, d >= Q) reads as -1,
     # which no expansion holds
     codes = {key: code for code, key in enumerate(table._key_list())}
     bad = []
     for lam in basis:
-        expand = _expansion(times, Q * pos[lam])
+        expand = _expansion(times, pos[lam])
         for mu in basis[pos[lam]:]:
             coded = {codes.get(key, -1): c for key, c in table.terms(lam, mu).items()}
             if _differs(scaled[mu], expand, coded):

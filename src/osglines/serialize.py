@@ -51,15 +51,18 @@ def format_rational(x) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
-        raise ValueError(f"not a rational string: {s!r}")
-    return Fraction(s)
+    if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
+        with contextlib.suppress(ValueError):  # more digits than an int converts
+            return Fraction(s)
+        raise ValueError(f"not a rational string: too long ({len(s)} characters)")
+    raise ValueError(f"not a rational string: {s!r}")
 
 
 def _parse_number(s):
     """A rational string as an exact number: an int when integral, else a Fraction."""
     if isinstance(s, str) and _INTEGER_RE.fullmatch(s):
-        return int(s)
+        with contextlib.suppress(ValueError):  # too many digits: refused below
+            return int(s)
     return exact(parse_rational(s))
 
 

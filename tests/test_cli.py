@@ -238,6 +238,9 @@ def test_usage_errors_exit_two(capsys):
     code, out, err = run(capsys, "mult", "--n", "3", "tau[\u0661,\u0660]*tau[\u0661,\u0660]")
     assert (code, out) == (2, "")
     assert err == "error: unexpected character '\u0661' at offset 4\n"
+    code, out, err = run(capsys, "mult", "--n", "3", "tau[1,0]*" + "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: integer of 5000 digits is too long at offset 9\n"
     code, _, err = run(capsys, "check-positivity", "--n", "3",
                        "--spec", "/nonexistent/path.json")
     assert code == 2
@@ -306,6 +309,14 @@ def _repeat_spec_key(doc):
     doc["entries"].append(copy.deepcopy(doc["entries"][0]))
 
 
+def _long_spec_coefficient(doc):  # past the interpreter's int-string limit
+    doc["entries"][0]["a"] = "1" * 5000
+
+
+def _long_spec_denominator(doc):
+    doc["entries"][0]["a"] = "1/" + "3" * 5000
+
+
 def _fractional_coeff(doc):
     doc["products"][5]["terms"][0]["coeff"] = "1/2"
 
@@ -327,10 +338,12 @@ def _duplicate_pair(doc):
 @pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
                                     _drop_table_n, _drop_spec_mu, _repeat_spec_key,
                                     _fractional_coeff, _boolean_coeff,
-                                    _fractional_d, _duplicate_pair])
+                                    _fractional_d, _duplicate_pair,
+                                    _long_spec_coefficient, _long_spec_denominator])
 def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     path = tmp_path / "doc.json"
-    if mutate in (_drop_spec_mu, _repeat_spec_key):
+    if mutate in (_drop_spec_mu, _repeat_spec_key, _long_spec_coefficient,
+                  _long_spec_denominator):
         serialize.save_spec(DeformationSpec(3, MODE_PER_PAIR,
                                             {((5, 1), (0, 0)): 1}), path)
         argv = ["check-positivity", "--n", "3", "--spec", str(path)]

@@ -57,6 +57,10 @@ def test_error_reporting():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("tau[\u0661,0]")
     assert str(err.value) == "unexpected character '\u0661' at offset 4"
+    # a digit run past the interpreter's int-string limit is refused at its offset
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("tau[1,0]*" + "1" * 5000)
+    assert str(err.value) == "integer of 5000 digits is too long at offset 9"
 
 
 def test_q_exponent_forms():

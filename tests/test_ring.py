@@ -32,10 +32,12 @@ def test_table_shape_and_audits(table3):
 
 
 def test_generator_expressions(table3, table4, table5, table6):
-    assert ring._generator_expressions(3)[(3, 1)] == {(0, 2): Fraction(1)}
     for table in (table3, table4, table5, table6):
         n = table.n
-        exprs = ring._generator_expressions(n)
+        exprs = ring._generator_expressions(
+            table, ring._pieri_codes(n, table.basis, table.pos))
+        if n == 3:
+            assert exprs[(3, 1)] == {(0, 2): Fraction(1)}
         for t in range(1, n - 1):
             assert exprs[(t, t)] == {(0, t): Fraction(1)}
 
@@ -65,7 +67,7 @@ def test_commutativity_reference_scales_denominators():
     table = lazy_table(n)  # its basis positions code the terms
     keys = table._key_list()
     expand = ring._expansion(ring._pieri_codes(n, table.basis, table.pos),
-                             ring.Q * table.pos[(1, 0)])
+                             table.pos[(1, 0)])
     assert {keys[code]: c for code, c in expand[(1, 0)].items()} \
         == pieri_tau1(n, (1, 0)).flat
     expr = {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
@@ -80,7 +82,7 @@ def test_commutativity_reference_scales_denominators():
     assert not ring._differs(scaled, expand, want)
     for code in want:  # a product that differs by 1 anywhere is reported
         assert ring._differs(scaled, expand, {**want, code: want[code] + 1})
-    q_unit = ring.Q * table.pos[(0, 0)] + 1  # the code of q tau[0,0]
+    q_unit = len(table.basis) + table.pos[(0, 0)]  # the code of q tau[0,0]
     assert ring._differs(scaled, expand, {**want, q_unit: Fraction(1)})
 
 
@@ -412,10 +414,11 @@ def test_lazy_table_builds_only_the_rules_a_product_uses():
     # tau[1,0] Pieri terms of the one class in column (1,0)'s entry for (0,0),
     # coded at each power of q
     assert set(lazy._rules) == {(1, 0)}
-    assert {code // ring.Q for code in lazy._times[(1, 0)]} == {lazy.pos[(1, 0)]}
+    N = len(lazy.basis)
+    assert {code % N for code in lazy._times[(1, 0)]} == {lazy.pos[(1, 0)]}
     assert not lazy._times[(1, 1)]
     # and the degree and interned key of the product's own terms' codes only
-    used = {ring.Q * lazy.pos[nu] + d for nu, d in lazy.terms((1, 0), (1, 0))}
+    used = {d * N + lazy.pos[nu] for nu, d in lazy.terms((1, 0), (1, 0))}
     assert set(lazy._degrees) == set(lazy._keys) == used
 
 
@@ -514,17 +517,19 @@ def test_products_are_keyed_by_interned_keys_in_a_pinned_order(tmp_path, n):
         for terms in table._products.values():
             for key in terms:
                 nu, d = key
-                assert key is table._keys[ring.Q * table.pos[nu] + d]
+                assert key is table._keys[d * len(table.basis) + table.pos[nu]]
                 assert key[0] is table.basis[table.pos[nu]]
 
 
-def _with_a_pieri_term_at_q_Q(lam):
-    """`ring._tau1_raw` with q^Q tau[lam] added to tau[1,0] * tau[lam]."""
+def _with_a_pieri_term_at_q_Q(lam, term=None):
+    """`ring._tau1_raw` with `term`, an (index, coeff, q-exponent) triple,
+    added to tau[1,0] * tau[lam]; by default q^Q tau[lam]."""
     raw = ring._tau1_raw
+    term = (lam, 1, ring.Q) if term is None else term
 
     def tampered(n, nu):
         case, terms = raw(n, nu)
-        return case, terms + (((lam, 1, ring.Q),) if nu == lam else ())
+        return case, terms + ((term,) if nu == lam else ())
     return tampered
 
 
@@ -533,21 +538,60 @@ def _with_a_pieri_term_at_q_Q(lam):
 # rule's other terms
 @pytest.mark.parametrize("lam, pair", [((1, 1), ((1, 0), (1, 1))),
                                        ((0, 0), ((1, 0), (1, 0)))])
-def test_a_pieri_term_at_q_Q_is_refused_not_aliased(monkeypatch, lam, pair):
-    table = lazy_table(3)
-    # coded naively, q^Q tau[lam] would read as the next class at q^0: for
-    # (1,1) that is tau[3,0], of the degree of tau[1,0] * tau[1,1], where the
-    # grading audit could not see it
-    assert ring.Q * table.pos[(1, 1)] + ring.Q == ring.Q * table.pos[(3, 0)]
-    assert degree((3, 0)) == degree((1, 0)) + degree((1, 1))
+def test_a_pieri_term_at_q_Q_is_refused_not_aliased(tmp_path, monkeypatch, lam, pair):
+    path = tmp_path / "t3.json"
+    serialize.save_table(build_table(3), path)
+    # q^Q tau[lam] has a code of its own, past the Q * N codes a product can have
     monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q(lam))
-    for entry in ring._pieri_row(3, table.pos, ring._tau1_raw, lam):
-        with pytest.raises(RuntimeError, match="inhomogeneous"):
-            list(entry)
     with pytest.raises(RuntimeError, match="inhomogeneous"):
         build_table(3)
     with pytest.raises(RuntimeError, match="inhomogeneous"):
         lazy_table(3).terms(*pair)
+    with pytest.raises(RuntimeError, match="inhomogeneous"):
+        serialize.load_table(path, revalidate=True)
+    with pytest.raises(RuntimeError):  # the reference cannot generate the ring
+        check_commutativity(serialize.load_table(path))
+
+
+@pytest.mark.parametrize("lam, pair", [((1, 1), ((1, 0), (1, 1))),
+                                       ((0, 0), ((1, 0), (1, 0)))])
+def test_a_pieri_term_at_a_negative_q_power_is_refused(tmp_path, monkeypatch, lam, pair):
+    # a negative code would wrap around in a list, so no code is ever made
+    path = tmp_path / "t3.json"
+    serialize.save_table(build_table(3), path)
+    monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q(lam, ((0, 0), 1, -1)))
+    with pytest.raises(RuntimeError, match="negative q-exponent"):
+        build_table(3)
+    with pytest.raises(RuntimeError, match="negative q-exponent"):
+        lazy_table(3).terms(*pair)
+    with pytest.raises(RuntimeError, match="negative q-exponent"):
+        serialize.load_table(path, revalidate=True)
+    with pytest.raises(RuntimeError, match="negative q-exponent"):
+        check_commutativity(serialize.load_table(path))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_term_codes_cannot_alias(tmp_path, n):
+    built = build_table(n)
+    serialize.save_table(built, tmp_path / "t.json")
+    lazy = lazy_table(n)
+    for lam, mu in lazy.pairs():
+        lazy.terms(mu, lam)
+    for table in (built, lazy, serialize.load_table(tmp_path / "t.json")):
+        N = len(table.basis)
+        keys = table._key_list()
+        # the Q * N codes d * N + pos(nu) decode to Q * N distinct interned keys
+        assert len(keys) == len(set(keys)) == ring.Q * N
+        for code, key in enumerate(keys):
+            assert key == (table.basis[code % N], code // N)
+            assert table._keys[code] is key
+            # a q-shift by dd * N keeps the class
+            for dd in range(ring.Q - code // N):
+                assert keys[code + dd * N][0] is key[0]
+                assert keys[code + dd * N][1] == key[1] + dd
+        interned = {id(key) for key in keys}
+        assert all(id(key) in interned
+                   for terms in table._products.values() for key in terms)
 
 
 def test_a_cache_term_past_q3_keeps_its_key_and_is_refused(tmp_path, table3):

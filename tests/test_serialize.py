@@ -29,6 +29,14 @@ def test_rational_strings():
             serialize._parse_number(bad)
 
 
+def test_a_number_past_the_int_string_limit_is_refused_in_its_own_words():
+    for bad in ("1" * 5000, "-" + "1" * 5000, "1/" + "3" * 5000):
+        for parse in (serialize.parse_rational, serialize._parse_number):
+            with pytest.raises(ValueError) as info:
+                parse(bad)
+            assert str(info.value) == f"not a rational string: too long ({len(bad)} characters)"
+
+
 @pytest.mark.parametrize("terms, message", [
     ([{"nu": [1, 0], "d": 0, "coeff": True}], "not a rational string: True"),
     ([{"nu": [1, 0], "d": 1, "coeff": "1"}, {"nu": [1, 0], "d": 1, "coeff": "-1"}],
@@ -222,11 +230,16 @@ def _end_first_weight_in_a_newline(doc):
     doc["bounds"][0]["weights"][0]["weight"] += "\n"
 
 
+def _give_first_weight_5000_digits(doc):  # past the interpreter's int-string limit
+    doc["bounds"][0]["weights"][0]["weight"] = "1" * 5000
+
+
 @pytest.mark.parametrize("mutate", [
     _drop("mode"), _drop("unknowns"), _set_first_term_unknown,
     _set_first_bound_unknown, _drop_first_provenance, _end_first_weight_in_a_newline,
+    _give_first_weight_5000_digits,
 ], ids=["no-mode", "no-unknowns", "term-unknown-999", "bound-unknown-999",
-        "no-provenance", "weight-newline"])
+        "no-provenance", "weight-newline", "weight-5000-digits"])
 def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
     system = build_constraints(table3, MODE_PER_PAIR)
     path = tmp_path / "cert.json"
