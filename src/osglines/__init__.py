@@ -18,18 +18,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": ("AffineExpression", "ClassVector"),
-    "basis": ("MODE_PER_MU", "MODE_PER_PAIR", "betti_numbers", "degree",
-              "enumerate_basis", "enumerate_degree", "is_valid", "max_degree",
-              "top_class"),
-    "certify": ("MismatchError", "QuadraticTermError", "ResourceLimitError",
-                "certify_uniqueness", "replay_proof"),
+    "basis": ("CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "MODE_PER_MU",
+              "MODE_PER_PAIR", "betti_numbers", "degree", "enumerate_basis",
+              "enumerate_degree", "is_valid", "max_degree", "top_class"),
+    "certify": ("ResourceLimitError", "certify_uniqueness"),
     "deformation": ("DeformationSpec", "check_positivity", "deformed_product",
                     "sigma_from_tau", "to_sigma", "to_tau"),
     "expr": ("ExpressionSyntaxError", "evaluate_expression",
              "format_expression", "parse_expression"),
     "pieri": ("pieri_tau1", "pieri_tau11", "tau1_case", "tau11_case"),
-    "proof": ("Certificate", "ConstraintSystem", "build_constraints",
-              "verify_certificate", "CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO"),
+    "proof": ("Certificate", "ConstraintSystem", "build_constraints", "verify_certificate"),
+    "replay": ("MismatchError", "QuadraticTermError", "replay_proof"),
     "ring": ("GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
              "build_table", "check_commutativity", "diagonal_power",
              "gw_constant", "has_negative_constant", "lazy_table",

@@ -31,6 +31,10 @@ MODE_PER_PAIR = "per-pair"
 MODE_PER_MU = "per-mu"
 MODES = (MODE_PER_PAIR, MODE_PER_MU)
 
+# the two conclusions of either proof route, of the CLI and of a certificate
+CONCLUSION_UNIQUE_ZERO = "UniqueZero"
+CONCLUSION_NOT_UNIQUE = "NotUnique"
+
 
 def check_rank(n: int, minimum: int = MIN_RANK) -> int:
     if not isinstance(n, int) or isinstance(n, bool):

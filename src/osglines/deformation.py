@@ -16,8 +16,8 @@ Two indexing modes for the coefficients are supported (`basis.MODES`):
             the matching degree -- the restricted reading.
 
 Coefficient values are exact numbers (ints or Fractions, kept as Fractions).
-Route A of `certify` writes each positivity coefficient directly as an
-affine form in the unknown coefficients, by a closed form of the Pieri rule;
+Route A's rows (`proof.build_constraints`) write each positivity coefficient
+directly as an affine form in the unknown coefficients, by a closed form of the Pieri rule;
 `positivity_terms`, which expands the products for one numeric deformation,
 is its independent reference in the tests.
 """

@@ -15,7 +15,7 @@ no second special class to multiply by.
 
 The closed forms of products by tau[1,1]^t that the uniqueness argument uses
 (`power_class`, `collapse_terms`, `shift_terms`) live here too: the ring's
-identity suite checks them, and `certify`'s replay displays them.
+identity suite checks them, and route B (`replay`) displays them.
 """
 from __future__ import annotations
 

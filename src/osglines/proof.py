@@ -4,23 +4,21 @@ A `Certificate` shows that a `ConstraintSystem` of inequalities ">= 0" has
 only the zero solution by weights (`BoundProof`s) that literally sum to
 "a >= 0" and "-a >= 0" for each unknown, or that it has others by a nonzero
 witness; `verify_certificate` re-checks it by plain summation.  Only
-`algebra`, `basis` and `pieri` are imported: never the search or the ring.
+`algebra`, `basis` and `pieri` are imported: never the search (`certify`),
+route B (`replay`) or the ring.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
 from .algebra import AffineExpression, exact, sorted_terms
-from .basis import (MODE_PER_PAIR, check_mode, degree, enumerate_basis, enumerate_degree,
-                    max_degree, mu_keys, pair_keys)
+from .basis import (CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO, MODE_PER_PAIR, check_mode,
+                    degree, enumerate_basis, enumerate_degree, max_degree, mu_keys, pair_keys)
 from .pieri import _tau11_raw, _valid_terms
 
 TYPE_CHECKING = False  # the table only annotates; importing `ring` would load it
 if TYPE_CHECKING:
     from .ring import MultiplicationTable
-
-CONCLUSION_UNIQUE_ZERO = "UniqueZero"
-CONCLUSION_NOT_UNIQUE = "NotUnique"
 
 
 # constraints: AffineExpressions, each asserted >= 0; provenance: the (mu, nu, d)

@@ -133,7 +133,9 @@ def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except ValueError as exc:
+            if type(exc) is ValueError:  # not a decode error: a number past the int limit
+                raise ValueError(f"{os.fspath(path)} holds a JSON number too long") from None
             raise ValueError(f"{os.fspath(path)} is not a JSON document: {exc}") from None
 
 

@@ -15,11 +15,11 @@ import jsonschema
 
 from osglines import serialize
 from osglines.algebra import AffineExpression, ClassVector
-from osglines.basis import (betti_numbers, degree, enumerate_basis,
+from osglines.basis import (CONCLUSION_UNIQUE_ZERO, betti_numbers, degree, enumerate_basis,
                             enumerate_degree, max_degree, top_class)
-from osglines.certify import (CONCLUSION_UNIQUE_ZERO, build_constraints,
-                              certify_uniqueness, replay_proof,
-                              verify_certificate)
+from osglines.certify import certify_uniqueness
+from osglines.proof import build_constraints, verify_certificate
+from osglines.replay import replay_proof
 from osglines.cli import main
 from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR,
                                   check_positivity, pair_keys)

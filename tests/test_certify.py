@@ -5,14 +5,13 @@ import pytest
 
 import osglines
 from osglines.algebra import AffineExpression, ClassVector
-from osglines.basis import degree, index_sort_key
-from osglines import certify
-from osglines.certify import (BoundProof, Certificate, ConstraintSystem,
-                              CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO,
-                              DEFAULT_ROW_LIMIT, MismatchError, QuadraticTermError,
-                              ResourceLimitError,
-                              build_constraints, certify_uniqueness,
-                              replay_proof, verify_certificate)
+from osglines.basis import (CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO, degree,
+                            index_sort_key)
+from osglines import certify, replay
+from osglines.certify import DEFAULT_ROW_LIMIT, ResourceLimitError, certify_uniqueness
+from osglines.proof import (BoundProof, Certificate, ConstraintSystem, build_constraints,
+                            verify_certificate)
+from osglines.replay import MismatchError, QuadraticTermError, replay_proof
 from osglines.deformation import (MODE_PER_MU, MODE_PER_PAIR, DeformationSpec,
                                   mu_keys, pair_keys, positivity_terms)
 from osglines.ring import MultiplicationTable, build_table, lazy_table
@@ -99,6 +98,55 @@ def test_weight_that_is_not_an_exact_number_is_rejected(table3, weight):
     assert w == 1 and verify_certificate(system, cert)
     bounds = (BoundProof(b0.unknown, b0.direction, ((idx, weight),) + rest),) + cert.bounds[1:]
     assert verify_certificate(system, cert._replace(bounds=bounds)) is False
+
+
+@pytest.mark.parametrize("field", ["n", "mode", "unknowns"])
+def test_certificate_of_another_system_is_rejected(table3, field):
+    # the rows are the same, so every bound still sums: only the check that
+    # the certificate names the system's rank, mode and unknowns refuses it
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    changed = {"n": system.n + 1, "mode": MODE_PER_MU, "unknowns": system.unknowns[::-1]}
+    other = system._replace(**{field: changed[field]})
+    assert verify_certificate(system, cert) is True
+    assert verify_certificate(other, cert) is False
+
+
+def test_bound_of_unknown_direction_is_rejected(table3):
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    b0 = cert.bounds[0]
+    bounds = cert.bounds + (BoundProof(b0.unknown, "sideways", b0.weights),)
+    assert verify_certificate(system, cert._replace(bounds=bounds)) is False
+
+
+def test_unknown_conclusion_is_rejected(table3):
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    assert verify_certificate(system, cert._replace(conclusion="Maybe")) is False
+
+
+def test_weight_naming_the_row_past_the_last_is_rejected(table3):
+    # the boundary index len(constraints): refused, not an IndexError
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    b0 = cert.bounds[0]
+    weights = ((len(system.constraints), 1),) + b0.weights
+    bounds = (BoundProof(b0.unknown, b0.direction, weights),) + cert.bounds[1:]
+    assert verify_certificate(system, cert._replace(bounds=bounds)) is False
+
+
+def test_zero_weight_is_accepted(table3):
+    # a pinned policy: a zero weight adds nothing to the sum, so a valid
+    # bound with one more row at weight 0 still proves its inequality
+    system = build_constraints(table3, MODE_PER_PAIR)
+    cert = certify_uniqueness(system)
+    b0 = cert.bounds[0]
+    spare = next(i for i in range(len(system.constraints))
+                 if i not in dict(b0.weights))
+    weights = b0.weights + ((spare, 0),)
+    bounds = (BoundProof(b0.unknown, b0.direction, weights),) + cert.bounds[1:]
+    assert verify_certificate(system, cert._replace(bounds=bounds)) is True
 
 
 def toy_system(constraints):
@@ -292,7 +340,7 @@ def test_quadratic_guard_is_active(table3):
     assert osglines.QuadraticTermError is QuadraticTermError
     a, b = {((0, 0), 0, "a"): 1}, {((0, 0), 0, "b"): 1}
     with pytest.raises(osglines.QuadraticTermError, match="two terms with unknowns"):
-        certify._times(table3, a, b)
+        replay._times(table3, a, b)
     # ... and in its change of basis, on a tampered table
     tampered = _tampered(table3, (1, 0), (1, 1), {((5, 1), 0): 1})
     with pytest.raises(osglines.QuadraticTermError, match="correction of the term"):

@@ -13,8 +13,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osglines import certify, ring, serialize
-from osglines.certify import MismatchError, verify_certificate
+from osglines import certify, proof, replay, ring, serialize
+from osglines.proof import verify_certificate
+from osglines.replay import MismatchError
 from osglines.cli import SUITES, main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 from osglines.expr import MAX_NESTING
@@ -124,7 +125,6 @@ def test_certify_both(capsys, cli_schema, tmp_path):
     data = json.loads(cert_path.read_text())
     jsonschema.validate(data, serialize.load_schema("certificate.schema.json"))
     # the emitted certificate is independently re-checkable
-    from osglines.certify import verify_certificate
     cert, system = serialize.load_certificate(cert_path)
     assert verify_certificate(system, cert)
     code, doc = run_json(capsys, cli_schema, "certify", "--n", "3",
@@ -145,7 +145,7 @@ def test_certify_mismatch_is_math_failure(capsys, cli_schema, monkeypatch):
     def mismatch(table):
         raise MismatchError("conclusion", "degree 5 unknowns not all settled")
 
-    monkeypatch.setattr(certify, "replay_proof", mismatch)
+    monkeypatch.setattr(replay, "replay_proof", mismatch)
     code, doc = run_json(capsys, cli_schema, "certify", "--n", "3",
                          "--method", "replay")
     assert code == 1
@@ -357,6 +357,20 @@ def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_json_number_past_the_int_string_limit_exits_two(capsys, tmp_path):
+    # json.load converts the number before any reader sees it; the error is
+    # still the reader's own line, not the interpreter's advice
+    path = tmp_path / "t.json"
+    run(capsys, "table", "--n", "3", "--out", str(path))
+    text = path.read_text()
+    assert '"coeff": 1\n' in text
+    path.write_text(text.replace('"coeff": 1\n', '"coeff": ' + "1" * 5000 + "\n", 1))
+    code, out, err = run(capsys, "table", "--n", "3", "--load", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
 
 
 # Values of the wrong type or out of range for any field of a cache or a spec.
@@ -655,21 +669,24 @@ _LOADED_BY = ("import contextlib, io, sys\n"
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["basis", "--n", "3"], {"ring", "pieri", "deformation", "certify", "expr"}),
+    (["basis", "--n", "3"], {"ring", "pieri", "deformation", "certify", "replay", "expr"}),
     (["pieri", "--n", "3", "--class", "11", "--with", "5,3"],
-     {"ring", "deformation", "certify", "expr"}),
-    (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify"}),
+     {"ring", "deformation", "certify", "replay", "expr"}),
+    (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify", "replay"}),
     (["gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"],
-     {"deformation", "certify"}),
-    (["check-positivity", "--n", "3", "--spec", "SPEC"], {"certify", "expr"}),
+     {"deformation", "certify", "replay"}),
+    (["check-positivity", "--n", "3", "--spec", "SPEC"], {"certify", "replay", "expr"}),
     (["certify", "--n", "3", "--method", "both"], {"deformation", "expr"}),
-    (["table", "--n", "3", "--out", "OUT"], {"deformation", "certify", "expr"}),
+    (["certify", "--n", "3", "--method", "fm"], {"deformation", "replay", "expr"}),
+    (["certify", "--n", "3", "--method", "replay"],
+     {"deformation", "certify", "proof", "expr"}),
+    (["table", "--n", "3", "--out", "OUT"], {"deformation", "certify", "replay", "expr"}),
     (["table", "--n", "3", "--load", "OUT", "--revalidate"],
-     {"deformation", "certify", "expr"}),
-    *((["verify", "--n", "3", "--suite", suite], {"deformation", "certify", "expr"})
+     {"deformation", "certify", "replay", "expr"}),
+    *((["verify", "--n", "3", "--suite", suite], {"deformation", "certify", "replay", "expr"})
       for suite in SUITES),
-], ids=["basis", "pieri", "mult", "gw", "check-positivity", "certify", "table-out",
-        "table-load", *(f"verify-{suite}" for suite in SUITES)])
+], ids=["basis", "pieri", "mult", "gw", "check-positivity", "certify", "certify-fm",
+        "certify-replay", "table-out", "table-load", *(f"verify-{suite}" for suite in SUITES)])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
     spec, out = tmp_path / "spec.json", tmp_path / "t.json"
     serialize.save_spec(DeformationSpec.zero(3), spec)
@@ -684,11 +701,12 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
 
 @pytest.mark.parametrize("code, loaded", [
     ("import osglines.certify", ["algebra", "basis", "certify", "pieri", "proof"]),
+    ("import osglines.replay", ["algebra", "basis", "pieri", "replay"]),
     ("import osglines; osglines.MODE_PER_PAIR", ["basis"]),
-], ids=["certify", "mode"])
+], ids=["certify", "replay", "mode"])
 def test_import_loads_exactly(code, loaded):
-    # certify reads the index set and the Pieri rule, never the ring or the
-    # deformation layer; the modes are index-set facts
+    # neither proof route reads the ring or the deformation layer, nor the
+    # other route; the modes are index-set facts
     proc = _python("-c", f"import sys; {code}; "
                    "print(*sorted(m for m in sys.modules if m.startswith('osglines.')))",
                    timeout=60)
@@ -700,7 +718,7 @@ def test_import_loads_exactly(code, loaded):
 def test_certificate_checks_without_the_search(tmp_path, mode):
     # the checker stands apart from the search it checks: reading a saved
     # certificate and verifying it loads neither certify nor the ring
-    system = certify.build_constraints(ring.lazy_table(3), mode)
+    system = proof.build_constraints(ring.lazy_table(3), mode)
     path = tmp_path / "cert.json"
     serialize.save_certificate(certify.certify_uniqueness(system), system, path)
     proc = _python("-c", "import sys\n"
@@ -726,7 +744,8 @@ MODULE_GRAPH = {
     "ring": {"algebra", "basis", "pieri"},
     "deformation": {"algebra", "basis", "ring"},
     "proof": {"algebra", "basis", "pieri"},
-    "certify": {"algebra", "basis", "pieri", "proof"},
+    "certify": {"basis", "proof"},
+    "replay": {"algebra", "basis", "pieri"},
     "expr": {"algebra", "ring"},
     "serialize": {"algebra", "basis"},
     "cli": {"algebra", "basis", "serialize"},
@@ -756,24 +775,23 @@ def test_help_exits_zero():
 
 
 # The package namespace at the commit that made it lazy: every public name of
-# the parent, where `import osglines` imported every module.  The certificate's
-# names later moved to `proof`; certify re-exports them, so each is one object.
+# the parent, where `import osglines` imported every module, each under the
+# module it lives in now.  The certificate's names later moved to `proof`,
+# route B to `replay` and the conclusion strings to `basis`.
 PACKAGE_NAMES = {
     "algebra": ["AffineExpression", "ClassVector"],
-    "basis": ["betti_numbers", "degree", "enumerate_basis", "enumerate_degree",
-              "is_valid", "max_degree", "top_class"],
-    "certify": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "Certificate",
-                "ConstraintSystem", "MismatchError", "QuadraticTermError",
-                "ResourceLimitError", "build_constraints", "certify_uniqueness",
-                "replay_proof", "verify_certificate"],
+    "basis": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "betti_numbers",
+              "degree", "enumerate_basis", "enumerate_degree", "is_valid", "max_degree",
+              "top_class"],
+    "certify": ["ResourceLimitError", "certify_uniqueness"],
     "deformation": ["DeformationSpec", "MODE_PER_MU", "MODE_PER_PAIR",
                     "check_positivity", "deformed_product", "sigma_from_tau",
                     "to_sigma", "to_tau"],
     "expr": ["ExpressionSyntaxError", "evaluate_expression", "format_expression",
              "parse_expression"],
     "pieri": ["pieri_tau1", "pieri_tau11", "tau11_case", "tau1_case"],
-    "proof": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "Certificate",
-              "ConstraintSystem", "build_constraints", "verify_certificate"],
+    "proof": ["Certificate", "ConstraintSystem", "build_constraints", "verify_certificate"],
+    "replay": ["MismatchError", "QuadraticTermError", "replay_proof"],
     "ring": ["GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
              "build_table", "check_commutativity", "diagonal_power", "gw_constant",
              "has_negative_constant", "lazy_table", "multiply", "poincare_pairing",
@@ -799,6 +817,12 @@ def test_package_namespace_is_lazy_and_complete():
             assert getattr(osglines, name) is getattr(mod, name), name
         public.update(names)
     assert public <= set(dir(osglines))
+    # each class and function is defined where `_EXPORTS` finds it: no re-exports
+    for module, names in osglines._EXPORTS.items():
+        for name in names:
+            value = getattr(osglines, name)
+            if isinstance(value, type) or callable(value):
+                assert value.__module__ == f"osglines.{module}", name
     star = {}
     exec("from osglines import *", star)
     assert {k for k in star if not k.startswith("_")} == public

@@ -8,11 +8,11 @@ import pytest
 
 from osglines import build_table, serialize
 from osglines.algebra import AffineExpression
-from osglines.basis import enumerate_basis
+from osglines.basis import CONCLUSION_NOT_UNIQUE, enumerate_basis
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
-from osglines.certify import (CONCLUSION_NOT_UNIQUE, ConstraintSystem, build_constraints,
-                              certify_uniqueness, verify_certificate)
+from osglines.certify import certify_uniqueness
+from osglines.proof import ConstraintSystem, build_constraints, verify_certificate
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 
 
