@@ -6,7 +6,6 @@ index sits at its maximal value 2n-1.  Raw outputs landing outside the index
 set are dropped; the third example shows such a boundary case.
 """
 from osglines import pieri_tau1, pieri_tau11
-from osglines.cli import render_vector_text
 
 n = 3
 examples = [
@@ -18,4 +17,4 @@ examples = [
     ("tau[1,1] * tau[5,3]", pieri_tau11(n, (5, 3))),
 ]
 for label, result in examples:
-    print(f"{label} = {render_vector_text(result)}")
+    print(f"{label} = {result!r}")

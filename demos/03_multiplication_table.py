@@ -8,7 +8,6 @@ classes themselves stay nonnegative.
 """
 from osglines import (build_table, gw_constant, has_negative_constant,
                       multiply, poincare_pairing, ClassVector)
-from osglines.cli import render_vector_text
 
 table = build_table(3)
 print(f"n=3 table: {len(table.basis)} classes, {table.stored_products()} products")
@@ -16,8 +15,7 @@ print(f"n=3 table: {len(table.basis)} classes, {table.stored_products()} product
 print("\nsample products:")
 for lam, mu in [((3, 1), (3, 1)), ((5, -1), (5, -1)), ((4, 2), (5, 4))]:
     prod = table.product(lam, mu)
-    print(f"  tau[{lam[0]},{lam[1]}] * tau[{mu[0]},{mu[1]}] = "
-          f"{render_vector_text(prod)}")
+    print(f"  tau[{lam[0]},{lam[1]}] * tau[{mu[0]},{mu[1]}] = {prod!r}")
 
 found, w = has_negative_constant(table)
 print(f"\nnegative structure constant: {found}")
@@ -33,5 +31,4 @@ print(f"  <tau[1,0], tau[5,3]> = {poincare_pairing(table, (1, 0), (5, 3))}")
 x = ClassVector.from_terms(3, [((1, 0), 1, 0), ((1, 1), 2, 0)])
 y = ClassVector.basis(3, (5, 2))
 print("\nbilinear products of combinations work too:")
-print(f"  (tau[1,0] + 2*tau[1,1]) * tau[5,2] = "
-      f"{render_vector_text(multiply(table, x, y))}")
+print(f"  (tau[1,0] + 2*tau[1,1]) * tau[5,2] = {multiply(table, x, y)!r}")

@@ -6,7 +6,6 @@ product collapses into pure q-terms.  Each family is checked exhaustively
 over its parameter range.
 """
 from osglines import IDENTITY_PARTS, build_table, diagonal_power, verify_identities
-from osglines.cli import render_vector_text
 
 for n in (3, 4, 5):
     table = build_table(n)
@@ -18,4 +17,4 @@ for n in (3, 4, 5):
 table = build_table(4)
 print("\npowers of tau[1,1] at n=4:")
 for t in range(1, 4):
-    print(f"  tau[1,1]^{t} = {render_vector_text(diagonal_power(table, t))}")
+    print(f"  tau[1,1]^{t} = {diagonal_power(table, t)!r}")

@@ -8,7 +8,6 @@ the example below fails, and the report names the offending coefficient.
 from fractions import Fraction
 
 from osglines import DeformationSpec, build_table, check_positivity, deformed_product, sigma_from_tau
-from osglines.cli import render_vector_text
 
 table = build_table(3)
 
@@ -18,11 +17,11 @@ print("zero deformation passes:", check_positivity(zero, table).passes)
 spec = DeformationSpec(3, "per-pair", {((5, 1), (0, 0)): Fraction(-1)})
 sigma = sigma_from_tau(spec)
 print("\nwith a = -1 on the pair ((5,1),(0,0)):")
-print("  sigma[5,1] in the tau basis:", render_vector_text(sigma[(5, 1)]))
+print("  sigma[5,1] in the tau basis:", repr(sigma[(5, 1)]))
 
 prod = deformed_product(spec, table, (1, 1), (4, 0))
 print("  sigma[1,1] * sigma[4,0] in the sigma basis:",
-      render_vector_text(prod).replace("tau", "sigma"))
+      repr(prod).replace("tau", "sigma"))
 
 report = check_positivity(spec, table)
 print("  passes:", report.passes)

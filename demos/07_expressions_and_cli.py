@@ -6,7 +6,7 @@ subcommands; every subcommand also has --format json (schema-validated) and
 --format latex.
 """
 from osglines import build_table, evaluate_expression, format_expression, parse_expression
-from osglines.cli import main, render_vector_text
+from osglines.cli import main
 
 table = build_table(3)
 for src in ("tau[5,-1]*tau[2,1] + 2*q*tau[1,0]",
@@ -14,7 +14,7 @@ for src in ("tau[5,-1]*tau[2,1] + 2*q*tau[1,0]",
             "tau[5,-1]*tau[5,-1]"):
     ast = parse_expression(src)
     value = evaluate_expression(ast, table)
-    print(f"{format_expression(ast)}  =  {render_vector_text(value)}")
+    print(f"{format_expression(ast)}  =  {value!r}")
 
 print("\nthe same through the command line:")
 for argv in (["mult", "--n", "3", "tau[5,-1]*tau[5,-1]"],

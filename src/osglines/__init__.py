@@ -29,12 +29,12 @@ _EXPORTS = {
     "pieri": ("pieri_tau1", "pieri_tau11", "tau1_case", "tau11_case"),
     "proof": ("Certificate", "ConstraintSystem", "build_constraints", "verify_certificate"),
     "replay": ("MismatchError", "QuadraticTermError", "replay_proof"),
-    "ring": ("GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
-             "build_table", "check_commutativity", "diagonal_power",
-             "gw_constant", "has_negative_constant", "lazy_table",
-             "multiply", "poincare_pairing", "verify_identities"),
+    "ring": ("GenerationFailure", "MultiplicationTable", "build_table", "diagonal_power",
+             "gw_constant", "lazy_table", "multiply", "poincare_pairing"),
     "serialize": ("load_certificate", "load_spec", "load_table",
                   "save_certificate", "save_spec", "save_table"),
+    "suites": ("IDENTITY_PARTS", "check_commutativity", "has_negative_constant", "run_suite",
+               "verify_identities"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

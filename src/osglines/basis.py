@@ -30,6 +30,7 @@ MAX_RING_RANK = 1000
 MODE_PER_PAIR = "per-pair"
 MODE_PER_MU = "per-mu"
 MODES = (MODE_PER_PAIR, MODE_PER_MU)
+SUITES = ("identities", "assoc", "pairing", "betti", "negativity")  # run by `suites.run_suite`
 
 # the two conclusions of either proof route, of the CLI and of a certificate
 CONCLUSION_UNIQUE_ZERO = "UniqueZero"

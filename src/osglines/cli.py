@@ -21,7 +21,7 @@ directory for a default cache file.
 Each call imports only the modules its subcommand runs: at the top this
 module imports only `serialize`, which writes the output, and `algebra` and
 `basis`, which `serialize` loads anyway; each handler imports the engine
-modules it calls.
+modules it calls, and `verify` the checks of a table, `suites`.
 """
 from __future__ import annotations
 
@@ -32,11 +32,7 @@ from fractions import Fraction
 
 from . import serialize
 from .algebra import ClassVector
-from .basis import MODE_PER_PAIR, MODES
-
-SUITES = ("identities", "assoc", "pairing", "betti", "negativity")
-ASSOC_SAMPLES = 10_000
-ASSOC_SEED = 20240803
+from .basis import MODE_PER_PAIR, MODES, SUITES
 
 
 def _parse_index(text: str):
@@ -47,10 +43,6 @@ def _parse_index(text: str):
         return (int(parts[0]), int(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}")
-
-
-def render_vector_text(v: ClassVector) -> str:
-    return repr(v)
 
 
 def _latex_rational(c: Fraction) -> str:
@@ -106,7 +98,7 @@ def _cmd_mult(args):
     result = evaluate_expression(ast, lazy_table(args.n))
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
                "terms": serialize.class_vector_terms(result)}
-    _emit(args, payload, [render_vector_text(result)], render_vector_latex(result))
+    _emit(args, payload, [repr(result)], render_vector_latex(result))
     return 0
 
 
@@ -117,7 +109,7 @@ def _cmd_pieri(args):
     payload = {"command": "pieri", "n": args.n, "class": args.cls,
                "with": list(args.with_index),
                "terms": serialize.class_vector_terms(result)}
-    _emit(args, payload, [render_vector_text(result)], render_vector_latex(result))
+    _emit(args, payload, [repr(result)], render_vector_latex(result))
     return 0
 
 
@@ -137,84 +129,10 @@ def _cmd_gw(args):
     return 0
 
 
-def _suite_checks(args, table):
-    from .basis import betti_numbers, enumerate_degree, max_degree, top_class
-    from .ring import (IDENTITY_PARTS, check_commutativity, has_negative_constant,
-                       multiply, pairing_rank, verify_identities)
-    n = args.n
-    checks = []
-    if args.suite == "identities":
-        for part in IDENTITY_PARTS:
-            rep = verify_identities(table, part)
-            detail = f"{rep.checked} instances"
-            if rep.counterexamples:
-                detail += f"; first violation: {rep.counterexamples[0]}"
-            checks.append({"name": part, "passed": rep.holds, "detail": detail})
-    elif args.suite == "assoc":
-        basis = table.basis
-        if n <= 3:
-            triples = [(x, y, z) for x in basis for y in basis for z in basis]
-        else:
-            import random
-            rng = random.Random(ASSOC_SEED + n)
-            triples = [tuple(rng.choice(basis) for _ in range(3))
-                       for _ in range(ASSOC_SAMPLES)]
-        bad = 0
-        for x, y, z in triples:
-            ex, ey, ez = (ClassVector.basis(n, i) for i in (x, y, z))
-            left = multiply(table, multiply(table, ex, ey), ez)
-            right = multiply(table, ex, multiply(table, ey, ez))
-            if left != right:
-                bad += 1
-        kind = "exhaustive" if n <= 3 else f"{len(triples)} seeded samples"
-        checks.append({"name": "associativity", "passed": bad == 0,
-                       "detail": f"{kind}, {bad} violations"})
-    elif args.suite == "pairing":
-        for d in range(0, max_degree(n) + 1):
-            rows = enumerate_degree(n, d)
-            cols = enumerate_degree(n, max_degree(n) - d)
-            full = len(rows) == len(cols) == pairing_rank(table, rows, cols)
-            checks.append({"name": f"pairing-degree-{d}", "passed": full,
-                           "detail": f"{len(rows)}x{len(cols)}"})
-    elif args.suite == "betti":
-        b = betti_numbers(n)
-        sym = all(b[d] == b[max_degree(n) - d] for d in range(len(b)))
-        checks.append({"name": "betti-symmetry", "passed": sym,
-                       "detail": str(b)})
-        checks.append({"name": "top-class-unique",
-                       "passed": enumerate_degree(n, max_degree(n)) == [top_class(n)],
-                       "detail": str(top_class(n))})
-        size = len(table.basis)
-        checks.append({"name": "unit-law",
-                       "passed": all(table.terms((0, 0), lam) == {(lam, 0): 1}
-                                     for lam in table.basis),
-                       "detail": f"{size} classes"})
-        checks.append({"name": "commutativity",
-                       "passed": not check_commutativity(table),
-                       "detail": f"{size * (size + 1) // 2} pairs, both orders"})
-    elif args.suite == "negativity":
-        found, witness = has_negative_constant(table)
-        detail = "none found"
-        if found:
-            w = witness
-            detail = (f"tau[{w['lambda'][0]},{w['lambda'][1]}]*"
-                      f"tau[{w['mu'][0]},{w['mu'][1]}] has {w['coeff']} on "
-                      f"q^{w['d']}*tau[{w['nu'][0]},{w['nu'][1]}]")
-        checks.append({"name": "negative-constant-exists", "passed": found,
-                       "detail": detail})
-        clean = True
-        for special in ((1, 0), (1, 1)):
-            for lam in table.basis:
-                if any(c < 0 for c in table.terms(special, lam).values()):
-                    clean = False
-        checks.append({"name": "special-rows-nonnegative", "passed": clean,
-                       "detail": "tau[1,0] and tau[1,1] rows"})
-    return checks
-
-
 def _cmd_verify(args):
     from .ring import lazy_table
-    checks = _suite_checks(args, lazy_table(args.n))
+    from .suites import run_suite
+    checks = run_suite(lazy_table(args.n), args.suite)
     passed = all(c["passed"] for c in checks)
     payload = {"command": "verify", "n": args.n, "suite": args.suite,
                "passed": passed, "checks": checks}
@@ -245,8 +163,9 @@ def _route_a(args, table) -> dict:
 
 def _cmd_certify(args):
     from .ring import lazy_table
-    if args.emit_certificate and args.method == "replay":
-        raise ValueError("--emit-certificate needs the fm method")
+    if args.method == "replay" and (args.emit_certificate or args.max_rows is not None):
+        flag = "--emit-certificate" if args.emit_certificate else "--max-rows"
+        raise ValueError(f"{flag} needs the fm method")
     if args.max_rows is not None and args.max_rows < 1:
         raise ValueError(f"--max-rows must be at least 1, got {args.max_rows}")
     table = lazy_table(args.n)

@@ -14,8 +14,8 @@ for rank n >= 3: at n = 2 the index (1,1) is not a valid class, so there is
 no second special class to multiply by.
 
 The closed forms of products by tau[1,1]^t that the uniqueness argument uses
-(`power_class`, `collapse_terms`, `shift_terms`) live here too: the ring's
-identity suite checks them, and route B (`replay`) displays them.
+(`power_class`, `collapse_terms`, `shift_terms`) live here too: the identity
+suite of `suites` checks them, and route B (`replay`) displays them.
 """
 from __future__ import annotations
 

@@ -26,30 +26,21 @@ codes into the table's interned keys: every product is stored once as
 looks up the coded Pieri terms, degree and key of a code on first use; the
 column fill builds them for every code at once.
 
-`check_commutativity` recomputes every product by a second, independent
-algorithm, kept only as that reference: it expresses each class in the
-generator monomials tau[1,0]^i tau[1,1]^j by exact Gaussian elimination in
-its graded slice, and applies the expansion rules to the other factor, on
-coded ints once each expression is scaled by the lcm of its denominators.
-
 The recursion runs on ints (the memo is seeded with 1, the Pieri
 coefficients are int literals), so every structure constant is an integer;
 every product is checked to be homogeneous when it is computed, and a
 violation aborts.  `revalidate_table` recomputes every product of a table
-loaded from a cache by the same column fill and compares.
+loaded from a cache by the same column fill and compares; `suites` checks it.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import groupby
 
-from .algebra import ClassVector, _check_exponent, sorted_terms
-from .basis import (Index, check_index, check_ring_rank, classes_in_degrees,
-                    degree, enumerate_basis, is_valid, max_degree, top_class)
-from .pieri import (_tau1_raw, _tau11_raw, _valid_terms, collapse_terms, power_class,
-                    shift_terms)
+from .algebra import ClassVector, _check_exponent
+from .basis import (Index, check_index, check_ring_rank, degree, enumerate_basis, is_valid,
+                    top_class)
+from .pieri import _tau1_raw, _tau11_raw, _valid_terms
 
 
 class GenerationFailure(RuntimeError):
@@ -69,7 +60,7 @@ class _Memo(dict):
 # A table of N classes codes the term q^d tau[nu] as the int d * N + pos(nu):
 # each (nu, d) has its own code, and times q^dd adds dd * N.  A product
 # tau[lam] * tau[mu], and every expansion M1^i M11^j (tau[lam]), i + 2j = |mu|,
-# of `check_commutativity`, is homogeneous of degree <= 2(4n-3) = 8n-6; its
+# of the reference in `suites`, is homogeneous of degree <= 2(4n-3) = 8n-6; its
 # terms q^d tau[nu] have 2nd <= 8n-6 - |nu| < 8n, so d < Q and code < Q * N.
 # The lookups by code hold those Q * N codes: one at or past Q * N is refused
 # as inhomogeneous where it is looked up.
@@ -266,107 +257,6 @@ class MultiplicationTable:
         return len(self._products)
 
 
-def _expansion(times: dict, code: int) -> _Memo:
-    """{mon: M1^i(M11^j(the term `code`)) as {code: int}} by the coded Pieri
-    terms `times` = `_pieri_codes(n, basis, pos)`."""
-    def expand(mon: tuple[int, int]) -> dict:
-        i, j = mon
-        terms, prev = (times[(1, 0)], (i - 1, j)) if i else (times[(1, 1)], (0, j - 1))
-        acc: dict = {}
-        try:  # a code at or past Q * N is past the lists' end
-            for c0, c in memo[prev].items():
-                for code2, k in terms[c0]:
-                    acc[code2] = acc.get(code2, 0) + c * k
-        except IndexError:
-            raise RuntimeError(f"an expansion {mon} has an inhomogeneous term past "
-                               f"q^{Q - 1}") from None
-        return {key: v for key, v in acc.items() if v}
-    memo = _Memo(expand)
-    memo[(0, 0)] = {code: 1}
-    return memo
-
-
-def _scaled(expr: dict) -> tuple[int, dict]:
-    """(L, L * expr) with L the lcm of the denominators: L * expr is on ints."""
-    lcm = math.lcm(*(r.denominator for r in expr.values()))
-    return lcm, {m: r.numerator * (lcm // r.denominator) for m, r in expr.items()}
-
-
-def _differs(scaled: tuple[int, dict], expansion, coded: dict) -> bool:
-    """Whether sum_m expr[m] * expansion[m] differs from the product `coded`
-    ({code: int}), for `scaled` = `_scaled(expr)`: summed on ints, compared
-    exactly with L * coded."""
-    lcm, expr = scaled
-    acc: dict = {}
-    for mon, r in expr.items():
-        for code, c in expansion[mon].items():
-            acc[code] = acc.get(code, 0) + r * c
-    if lcm != 1:
-        coded = {k: lcm * c for k, c in coded.items()}
-    return {k: v for k, v in acc.items() if v} != coded
-
-
-def _reduce(vec: dict, pivots) -> tuple[dict, dict]:
-    """Reduce the sparse vector `vec` against `pivots`, in order: the residual,
-    zeros dropped, and the combination of pivot expressions subtracted."""
-    vec = dict(vec)
-    combo: dict = {}
-    for prow, pvec, pexpr in pivots:
-        f = vec.get(prow)
-        if not f:
-            continue
-        for r, v in pvec.items():
-            vec[r] = vec.get(r, Fraction(0)) - f * v
-        for m, v in pexpr.items():
-            combo[m] = combo.get(m, Fraction(0)) + f * v
-    return {r: v for r, v in vec.items() if v}, combo
-
-
-def _pivots(vectors) -> list:
-    """Exact sparse Gaussian elimination; the number of pivots is the rank.
-
-    `vectors` yields (label, {row: value}) pairs with distinct labels.  A
-    nonzero residual becomes a pivot: its lowest row, the residual scaled to 1
-    there, and its expression in the labels.
-    """
-    pivots = []  # (pivot row, reduced vector, expression in the labels)
-    for label, vec in vectors:
-        vec, combo = _reduce(vec, pivots)
-        if not vec:
-            continue
-        expr = {label: Fraction(1), **{m: -v for m, v in combo.items()}}
-        prow = min(vec)
-        scale = Fraction(1) / vec[prow]
-        pivots.append((prow,
-                       {r: v * scale for r, v in vec.items()},
-                       {m: v * scale for m, v in expr.items() if v * scale}))
-    return pivots
-
-
-def _generator_expressions(table: MultiplicationTable, times: dict) -> dict:
-    """Each class lam as {(i, j): r_ij}, tau[lam] = sum r_ij tau[1,0]^i tau[1,1]^j.
-
-    Every graded slice of the table's basis (the slices in order) is solved
-    by exact elimination of the generator monomials applied to the unit by
-    the coded Pieri terms `times` = `_pieri_codes(n, basis, pos)`, with the
-    terms' codes as coordinates; `check_commutativity`'s reference.
-    """
-    pos, unit = table.pos, _expansion(times, table.pos[(0, 0)])
-    exprs: dict = {}
-    for total, classes in groupby(table.basis, degree):
-        # higher tau[1,1] powers first keeps each expression canonical: a
-        # diagonal class (t, t) comes out as the pure power tau[1,1]^t
-        monomials = [(total - 2 * j, j) for j in range(total // 2, -1, -1)]
-        pivots = _pivots((mon, unit[mon]) for mon in monomials)
-        for lam in classes:
-            residual, r = _reduce({pos[lam]: Fraction(1)}, pivots)
-            if residual:
-                raise GenerationFailure(f"class {lam} (rank {table.n}) is not generated "
-                                        f"by the special classes")
-            exprs[lam] = {m: v for m, v in r.items() if v}
-    return exprs
-
-
 Rule = namedtuple("Rule", "special pred others")
 # tau[special] * tau[pred] = tau[lam] + sum k q^dd tau[o] over (o, k, dd) in others
 
@@ -481,24 +371,6 @@ def poincare_pairing(table: MultiplicationTable, lam, mu) -> Fraction:
     return Fraction(table.terms(lam, mu).get((top_class(table.n), 0), 0))
 
 
-def pairing_rank(table: MultiplicationTable, rows, cols) -> int:
-    """Rank of the matrix of Poincare pairings of `rows` against `cols`."""
-    return len(_pivots(
-        (lam, {j: poincare_pairing(table, lam, mu) for j, mu in enumerate(cols)})
-        for lam in rows))
-
-
-def has_negative_constant(table: MultiplicationTable):
-    """(True, witness) for the first negative structure constant in scan order:
-    the first pair of `pairs()`, then the first of its terms in canonical order."""
-    for lam, mu in table.pairs():
-        terms = table.terms(lam, mu)
-        if any(c < 0 for c in terms.values()):
-            (nu, d), c = next(kv for kv in sorted_terms(terms) if kv[1] < 0)
-            return True, {"lambda": lam, "mu": mu, "nu": nu, "d": d, "coeff": Fraction(c)}
-    return False, None
-
-
 def diagonal_power(table: MultiplicationTable, t: int) -> ClassVector:
     """The t-fold product of tau[1,1] with itself (t >= 0)."""
     out = ClassVector.basis(table.n, (0, 0))
@@ -506,90 +378,3 @@ def diagonal_power(table: MultiplicationTable, t: int) -> ClassVector:
     for _ in range(t):
         out = multiply(table, out, e11)
     return out
-
-
-IDENTITY_PARTS = ("diagonal-power", "collapse", "collapse-boundary",
-                  "top-power", "shift", "shift-boundary")
-
-
-IdentityCheck = namedtuple("IdentityCheck", "part holds checked counterexamples")
-
-
-def verify_identities(table: MultiplicationTable, part: str) -> IdentityCheck:
-    """Exhaustively check one family of product identities for powers of tau[1,1].
-
-    Parts, expected values from `power_class`, `collapse_terms`, `shift_terms`:
-      diagonal-power    tau[1,1]^t, t <= n-2
-      collapse          tau[1,1]^t * tau[lam], |lam| >= 2n, t = 2n-lam1, lam2+t != 2n-2
-      collapse-boundary the same with lam2 + t = 2n-2
-      top-power         tau[1,1]^(n-1)
-      shift             tau[1,1]^t * tau[mu], t <= n-2, 2t + |mu| <= 2n-3
-      shift-boundary    the same with 2t + |mu| in {2n-2, 2n-1}
-    """
-    n = table.n
-    if part not in IDENTITY_PARTS:
-        raise ValueError(f"unknown identity part {part!r}; expected one of {IDENTITY_PARTS}")
-    checked = 0
-    bad = []
-    e11 = ClassVector.basis(n, (1, 1))
-    powers = [ClassVector.basis(n, (0, 0))]  # powers[t] = tau[1,1]^t, t < n
-    for t in range(1, n):
-        powers.append(multiply(table, powers[t - 1], e11))
-
-    def record(params, got, terms):
-        nonlocal checked
-        checked += 1
-        want = ClassVector.from_terms(n, terms)
-        if got != want:
-            bad.append({"params": params, "got": repr(got), "expected": repr(want)})
-
-    if part in ("diagonal-power", "top-power"):
-        for t in range(1, n - 1) if part == "diagonal-power" else [n - 1]:
-            record({"t": t}, powers[t], power_class(n, t))
-    elif part in ("collapse", "collapse-boundary"):
-        boundary = part == "collapse-boundary"
-        for lam in classes_in_degrees(n, range(2 * n, max_degree(n) + 1)):
-            t = 2 * n - lam[0]
-            if ((lam[1] + t) == 2 * n - 2) != boundary:
-                continue
-            record({"lambda": lam, "t": t},
-                   multiply(table, powers[t], ClassVector.basis(n, lam)),
-                   collapse_terms(n, lam))
-    else:
-        boundary = part == "shift-boundary"
-        for t in range(1, n - 1):
-            lo = 2 * n - 2 - 2 * t  # boundary: |mu| is lo or lo + 1; else |mu| < lo
-            for mu in classes_in_degrees(n, range(lo, lo + 2) if boundary else range(lo)):
-                record({"mu": mu, "t": t},
-                       multiply(table, powers[t], ClassVector.basis(n, mu)),
-                       shift_terms(n, mu, t))
-    return IdentityCheck(part, not bad, checked, bad)
-
-
-def check_commutativity(table: MultiplicationTable) -> list:
-    """Recompute every product in the opposite factor order by a second algorithm.
-
-    Returns the list of pairs where the table disagrees (empty when it is
-    commutative).  The reference expresses each class in the generator
-    monomials by solving every graded slice, and assembles
-    tau[mu] * tau[lam] = sum r_ij M1^i M11^j (tau[lam]), with the factors in
-    the roles opposite to the recursion's.  It runs on ints, coded as the
-    table codes its terms: each expression is scaled once by the lcm L of its
-    denominators, and the sum is compared with L times the stored product.
-    It needs only the rank and the stored products, so a loaded cache is
-    checked the same way as a built table.
-    """
-    basis, pos = table.basis, table.pos
-    times = _pieri_codes(table.n, basis, pos)
-    scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(table, times).items()}
-    # the stored keys' codes; a key no code names (q^d, d >= Q) reads as -1,
-    # which no expansion holds
-    codes = {key: code for code, key in enumerate(table._key_list())}
-    bad = []
-    for lam in basis:
-        expand = _expansion(times, pos[lam])
-        for mu in basis[pos[lam]:]:
-            coded = {codes.get(key, -1): c for key, c in table.terms(lam, mu).items()}
-            if _differs(scaled[mu], expand, coded):
-                bad.append((lam, mu))
-    return bad

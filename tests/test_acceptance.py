@@ -25,9 +25,9 @@ from osglines.deformation import (DeformationSpec, MODE_PER_MU, MODE_PER_PAIR,
                                   check_positivity, pair_keys)
 from osglines.pieri import (TAU1_CASES, TAU11_CASES, pieri_tau1, pieri_tau11,
                             tau1_case, tau11_case)
-from osglines.ring import (IDENTITY_PARTS, build_table, check_commutativity,
-                           has_negative_constant, multiply, poincare_pairing,
-                           verify_identities)
+from osglines.ring import build_table, multiply, poincare_pairing
+from osglines.suites import (IDENTITY_PARTS, check_commutativity, has_negative_constant,
+                             verify_identities)
 
 
 def report(number, name, ok, detail=""):

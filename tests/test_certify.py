@@ -225,6 +225,41 @@ def test_resource_ceiling(table3):
         certify_uniqueness(system, max_rows=1)
 
 
+def test_resource_ceiling_on_an_intermediate_system():
+    # five rows fit a ceiling of five, and propagation settles only y >= 0;
+    # FM on x then eliminates y from 3 rows with +y and 2 with -y: 6 rows
+    system = toy_system([AffineExpression(0, {"x": 1, "y": 1}),
+                         AffineExpression(0, {"x": -1, "y": 1}),
+                         AffineExpression(0, {"y": 1}),
+                         AffineExpression(1, {"y": -1}),
+                         AffineExpression(2, {"x": -1, "y": -1})])
+    with pytest.raises(ResourceLimitError, match="elimination would exceed 5 "):
+        certify_uniqueness(system, max_rows=5)
+    assert certify_uniqueness(system, max_rows=6).conclusion == CONCLUSION_NOT_UNIQUE
+
+
+def test_propagation_divides_by_the_coefficient_of_its_unknown():
+    # 2x >= 0 bounds x >= 0 with weight 1/2, so the weights sum to x itself
+    rows = (AffineExpression(0, {"x": 2}), AffineExpression(0, {"x": -1}))
+    system = ConstraintSystem(3, MODE_PER_PAIR, ("x",), rows, (((0, 0), (0, 0), 1),) * 2)
+    cert = certify_uniqueness(system)
+    assert cert.conclusion == CONCLUSION_UNIQUE_ZERO
+    assert cert.stats["propagated_unknowns"] == 1
+    assert cert.bounds == (BoundProof("x", "lower", ((0, Fraction(1, 2)),)),
+                           BoundProof("x", "upper", ((1, 1),)))
+    assert verify_certificate(system, cert)
+
+
+def test_replay_refuses_a_degree_it_leaves_unsettled(table3, monkeypatch):
+    # an unknown of degree 2n that no display constrains stays open
+    keys = pair_keys(3)
+    monkeypatch.setattr(replay, "pair_keys", lambda n: [*keys, ((5, 1), (9, 9))])
+    with pytest.raises(MismatchError) as exc:
+        replay_proof(table3)
+    assert exc.value.step == "conclusion"
+    assert str(exc.value) == "conclusion: degree 6 unknowns not all settled"
+
+
 def test_replay(table3, table4):
     for table in (table3, table4):
         report = replay_proof(table)

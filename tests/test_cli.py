@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from osglines import certify, proof, replay, ring, serialize
 from osglines.proof import verify_certificate
 from osglines.replay import MismatchError
-from osglines.cli import SUITES, main
+from osglines.basis import SUITES
+from osglines.cli import main
 from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 from osglines.expr import MAX_NESTING
 
@@ -244,6 +245,11 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "check-positivity", "--n", "3",
                        "--spec", "/nonexistent/path.json")
     assert code == 2
+    # route B has no row ceiling: the flag is refused, not ignored
+    for rows in ("5", "0"):
+        code, out, err = run(capsys, "certify", "--n", "3", "--method", "replay",
+                             "--max-rows", rows)
+        assert (code, out, err) == (2, "", "error: --max-rows needs the fm method\n")
     with pytest.raises(SystemExit) as exc:
         main(["pieri", "--n", "3", "--class", "11", "--with", "bogus"])
     assert exc.value.code == 2
@@ -669,20 +675,23 @@ _LOADED_BY = ("import contextlib, io, sys\n"
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["basis", "--n", "3"], {"ring", "pieri", "deformation", "certify", "replay", "expr"}),
+    (["basis", "--n", "3"],
+     {"ring", "pieri", "deformation", "certify", "replay", "expr", "suites"}),
     (["pieri", "--n", "3", "--class", "11", "--with", "5,3"],
-     {"ring", "deformation", "certify", "replay", "expr"}),
-    (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify", "replay"}),
+     {"ring", "deformation", "certify", "replay", "expr", "suites"}),
+    (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify", "replay", "suites"}),
     (["gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"],
-     {"deformation", "certify", "replay"}),
-    (["check-positivity", "--n", "3", "--spec", "SPEC"], {"certify", "replay", "expr"}),
-    (["certify", "--n", "3", "--method", "both"], {"deformation", "expr"}),
-    (["certify", "--n", "3", "--method", "fm"], {"deformation", "replay", "expr"}),
+     {"deformation", "certify", "replay", "suites"}),
+    (["check-positivity", "--n", "3", "--spec", "SPEC"],
+     {"certify", "replay", "expr", "suites"}),
+    (["certify", "--n", "3", "--method", "both"], {"deformation", "expr", "suites"}),
+    (["certify", "--n", "3", "--method", "fm"], {"deformation", "replay", "expr", "suites"}),
     (["certify", "--n", "3", "--method", "replay"],
-     {"deformation", "certify", "proof", "expr"}),
-    (["table", "--n", "3", "--out", "OUT"], {"deformation", "certify", "replay", "expr"}),
+     {"deformation", "certify", "proof", "expr", "suites"}),
+    (["table", "--n", "3", "--out", "OUT"],
+     {"deformation", "certify", "replay", "expr", "suites"}),
     (["table", "--n", "3", "--load", "OUT", "--revalidate"],
-     {"deformation", "certify", "replay", "expr"}),
+     {"deformation", "certify", "replay", "expr", "suites"}),
     *((["verify", "--n", "3", "--suite", suite], {"deformation", "certify", "replay", "expr"})
       for suite in SUITES),
 ], ids=["basis", "pieri", "mult", "gw", "check-positivity", "certify", "certify-fm",
@@ -702,11 +711,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
 @pytest.mark.parametrize("code, loaded", [
     ("import osglines.certify", ["algebra", "basis", "certify", "pieri", "proof"]),
     ("import osglines.replay", ["algebra", "basis", "pieri", "replay"]),
+    ("import osglines.suites", ["algebra", "basis", "pieri", "ring", "suites"]),
     ("import osglines; osglines.MODE_PER_PAIR", ["basis"]),
-], ids=["certify", "replay", "mode"])
+], ids=["certify", "replay", "suites", "mode"])
 def test_import_loads_exactly(code, loaded):
     # neither proof route reads the ring or the deformation layer, nor the
-    # other route; the modes are index-set facts
+    # other route; the checks of a table read the ring and nothing above it;
+    # the modes are index-set facts
     proc = _python("-c", f"import sys; {code}; "
                    "print(*sorted(m for m in sys.modules if m.startswith('osglines.')))",
                    timeout=60)
@@ -742,6 +753,7 @@ MODULE_GRAPH = {
     "algebra": {"basis"},
     "pieri": {"algebra", "basis"},
     "ring": {"algebra", "basis", "pieri"},
+    "suites": {"algebra", "basis", "pieri", "ring"},
     "deformation": {"algebra", "basis", "ring"},
     "proof": {"algebra", "basis", "pieri"},
     "certify": {"basis", "proof"},
@@ -765,6 +777,21 @@ def test_module_graph():
     assert graph == MODULE_GRAPH
 
 
+def test_suites_read_only_products_and_the_term_coding_from_the_ring():
+    # the commutativity reference recomputes what the recursion computed, so
+    # it may not reach the recursion: `suites` imports only the table, its
+    # products and the coding of its terms from `ring`
+    import ast
+    tree = ast.parse((SRC / "osglines" / "suites.py").read_text("utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "ring"
+             for alias in node.names}
+    assert names == {"GenerationFailure", "MultiplicationTable", "Q", "_Memo",
+                     "_pieri_codes", "multiply", "poincare_pairing"}
+    assert not names & {"_apply", "_recurse", "_by_column", "_rule", "_checked",
+                        "lazy_table", "build_table"}
+
+
 def test_help_exits_zero():
     for argv in ([], ["certify"]):
         proc = _python("-m", "osglines.cli", *argv, "--help", timeout=60)
@@ -777,7 +804,8 @@ def test_help_exits_zero():
 # The package namespace at the commit that made it lazy: every public name of
 # the parent, where `import osglines` imported every module, each under the
 # module it lives in now.  The certificate's names later moved to `proof`,
-# route B to `replay` and the conclusion strings to `basis`.
+# route B to `replay`, the conclusion strings to `basis` and the checks of a
+# table to `suites`, where `run_suite` joined them.
 PACKAGE_NAMES = {
     "algebra": ["AffineExpression", "ClassVector"],
     "basis": ["CONCLUSION_NOT_UNIQUE", "CONCLUSION_UNIQUE_ZERO", "betti_numbers",
@@ -792,12 +820,12 @@ PACKAGE_NAMES = {
     "pieri": ["pieri_tau1", "pieri_tau11", "tau11_case", "tau1_case"],
     "proof": ["Certificate", "ConstraintSystem", "build_constraints", "verify_certificate"],
     "replay": ["MismatchError", "QuadraticTermError", "replay_proof"],
-    "ring": ["GenerationFailure", "IDENTITY_PARTS", "MultiplicationTable",
-             "build_table", "check_commutativity", "diagonal_power", "gw_constant",
-             "has_negative_constant", "lazy_table", "multiply", "poincare_pairing",
-             "verify_identities"],
+    "ring": ["GenerationFailure", "MultiplicationTable", "build_table", "diagonal_power",
+             "gw_constant", "lazy_table", "multiply", "poincare_pairing"],
     "serialize": ["load_certificate", "load_spec", "load_table", "save_certificate",
                   "save_spec", "save_table"],
+    "suites": ["IDENTITY_PARTS", "check_commutativity", "has_negative_constant", "run_suite",
+               "verify_identities"],
 }
 
 

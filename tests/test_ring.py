@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from osglines import ring, serialize
+from osglines import ring, serialize, suites
 from osglines.algebra import ClassVector
 from osglines.basis import (MAX_RING_RANK, degree, enumerate_basis,
                             enumerate_degree, max_degree)
-from osglines.pieri import pieri_tau1, pieri_tau11
-from osglines.ring import (IDENTITY_PARTS, GenerationFailure, build_table,
-                           check_commutativity, collapse_terms, diagonal_power,
-                           gw_constant, has_negative_constant, lazy_table,
-                           multiply, poincare_pairing, power_class, shift_terms,
-                           verify_identities)
+from osglines.pieri import collapse_terms, pieri_tau1, pieri_tau11, power_class, shift_terms
+from osglines.ring import (GenerationFailure, build_table, diagonal_power, gw_constant,
+                           lazy_table, multiply, poincare_pairing)
+from osglines.suites import (IDENTITY_PARTS, check_commutativity, has_negative_constant,
+                             verify_identities)
 
 
 def basis_vec(n, lam):
@@ -34,7 +33,7 @@ def test_table_shape_and_audits(table3):
 def test_generator_expressions(table3, table4, table5, table6):
     for table in (table3, table4, table5, table6):
         n = table.n
-        exprs = ring._generator_expressions(
+        exprs = suites._generator_expressions(
             table, ring._pieri_codes(n, table.basis, table.pos))
         if n == 3:
             assert exprs[(3, 1)] == {(0, 2): Fraction(1)}
@@ -66,7 +65,7 @@ def test_commutativity_reference_scales_denominators():
     n = 3
     table = lazy_table(n)  # its basis positions code the terms
     keys = table._key_list()
-    expand = ring._expansion(ring._pieri_codes(n, table.basis, table.pos),
+    expand = suites._expansion(ring._pieri_codes(n, table.basis, table.pos),
                              table.pos[(1, 0)])
     assert {keys[code]: c for code, c in expand[(1, 0)].items()} \
         == pieri_tau1(n, (1, 0)).flat
@@ -77,13 +76,13 @@ def test_commutativity_reference_scales_denominators():
             want[code] = want.get(code, Fraction(0)) + r * c
     want = {code: v for code, v in want.items() if v}
     assert any(v.denominator != 1 for v in want.values())
-    scaled = ring._scaled(expr)
+    scaled = suites._scaled(expr)
     assert scaled == (2, {(2, 0): 1, (0, 1): 1})
-    assert not ring._differs(scaled, expand, want)
+    assert not suites._differs(scaled, expand, want)
     for code in want:  # a product that differs by 1 anywhere is reported
-        assert ring._differs(scaled, expand, {**want, code: want[code] + 1})
+        assert suites._differs(scaled, expand, {**want, code: want[code] + 1})
     q_unit = len(table.basis) + table.pos[(0, 0)]  # the code of q tau[0,0]
-    assert ring._differs(scaled, expand, {**want, q_unit: Fraction(1)})
+    assert suites._differs(scaled, expand, {**want, q_unit: Fraction(1)})
 
 
 def test_associativity_exhaustive_n3(table3):
@@ -245,6 +244,15 @@ def test_closed_forms_match_the_engine(table5):
 def test_unknown_identity_part_rejected(table3):
     with pytest.raises(ValueError):
         verify_identities(table3, "nonsense")
+
+
+def test_run_suite_without_the_cli(table3):
+    checks = suites.run_suite(table3, "betti")
+    assert [c["name"] for c in checks] == ["betti-symmetry", "top-class-unique",
+                                           "unit-law", "commutativity"]
+    assert all(c["passed"] for c in checks)
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        suites.run_suite(table3, "nonsense")
 
 
 def test_ring_rejects_rank_two():
