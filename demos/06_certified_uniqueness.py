@@ -13,6 +13,7 @@ Both routes only multiply by sigma[1,1] and its powers, so a larger rank is
 certified on `lazy_table`, which computes just the products asked for,
 each by the Pieri recursion from the products it depends on.
 """
+import pathlib
 import tempfile
 
 from osglines import (build_constraints, build_table, certify_uniqueness,
@@ -47,9 +48,9 @@ print(f"\nn=10 per-pair: {len(system.unknowns)} unknowns -> {cert.conclusion} "
 table = build_table(3)
 system = build_constraints(table, "per-pair")
 cert = certify_uniqueness(system)
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-    path = fh.name
-save_certificate(cert, system, path)
-cert2, system2 = load_certificate(path)
-print(f"\nreloaded certificate from {path}: "
+with tempfile.TemporaryDirectory() as tmp:
+    path = pathlib.Path(tmp) / "certificate-n3-per-pair.json"
+    save_certificate(cert, system, path)
+    cert2, system2 = load_certificate(path)
+print(f"\nreloaded certificate from {path.name}: "
       f"verifies = {verify_certificate(system2, cert2)}")

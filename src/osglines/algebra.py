@@ -10,7 +10,9 @@ positive (the expression grammar has no unary minus).
 
 Everything is exact: a class vector's coefficients are rationals
 (`fractions.Fraction`), and an affine form keeps each integral value as an
-int and any other as a `Fraction`.  There is no floating point anywhere.
+int and any other as a `Fraction`.  There is no floating point anywhere;
+`format_rational` writes an exact number as the "p" or "p/q" string that
+the JSON documents and the CLI's output use.
 An `AffineExpression` is a record, not a number: it is the row type of route
 A's constraint systems and of the certificate reader, and it is never a
 coefficient of a class vector.
@@ -42,6 +44,11 @@ def exact(x):
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact number: {x!r}")
+
+
+def format_rational(x) -> str:
+    """An int or a Fraction as "p", or as "p/q" when it is not integral."""
+    return str(exact(x))
 
 
 def _check_exponent(d):

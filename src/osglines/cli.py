@@ -18,21 +18,26 @@ The `table` subcommand caches multiplication tables as JSON.  With neither
 `--out` nor `--load`, the environment variable OSG_CACHE_DIR names a
 directory for a default cache file.
 
-Each call imports only the modules its subcommand runs: at the top this
-module imports only `serialize`, which writes the output, and `algebra` and
-`basis`, which `serialize` loads anyway; each handler imports the engine
-modules it calls, and `verify` the checks of a table, `suites`.
+Each call imports only the modules its subcommand runs.  At the top this
+module imports only `basis`, for the choices of its options, and writes its
+json output itself; each handler imports the engine modules it calls,
+`verify` the checks of a table, `suites`, and a command that reads or writes
+a document or a list of terms the file codecs, `serialize`.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from fractions import Fraction
 
-from . import serialize
-from .algebra import ClassVector
 from .basis import MODE_PER_PAIR, MODES, SUITES
+
+TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .algebra import ClassVector
 
 
 def _parse_index(text: str):
@@ -65,7 +70,7 @@ def _latex_table(rows) -> str:
 
 def _emit(args, payload: dict, text_lines, latex: str):
     if args.format == "json":
-        sys.stdout.write(serialize.canonical_dumps(payload))
+        sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     elif args.format == "latex":
         sys.stdout.write(latex + "\n")
     else:
@@ -94,26 +99,28 @@ def _cmd_basis(args):
 def _cmd_mult(args):
     from .expr import evaluate_expression, parse_expression
     from .ring import lazy_table
+    from .serialize import class_vector_terms
     ast = parse_expression(args.expression)
     result = evaluate_expression(ast, lazy_table(args.n))
     payload = {"command": "mult", "n": args.n, "expression": args.expression,
-               "terms": serialize.class_vector_terms(result)}
+               "terms": class_vector_terms(result)}
     _emit(args, payload, [repr(result)], render_vector_latex(result))
     return 0
 
 
 def _cmd_pieri(args):
     from .pieri import pieri_tau1, pieri_tau11
+    from .serialize import class_vector_terms
     fn = pieri_tau1 if args.cls == "1" else pieri_tau11
     result = fn(args.n, args.with_index)
     payload = {"command": "pieri", "n": args.n, "class": args.cls,
-               "with": list(args.with_index),
-               "terms": serialize.class_vector_terms(result)}
+               "with": list(args.with_index), "terms": class_vector_terms(result)}
     _emit(args, payload, [repr(result)], render_vector_latex(result))
     return 0
 
 
 def _cmd_gw(args):
+    from .algebra import format_rational
     from .basis import check_index
     from .ring import gw_constant, lazy_table
     for idx in (args.lam, args.mu, args.nu):
@@ -123,9 +130,8 @@ def _cmd_gw(args):
     value = gw_constant(lazy_table(args.n), args.lam, args.mu, args.nu, args.d)
     payload = {"command": "gw", "n": args.n, "lambda": list(args.lam),
                "mu": list(args.mu), "nu": list(args.nu), "d": args.d,
-               "value": serialize.format_rational(value)}
-    _emit(args, payload, [serialize.format_rational(value)],
-          _latex_rational(value))
+               "value": format_rational(value)}
+    _emit(args, payload, [format_rational(value)], _latex_rational(value))
     return 0
 
 
@@ -156,7 +162,8 @@ def _route_a(args, table) -> dict:
                               else args.max_rows)
     verified = verify_certificate(system, cert)
     if args.emit_certificate:
-        serialize.save_certificate(cert, system, args.emit_certificate)
+        from .serialize import save_certificate
+        save_certificate(cert, system, args.emit_certificate)
     return {"method": "fm", "conclusion": cert.conclusion, "verified": verified,
             "unknowns": len(system.unknowns)}
 
@@ -186,8 +193,7 @@ def _cmd_certify(args):
                             "unknowns": len(report.unknowns)})
     except failures as exc:  # a mathematical failure: exit 1
         if args.format == "json":
-            sys.stdout.write(serialize.canonical_dumps(
-                {"command": args.command, "error": str(exc)}))
+            _emit(args, {"command": args.command, "error": str(exc)}, (), "")
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -206,18 +212,20 @@ def _cmd_certify(args):
 
 
 def _cmd_check_positivity(args):
+    from .algebra import format_rational
     from .basis import check_ring_rank
     from .deformation import check_positivity
     from .ring import lazy_table
+    from .serialize import load_spec
     check_ring_rank(args.n)
-    spec = serialize.load_spec(args.spec)
+    spec = load_spec(args.spec)
     if spec.n != args.n:
         raise ValueError(f"spec has n={spec.n}, invocation has n={args.n}")
     report = check_positivity(spec, lazy_table(args.n))
     payload = {"command": "check-positivity", "n": args.n, "mode": spec.mode,
                "passes": report.passes,
                "violations": [{"mu": list(mu), "nu": list(nu), "d": d,
-                               "value": serialize.format_rational(v)}
+                               "value": format_rational(v)}
                               for mu, nu, d, v in report.violations]}
     if report.passes:
         text = ["passes: every coefficient is nonnegative"]
@@ -242,12 +250,13 @@ def _default_cache_path(n: int):
 
 def _cmd_table(args):
     from .ring import build_table, revalidate_table
+    from .serialize import load_table, save_table
     if args.revalidate and not args.load:
         raise ValueError("--revalidate needs --load: a built table is not revalidated")
     saved_to = args.out or (None if args.load else _default_cache_path(args.n))
     source = "loaded" if args.load else "built"
     if args.load:
-        table = serialize.load_table(args.load)
+        table = load_table(args.load)
         # the rank is checked before a revalidation recomputes anything or a
         # save writes anything
         if table.n != args.n:
@@ -259,7 +268,7 @@ def _cmd_table(args):
     else:
         table = build_table(args.n)
     if saved_to:
-        serialize.save_table(table, saved_to)
+        save_table(table, saved_to)
     payload = {"command": "table", "n": args.n, "source": source,
                "classes": len(table.basis), "products": table.stored_products(),
                "revalidated": args.revalidate, "saved_to": saved_to}

@@ -15,11 +15,12 @@ one-line `ValueError`.  Saving writes a temporary file in the target's
 directory and renames it over the target, so a reader never sees a
 half-written file, even in a shared cache directory.
 
-Only `algebra` and `basis` are imported with this module, so writing a CLI
-document loads no other part of the engine; a document's deformation mode
-is checked by `basis.check_mode`.  Each reader imports the one module whose
-objects it builds: `ring` for a table, `deformation` for a spec and
-`proof` for a certificate, so reading one never loads the search.
+Only `algebra` and `basis` are imported with this module; a document's
+deformation mode is checked by `basis.check_mode`.  Each reader imports the
+one module whose objects it builds: `ring` for a table, `deformation` for a
+spec and `proof` for a certificate, so reading one never loads the search.
+The CLI writes its own output and imports this module only in the commands
+that read or write a document or a list of terms.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import AffineExpression, ClassVector, exact, sorted_terms
+from .algebra import AffineExpression, ClassVector, exact, format_rational, sorted_terms
 from .basis import MODE_PER_PAIR, check_mode, check_ring_rank, enumerate_basis
 
 TYPE_CHECKING = False  # the names below annotate; importing them would load the engine
@@ -42,28 +43,15 @@ TABLE_FORMAT_VERSION = 1
 
 # matched whole, ASCII digits only: no trailing newline, no other script's digits
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-
-
-def format_rational(x) -> str:
-    """An int or a Fraction as "p", or as "p/q" when it is not integral."""
-    return str(exact(x))
-
-
-def parse_rational(s: str) -> Fraction:
-    if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
-        with contextlib.suppress(ValueError):  # more digits than an int converts
-            return Fraction(s)
-        raise ValueError(f"not a rational string: too long ({len(s)} characters)")
-    raise ValueError(f"not a rational string: {s!r}")
 
 
 def _parse_number(s):
-    """A rational string as an exact number: an int when integral, else a Fraction."""
-    if isinstance(s, str) and _INTEGER_RE.fullmatch(s):
-        with contextlib.suppress(ValueError):  # too many digits: refused below
-            return int(s)
-    return exact(parse_rational(s))
+    """A rational string "p" or "p/q" as an int when integral, else a Fraction."""
+    if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
+        with contextlib.suppress(ValueError):  # more digits than an int converts
+            return exact(Fraction(s)) if "/" in s else int(s)
+        raise ValueError(f"not a rational string: too long ({len(s)} characters)")
+    raise ValueError(f"not a rational string: {s!r}")
 
 
 def _index(lam) -> list[int]:
@@ -139,8 +127,9 @@ def _read_json(path):
             raise ValueError(f"{os.fspath(path)} is not a JSON document: {exc}") from None
 
 
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _json(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2)` for a value nested `depth` levels deep."""
+    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
 
 
 def class_vector_terms(v: ClassVector) -> list[dict]:
@@ -156,7 +145,7 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
         nu = _as_index(_field(t, "nu", "term"))
         d = _as_int(_field(t, "d", "term"))
         c = _field(t, "coeff", "term")
-        c = Fraction(c) if type(c) is int else parse_rational(c)  # never a bool
+        c = c if type(c) is int else _parse_number(c)  # never a bool
         slot = acc.setdefault(nu, {})
         if d in slot:
             raise ValueError(f"term {nu}, q^{d} appears twice")
@@ -169,7 +158,7 @@ def class_vector_from_terms(n: int, terms) -> ClassVector:
 
 
 def _table_fragments(table: MultiplicationTable):
-    """`canonical_dumps` of the table document: the header and basis, then each product."""
+    """`_json` of the table document and a newline: the header and basis, then each product."""
     pair, term = ({lam: _pair_text(lam, depth) for lam in table.basis} for depth in (3, 5))
 
     def product(lam, mu):
@@ -289,7 +278,7 @@ def spec_from_dict(data: dict) -> DeformationSpec:
     entries = {}
     first = {}                  # key -> position of the entry that states it
     for i, e in enumerate(_field(data, "entries", "deformation spec", list)):
-        a = parse_rational(_field(e, "a", "spec entry"))
+        a = _parse_number(_field(e, "a", "spec entry"))
         key = _key_from_json(mode, per_pair, e, "spec entry")
         if first.setdefault(key, i) != i:
             raise ValueError(f"spec entry {i} repeats entry {first[key]}")
@@ -298,7 +287,7 @@ def spec_from_dict(data: dict) -> DeformationSpec:
 
 
 def save_spec(spec: DeformationSpec, path):
-    _write_atomic(path, (canonical_dumps(spec_to_dict(spec)),))
+    _write_atomic(path, (_json(spec_to_dict(spec)) + "\n",))
 
 
 def load_spec(path) -> DeformationSpec:
@@ -317,13 +306,8 @@ def _entry(obj, key: str, what: str, items):
     return items[i]
 
 
-def _json(obj, depth: int = 0) -> str:
-    """`json.dumps(obj, indent=2)` for a value nested `depth` levels deep."""
-    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
-
-
 def _certificate_fragments(cert: Certificate, system: ConstraintSystem):
-    """`canonical_dumps` of the certificate document, byte for byte, as text
+    """`_json` of the certificate document and a newline, byte for byte, as text
     fragments: one per unknown, bound, witness entry and constraint."""
     pos = {k: i for i, k in enumerate(system.unknowns)}
     per_pair = cert.mode == MODE_PER_PAIR

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import osglines
 from osglines.algebra import AffineExpression, ClassVector
 from osglines.basis import (CONCLUSION_NOT_UNIQUE, CONCLUSION_UNIQUE_ZERO, degree,
                             index_sort_key)
-from osglines import certify, replay
+from osglines import certify, proof, replay
 from osglines.certify import DEFAULT_ROW_LIMIT, ResourceLimitError, certify_uniqueness
 from osglines.proof import (BoundProof, Certificate, ConstraintSystem, build_constraints,
                             verify_certificate)
@@ -180,6 +181,37 @@ def test_not_unique_toy_system():
     # so is a witness whose values are floats, even feasible ones
     floats = cert._replace(witness={k: float(v) for k, v in cert.witness.items()})
     assert not verify_certificate(system, floats)
+
+
+# y >= 0 and -y >= 0 pin y to zero, and leave x to the rows given with them
+PIN_Y = [AffineExpression(0, {"y": 1}), AffineExpression(0, {"y": -1})]
+
+
+@pytest.mark.parametrize("x_rows, witness", [
+    ([AffineExpression(0, {"x": 1})], {"x": 1, "y": 0}),
+    ([AffineExpression(0, {"x": -1})], {"x": -1, "y": 0}),
+    ([], {"x": 1, "y": 0}),
+], ids=["unbounded-above", "unbounded-below", "unbounded-both"])
+def test_witness_on_an_unbounded_interval(x_rows, witness):
+    system = toy_system(x_rows + PIN_Y)
+    cert = certify_uniqueness(system)
+    assert cert.conclusion == CONCLUSION_NOT_UNIQUE
+    assert cert.witness == witness
+    assert verify_certificate(system, cert)
+
+
+def test_negative_constant_in_a_product_with_sigma11_is_refused(monkeypatch, table3):
+    # a negative coefficient below degree 2n meets no unknown: no deformation
+    # can correct it, so the system is refused rather than the row dropped
+    raw = proof._tau11_raw
+
+    def negated(n, lam):
+        case, terms = raw(n, lam)
+        return case, (tuple((nu, -c, d) for nu, c, d in terms) if lam == (0, 0) else terms)
+    monkeypatch.setattr(proof, "_tau11_raw", negated)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "negative constant coefficient in sigma[1,1]*sigma[(0, 0)]: -1 at (1, 1), q^0")):
+        build_constraints(table3, MODE_PER_PAIR)
 
 
 def test_witness_must_be_nonzero_on_an_unknown_of_the_system(table3):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osglines import certify, proof, replay, ring, serialize
+from osglines.algebra import format_rational
 from osglines.proof import verify_certificate
 from osglines.replay import MismatchError
 from osglines.basis import SUITES
@@ -504,7 +505,7 @@ def test_certificate_with_a_changed_weight_is_rejected(valid_certificate, data):
     weight = data.draw(st.sampled_from([w for b in doc["bounds"] for w in b["weights"]]))
     old = Fraction(weight["weight"])
     new = data.draw(st.fractions(-10**6, 10**6).filter(lambda w: w != old))
-    weight["weight"] = serialize.format_rational(new)
+    weight["weight"] = format_rational(new)
     cert, system = serialize.certificate_from_dict(doc)
     assert verify_certificate(system, cert) is False
 
@@ -632,6 +633,92 @@ def test_check_positivity_bytes_match_golden_digests(capsys, tmp_path, spec,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Every subcommand's stdout at n = 3 in each format, pinned as the SHA-256 of
+# the text, json and latex output written by commit 618dcbc.  Paths are
+# relative to the working directory, so the bytes do not depend on it.
+CLI_OUTPUT_DIGESTS = {
+    ("basis", "--n", "3"):
+        ("4842bfb4fec525bfda6a10dd0fc1462112b7653027d855b70757e3c239117a67",
+         "4a13d4e50119bcd37ea6fe0cece3a24bfae9913bea81168d6eb7a5933dd0a5ce",
+         "f8390ac8d5a472464a2fb4fa1b847b900e00be0ceee2b1299d3f810203b85aeb"),
+    ("basis", "--n", "3", "--degree", "4"):
+        ("5565a5a9a4de0c21ae31aa44f84b4e5fb3765abcca719380ed65f41a62552166",
+         "d5aaf1ed80ee6a46d08c9ad208b5dbb60dd35ea61b0f76fc7e5e04224d3db9ce",
+         "34fa0130c7d8e7213dd45159824dac5d715b76186c6aed4796f1ada8c0d537eb"),
+    ("mult", "--n", "3", "tau[5,-1]*tau[5,-1] - 2*q*tau[1,0]"):
+        ("f1e015ca1aa7881ad13b6b3fda9374a3ee5f3bb3b20ee4718f2004e9d93635de",
+         "cef5b2a13499645d9629a62d804bb2f97200187511e2ad0f290eaae48420db9b",
+         "f2b72aa19e8c1fc2f2868987a9039cfe974e1cc1ea80007148719a355f9ec7a0"),
+    ("pieri", "--n", "3", "--class", "1", "--with", "5,3"):
+        ("811b3a321be5b8f1361dccfc4b0e9e2dc632dd5819c07163420b55c1c9512024",
+         "afe49a9076917c4f6e99bc28b8d22b2aa70efa4008cfc161c32863e0b4c1aa6e",
+         "825186de050bfce7255628f15c550ce81637c8b033fad302a6428186655dde53"),
+    ("pieri", "--n", "3", "--class", "11", "--with", "5,3"):
+        ("c42b546bbff6da865773c2b1ea40aeab80140df377da720843646ac9ded04397",
+         "8aebec7f7c341ddfe0eed8d2d01154e75382e86bb121af46a6893b7baff42423",
+         "313dff66e8344c4c8e5dcb9f35744f1e98e0ea10c3c3a3f7cc0fd6ca5bafa08d"),
+    ("gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"):
+        ("4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+         "809c28c92196b3c1c3f5bd956706ec4bcb13cf53c93540a37226024615d334fb",
+         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("verify", "--n", "3", "--suite", "identities"):
+        ("565e4fd965678d97e525afbf2d423a910151d073bde4bb00c7a75df13df88767",
+         "2111f027a6a0eee6fb967aa210f1ca920eea597fa82a82bbeb6c87536b4d1c3b",
+         "2d17075c4c4528b7553b52d445a176f94585a01b076b77ef19fdfbcfe346a9d1"),
+    ("verify", "--n", "3", "--suite", "assoc"):
+        ("b099fa578ec410b2084a8f710677bcf858200952e489223762f7a8e10fe55ab1",
+         "1505e4ebe05e8ff9af48396829d8798651dfa319554c6e6e20787501cf6aba00",
+         "7c14ba83738d4482f10aa84c7ae664380ecdb4a3af313b059b9c909de671177c"),
+    ("verify", "--n", "3", "--suite", "pairing"):
+        ("dd0bf55dd1dc5d21d624fc47e9441c3d127a46ca58a60decec0ff22405a78a85",
+         "06e68b30f368c4ee05c66f91fb298c5de762d168f5c8e3c6362bf63a85c013ae",
+         "d8c547827e7baae4a3be6a853c3e8929ec1f4f02aa8873a41a8cad3f6f17daa1"),
+    ("verify", "--n", "3", "--suite", "betti"):
+        ("7536b817c1321058b9d0fe83b7a41e0b8171df5c8319c07d364fcd04ea191672",
+         "b0737f4dcc5a93138cbe40129b641bf8b11e47ee9f7410505cd10e9e77fc5d60",
+         "b7f4ee9321feab099eb234d43283d83790dd37ac3ce13be938db29c4ee89dcd2"),
+    ("verify", "--n", "3", "--suite", "negativity"):
+        ("956a6fa1773e5293b09d4ca13bbb4d1464da8b773f8c7163b55bf8ed9316e68e",
+         "c7acc08d7d3b089f279c0b559c8adca3fc7daf279751770705d3555c659b4fee",
+         "aca7d32ffecf8bc3e98e587c3fd487340b6075f56c85227d105d8c057c0d5c60"),
+    ("certify", "--n", "3", "--method", "both"):
+        ("60d83048598906f6943c5ec4d9a75c1185a2221b644ccdd5548151cbcb994edf",
+         "8e4f4be825a6e828f0627dbb9bef39bec72b87d117b05900b94bbc19e7f2b935",
+         "2c7434bd33dfa19ee72b751b7c6e3c700ec6492816630deb67df4025983b6109"),
+    ("certify", "--n", "3", "--mode", "per-mu", "--method", "both"):
+        ("60d83048598906f6943c5ec4d9a75c1185a2221b644ccdd5548151cbcb994edf",
+         "754a207184997f89090091f07a6d57dc4102c17f6857b2d311b10e3a6e96903c",
+         "2c7434bd33dfa19ee72b751b7c6e3c700ec6492816630deb67df4025983b6109"),
+    ("check-positivity", "--n", "3", "--spec", "zero.json"):
+        ("4298b83a480320d2521301a3111fc2eaf2edb06b6a6f3ffc1771abd221b85875",
+         "319154346138875b698c0b0de1e364befd93fb2eb54cea6dde2f635c6fc121bb",
+         "c24b0d7adf6039cfbbdc867ac3b974a671fa4847a8b39cb94e6216bad383ab89"),
+    ("check-positivity", "--n", "3", "--spec", "spec.json"):
+        ("49e5db1c1d1b404db3fd7f2d41fd4ef08a44f94529d003b117ac3ad20ab37e16",
+         "fe6c11d54966fb40cc4f1ddf6ff815d334f4174fbc420ab42798d798faec83b2",
+         "15eab45f6c0bce25aed9f69ef74e598b418b27ee74e5f94b64454b7a3f4c51fa"),
+    ("table", "--n", "3", "--out", "t.json"):
+        ("2782b411319bd250b0230c375199dfdfdc4b5049e1968964c60a8ad20fa448c1",
+         "6c67cd37dc0bd01a5dd441cf2afd06d8216bbe8f7d25d98da9c477f9b786b771",
+         "15b080afe1bcf4813b9f4ebaa2781e262bb995db91c6a84ac9736fa182bbc351"),
+}
+
+
+@pytest.mark.parametrize("argv, digests", CLI_OUTPUT_DIGESTS.items(),
+                         ids=[" ".join(argv) for argv in CLI_OUTPUT_DIGESTS])
+def test_output_of_every_subcommand_matches_golden_digests(capsys, monkeypatch, tmp_path,
+                                                            argv, digests):
+    import hashlib
+    monkeypatch.chdir(tmp_path)
+    serialize.save_spec(DeformationSpec.zero(3), "zero.json")
+    serialize.save_spec(DeformationSpec(3, MODE_PER_MU, {(0, 0): -1, (1, 1): Fraction(3, 4)}),
+                        "spec.json")
+    for fmt, digest in zip(("text", "json", "latex"), digests):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def _python(*argv, timeout):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *argv], env=env,
@@ -676,36 +763,45 @@ _LOADED_BY = ("import contextlib, io, sys\n"
 
 @pytest.mark.parametrize("argv, unused", [
     (["basis", "--n", "3"],
-     {"ring", "pieri", "deformation", "certify", "replay", "expr", "suites"}),
+     {"algebra", "ring", "pieri", "deformation", "certify", "replay", "expr", "suites",
+      "serialize"}),
     (["pieri", "--n", "3", "--class", "11", "--with", "5,3"],
      {"ring", "deformation", "certify", "replay", "expr", "suites"}),
     (["mult", "--n", "3", "tau[1,0]*tau[2,1]"], {"deformation", "certify", "replay", "suites"}),
     (["gw", "--n", "3", "--lambda", "1,1", "--mu", "5,2", "--nu", "3,0", "--d", "1"],
-     {"deformation", "certify", "replay", "suites"}),
+     {"deformation", "certify", "replay", "suites", "serialize"}),
     (["check-positivity", "--n", "3", "--spec", "SPEC"],
      {"certify", "replay", "expr", "suites"}),
-    (["certify", "--n", "3", "--method", "both"], {"deformation", "expr", "suites"}),
-    (["certify", "--n", "3", "--method", "fm"], {"deformation", "replay", "expr", "suites"}),
+    (["certify", "--n", "3", "--method", "both"],
+     {"deformation", "expr", "suites", "serialize"}),
+    (["certify", "--n", "3", "--method", "fm"],
+     {"deformation", "replay", "expr", "suites", "serialize"}),
     (["certify", "--n", "3", "--method", "replay"],
-     {"deformation", "certify", "proof", "expr", "suites"}),
+     {"deformation", "certify", "proof", "expr", "suites", "serialize"}),
+    (["certify", "--n", "3", "--method", "both", "--emit-certificate", "OUT"],
+     {"deformation", "expr", "suites"}),
     (["table", "--n", "3", "--out", "OUT"],
      {"deformation", "certify", "replay", "expr", "suites"}),
     (["table", "--n", "3", "--load", "OUT", "--revalidate"],
      {"deformation", "certify", "replay", "expr", "suites"}),
-    *((["verify", "--n", "3", "--suite", suite], {"deformation", "certify", "replay", "expr"})
-      for suite in SUITES),
+    *((["verify", "--n", "3", "--suite", suite],
+      {"deformation", "certify", "replay", "expr", "serialize"}) for suite in SUITES),
 ], ids=["basis", "pieri", "mult", "gw", "check-positivity", "certify", "certify-fm",
-        "certify-replay", "table-out", "table-load", *(f"verify-{suite}" for suite in SUITES)])
+        "certify-replay", "certify-emit", "table-out", "table-load",
+        *(f"verify-{suite}" for suite in SUITES)])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
     spec, out = tmp_path / "spec.json", tmp_path / "t.json"
     serialize.save_spec(DeformationSpec.zero(3), spec)
     serialize.save_table(ring.lazy_table(3), out)
     argv = [str(spec) if a == "SPEC" else str(out) if a == "OUT" else a for a in argv]
-    proc = _python("-c", _LOADED_BY, *argv, timeout=60)
+    proc = _python("-c", _LOADED_BY, *argv, "--format", "json", timeout=60)
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0", proc.stderr
     assert not {f"osglines.{m}" for m in unused} & set(loaded)
+    # the file codecs load exactly when a command reads or writes a document
+    # or a list of terms; the json output itself needs none of them
+    assert ("osglines.serialize" in loaded) is ("serialize" not in unused)
 
 
 @pytest.mark.parametrize("code, loaded", [
@@ -713,7 +809,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unused):
     ("import osglines.replay", ["algebra", "basis", "pieri", "replay"]),
     ("import osglines.suites", ["algebra", "basis", "pieri", "ring", "suites"]),
     ("import osglines; osglines.MODE_PER_PAIR", ["basis"]),
-], ids=["certify", "replay", "suites", "mode"])
+    ("import osglines.cli", ["basis", "cli"]),
+], ids=["certify", "replay", "suites", "mode", "cli"])
 def test_import_loads_exactly(code, loaded):
     # neither proof route reads the ring or the deformation layer, nor the
     # other route; the checks of a table read the ring and nothing above it;
@@ -760,7 +857,7 @@ MODULE_GRAPH = {
     "replay": {"algebra", "basis", "pieri"},
     "expr": {"algebra", "ring"},
     "serialize": {"algebra", "basis"},
-    "cli": {"algebra", "basis", "serialize"},
+    "cli": {"basis"},
 }
 
 

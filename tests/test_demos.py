@@ -1,9 +1,10 @@
-"""Every demo script runs to completion with nothing on stderr, and README's
-layout names every module."""
+"""Every demo script runs to completion with nothing on stderr and the same
+stdout on every run, and README's layout names every module."""
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -18,6 +19,8 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    # a temporary file's path differs between runs: a demo prints none
+    assert tempfile.gettempdir() not in proc.stdout
 
 
 def test_readme_layout_names_each_module_once():

@@ -578,6 +578,24 @@ def test_a_pieri_term_at_a_negative_q_power_is_refused(tmp_path, monkeypatch, la
         check_commutativity(serialize.load_table(path))
 
 
+def test_the_lazy_walk_refuses_a_code_past_its_lookups(monkeypatch):
+    # q^3 tau[0,0] at (0,0) has a code below Q * N, but its q-shifts do not:
+    # the coded Pieri memo refuses the first one looked up, where filling the
+    # code's class would not store it and the lookup would recurse
+    monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q((0, 0), ((0, 0), 1, 3)))
+    with pytest.raises(RuntimeError, match=r"inhomogeneous term \(1, 0\), q\^4"):
+        lazy_table(3).terms((3, 0), (5, 1))
+
+
+def test_the_commutativity_reference_refuses_an_expansion_past_q3(monkeypatch, table3):
+    # the table is built before the rule changes, so only the reference's
+    # expansions see q^3 tau[0,0] at (3,2), whose q-shifts are past the lists
+    monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q((3, 2), ((0, 0), 1, 3)))
+    with pytest.raises(RuntimeError,
+                       match=r"an expansion \(3, 3\) has an inhomogeneous term past q\^3"):
+        check_commutativity(table3)
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_term_codes_cannot_alias(tmp_path, n):
     built = build_table(n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from osglines import build_table, serialize
-from osglines.algebra import AffineExpression
+from osglines.algebra import AffineExpression, format_rational
 from osglines.basis import CONCLUSION_NOT_UNIQUE, enumerate_basis
 from osglines.cli import main
 from osglines.ring import MultiplicationTable
@@ -17,33 +17,36 @@ from osglines.deformation import DeformationSpec, MODE_PER_MU, MODE_PER_PAIR
 
 
 def test_rational_strings():
-    assert serialize.format_rational(Fraction(3)) == "3"
-    assert serialize.format_rational(Fraction(-1, 2)) == "-1/2"
-    assert serialize.parse_rational("7/3") == Fraction(7, 3)
-    assert serialize.parse_rational("-4") == -4
+    assert format_rational(Fraction(3)) == "3"
+    assert format_rational(Fraction(-1, 2)) == "-1/2"
+    assert serialize._parse_number("7/3") == Fraction(7, 3)
+    assert serialize._parse_number("-4") == -4
+    # an integral value reads as an int, however it is written
+    for text in ("-4", "8/2"):
+        assert type(serialize._parse_number(text)) is int
     # matched whole and in ASCII digits: no trailing newline, no Arabic-Indic three
     for bad in ("1.5", "1/0", "", "a", "1/-2", "--1", "1/2\n", "5\n", "\u0663"):
-        with pytest.raises(ValueError):
-            serialize.parse_rational(bad)
         with pytest.raises(ValueError):
             serialize._parse_number(bad)
 
 
 def test_a_number_past_the_int_string_limit_is_refused_in_its_own_words():
     for bad in ("1" * 5000, "-" + "1" * 5000, "1/" + "3" * 5000):
-        for parse in (serialize.parse_rational, serialize._parse_number):
-            with pytest.raises(ValueError) as info:
-                parse(bad)
-            assert str(info.value) == f"not a rational string: too long ({len(bad)} characters)"
+        with pytest.raises(ValueError) as info:
+            serialize._parse_number(bad)
+        assert str(info.value) == f"not a rational string: too long ({len(bad)} characters)"
 
 
 @pytest.mark.parametrize("terms, message", [
     ([{"nu": [1, 0], "d": 0, "coeff": True}], "not a rational string: True"),
     ([{"nu": [1, 0], "d": 1, "coeff": "1"}, {"nu": [1, 0], "d": 1, "coeff": "-1"}],
      r"term \(1, 0\), q\^1 appears twice"),
-], ids=["bool", "repeated"])
+    ({"nu": [1, 0], "d": 0, "coeff": "1"}, "terms must be a list"),
+    ("tau[1,0]", "terms must be a list"),
+], ids=["bool", "repeated", "dict", "string"])
 def test_class_vector_terms_refuse_a_bool_and_a_repeated_term(terms, message):
-    # as `_as_int` refuses a bool, and a repeated term is never summed
+    # as `_as_int` refuses a bool; a repeated term is never summed, and terms
+    # that are not a list are refused before any is read
     with pytest.raises(ValueError, match=message) as info:
         serialize.class_vector_from_terms(3, terms)
     assert "\n" not in str(info.value)
@@ -101,7 +104,7 @@ def test_certificate_text_matches_the_stdlib_encoder(tmp_path, table3, table4, t
     for system in systems:
         serialize.save_certificate(certify_uniqueness(system), system, path)
         text = path.read_bytes().decode("utf-8")
-        assert text == serialize.canonical_dumps(json.loads(text))
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
         cert, loaded = serialize.load_certificate(path)
         assert verify_certificate(loaded, cert)
         numbers = [w for bound in cert.bounds for _, w in bound.weights]
@@ -234,12 +237,17 @@ def _give_first_weight_5000_digits(doc):  # past the interpreter's int-string li
     doc["bounds"][0]["weights"][0]["weight"] = "1" * 5000
 
 
+def _set_witness(value):
+    return lambda doc: doc.update(witness=value)
+
+
 @pytest.mark.parametrize("mutate", [
     _drop("mode"), _drop("unknowns"), _set_first_term_unknown,
     _set_first_bound_unknown, _drop_first_provenance, _end_first_weight_in_a_newline,
-    _give_first_weight_5000_digits,
+    _give_first_weight_5000_digits, _set_witness({}), _set_witness(5),
 ], ids=["no-mode", "no-unknowns", "term-unknown-999", "bound-unknown-999",
-        "no-provenance", "weight-newline", "weight-5000-digits"])
+        "no-provenance", "weight-newline", "weight-5000-digits", "witness-dict",
+        "witness-number"])
 def test_malformed_certificate_raises_value_error(tmp_path, table3, mutate):
     system = build_constraints(table3, MODE_PER_PAIR)
     path = tmp_path / "cert.json"
@@ -298,6 +306,41 @@ def test_table_with_a_repeated_term_is_refused(tmp_path, table3, term):
     product["terms"] += [dict(term), dict(term)]
     lam, mu = tuple(product["lambda"]), tuple(product["mu"])
     message = f"product pair {lam}, {mu} lists the term (2, 1), q^{term['d']} twice"
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        serialize.table_from_dict(doc)
+    assert "\n" not in str(info.value)
+
+
+def _swap_two_basis_classes(doc):
+    doc["basis"][1], doc["basis"][2] = doc["basis"][2], doc["basis"][1]
+    return "table basis does not match the canonical basis order"
+
+
+def _swap_a_product_pair(doc):
+    # stored under (mu, lambda), the entry would sit under a key no lookup
+    # reads, and the product would be recomputed without a word
+    entry = next(e for e in doc["products"] if e["lambda"] != e["mu"])
+    entry["lambda"], entry["mu"] = entry["mu"], entry["lambda"]
+    return (f"product pair {tuple(entry['lambda'])}, {tuple(entry['mu'])} "
+            "out of canonical order")
+
+
+def _add_term(nu, d):
+    # a d of -1 must not read a class's q^3 key from the end of its row
+    def mutate(doc):
+        doc["products"][1]["terms"].append({"nu": nu, "d": d, "coeff": 1})
+        return f"term {tuple(nu)}, q^{d} is not a rank-3 class with d >= 0"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_swap_two_basis_classes, _swap_a_product_pair,
+                                    _add_term([9, 9], 0), _add_term([2, 1], -1)],
+                         ids=["basis-order", "product-order", "class-outside", "d-negative"])
+def test_malformed_cache_is_refused_in_its_own_words(tmp_path, table3, mutate):
+    path = tmp_path / "t.json"
+    serialize.save_table(table3, path)
+    doc = json.loads(path.read_text())
+    message = mutate(doc)
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         serialize.table_from_dict(doc)
     assert "\n" not in str(info.value)
