@@ -86,16 +86,6 @@ class AffineExpression:
             total += v * exact(assignment.get(k, 0))
         return total
 
-    def terms(self):
-        """(key, coefficient) pairs in a deterministic order."""
-        return sorted(self.linear.items(), key=lambda kv: repr(kv[0]))
-
-    def __repr__(self):
-        parts = [str(self.constant)] if self.constant or not self.linear else []
-        for k, v in self.terms():
-            parts.append(f"{v}*a{k}")
-        return " + ".join(parts)
-
 
 def sorted_terms(flat: dict) -> list:
     """The ((index, q-exponent), coefficient) items of a flat map in canonical order."""

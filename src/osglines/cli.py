@@ -2,8 +2,10 @@
 
 Every subcommand takes `--n` (the rank, a per-invocation flag) and
 `--format text|json|latex`.  Exit codes: 0 on success, 1 on mathematical
-failure (a verification suite that found violations, or an elimination that
-hit its resource ceiling), 2 on usage errors.  In json mode the output is a
+failure (a verification suite that found violations, route A's elimination
+hitting its resource ceiling, route B's deductions disagreeing with the
+table (`MismatchError`), or `certify`'s two methods disagreeing), 2 on
+usage errors, an empty PATH among them.  In json mode the output is a
 single complete document, never a partial one; schema in
 `schemas/cli_output.schema.json`.
 
@@ -161,7 +163,7 @@ def _route_a(args, table) -> dict:
     cert = certify_uniqueness(system, DEFAULT_ROW_LIMIT if args.max_rows is None
                               else args.max_rows)
     verified = verify_certificate(system, cert)
-    if args.emit_certificate:
+    if args.emit_certificate is not None:
         from .serialize import save_certificate
         save_certificate(cert, system, args.emit_certificate)
     return {"method": "fm", "conclusion": cert.conclusion, "verified": verified,
@@ -170,13 +172,14 @@ def _route_a(args, table) -> dict:
 
 def _cmd_certify(args):
     from .ring import lazy_table
-    if args.method == "replay" and (args.emit_certificate or args.max_rows is not None):
-        flag = "--emit-certificate" if args.emit_certificate else "--max-rows"
+    if args.method == "replay" and (args.emit_certificate is not None
+                                    or args.max_rows is not None):
+        flag = "--emit-certificate" if args.emit_certificate is not None else "--max-rows"
         raise ValueError(f"{flag} needs the fm method")
     if args.max_rows is not None and args.max_rows < 1:
         raise ValueError(f"--max-rows must be at least 1, got {args.max_rows}")
     table = lazy_table(args.n)
-    cert_path = args.emit_certificate or None
+    cert_path = args.emit_certificate
     results = []
     failures = ()  # the routes' exit-1 errors; each route is imported only when it runs
     try:
@@ -202,7 +205,7 @@ def _cmd_certify(args):
                "method": args.method, "results": results, "agree": agree,
                "certificate": cert_path}
     text = [" / ".join(f"{r['conclusion']} ({r['method']})" for r in results)]
-    if cert_path:
+    if cert_path is not None:
         text.append(f"certificate written to {cert_path}")
     if not agree:
         text.append("METHODS DISAGREE")
@@ -251,11 +254,12 @@ def _default_cache_path(n: int):
 def _cmd_table(args):
     from .ring import build_table, revalidate_table
     from .serialize import load_table, save_table
-    if args.revalidate and not args.load:
+    if args.revalidate and args.load is None:
         raise ValueError("--revalidate needs --load: a built table is not revalidated")
-    saved_to = args.out or (None if args.load else _default_cache_path(args.n))
-    source = "loaded" if args.load else "built"
-    if args.load:
+    saved_to = (args.out if args.out is not None or args.load is not None
+                else _default_cache_path(args.n))
+    source = "loaded" if args.load is not None else "built"
+    if args.load is not None:
         table = load_table(args.load)
         # the rank is checked before a revalidation recomputes anything or a
         # save writes anything
@@ -267,14 +271,14 @@ def _cmd_table(args):
         raise ValueError("need --out or --load (or set OSG_CACHE_DIR)")
     else:
         table = build_table(args.n)
-    if saved_to:
+    if saved_to is not None:
         save_table(table, saved_to)
     payload = {"command": "table", "n": args.n, "source": source,
                "classes": len(table.basis), "products": table.stored_products(),
                "revalidated": args.revalidate, "saved_to": saved_to}
     text = [f"{source} table for n={args.n}: {len(table.basis)} classes, "
             f"{table.stored_products()} products"
-            + (f", saved to {saved_to}" if saved_to else "")
+            + (f", saved to {saved_to}" if saved_to is not None else "")
             + (", revalidated" if args.revalidate else "")]
     latex = _latex_table([("classes", str(len(table.basis))),
                           ("products", str(table.stored_products()))])
@@ -358,6 +362,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in ("spec", "out", "load", "emit_certificate"):  # every PATH option
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"--{dest.replace('_', '-')} needs a PATH, got ''")
         return args.handler(args)
     except (ValueError, OSError) as exc:  # an ExpressionSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 Each rule is a finite case table on the index (a, b) being multiplied.  The
 raw tables can emit index pairs outside the valid set (for example a diagonal
 pair (t, t) with t > n-2); those terms are dropped, i.e. treated as the zero
-class, by the one filter `_valid_terms`, which also refuses a term with a
-negative q-exponent.  This zero convention is checked
+class, by the one filter `_valid_terms`.  This zero convention is checked
 downstream: every product the ring computes must be homogeneous
 (`MultiplicationTable._checked`, on the lazy walk and on the column fill
-alike), and the product-identity suite must hold.
+alike), and the product-identity suite must hold.  The filter itself
+refuses a term with a negative q-exponent or a degree other than the
+product's, so every term the ring computes has a code (`ring.Q`).
 
 Both rules produce only nonnegative integer coefficients.  They are defined
 for rank n >= 3: at n = 2 the index (1,1) is not a valid class, so there is
@@ -55,13 +56,22 @@ def _tau11_raw(n: int, lam: Index):
     return "generic", (((a + 1, b + 1), 1, 0),)
 
 
-def _valid_terms(n: int, raw_rule, lam: Index) -> tuple:
-    """The terms of a raw Pieri rule at lam whose index is a class, as
-    (index, coeff, q-exponent) triples; RuntimeError on a negative q-exponent,
-    which no product has and no term code of the ring can hold."""
+def _valid_terms(n: int, special: Index, raw_rule, lam: Index) -> tuple:
+    """The terms of `raw_rule`, the raw Pieri rule of tau[special], at lam
+    whose index is a class, as (index, coeff, q-exponent) triples.
+
+    RuntimeError on a term with a negative q-exponent or a degree other than
+    |special| + |lam|: every term the ring computes then has the degree of
+    its product, at most 8n-6, hence a q-exponent below `ring.Q` and a code
+    the ring's lookups hold."""
+    want = degree(special) + degree(lam)
     terms = tuple(t for t in raw_rule(n, lam)[1] if is_valid(n, t[0]))
-    if any(dd < 0 for _, _, dd in terms):
-        raise RuntimeError(f"a Pieri term at {lam} has a negative q-exponent")
+    for nu, _, dd in terms:
+        if dd < 0 or degree(nu) + 2 * n * dd != want:
+            fault = ("a negative q-exponent" if dd < 0 else
+                     f"inhomogeneous: degree {degree(nu) + 2 * n * dd}, not {want}")
+            raise RuntimeError(f"the tau[{special[0]},{special[1]}] Pieri rule at {lam} "
+                               f"has the term {nu}, q^{dd}, {fault}")
     return terms
 
 

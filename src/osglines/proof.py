@@ -45,7 +45,7 @@ def build_constraints(table: MultiplicationTable, mode: str = MODE_PER_PAIR) -> 
     n = table.n
     per_pair = check_mode(mode)
     kappas = {d: enumerate_degree(n, d - 2 * n) for d in range(2 * n, max_degree(n) + 1)}
-    tau11 = {x: _valid_terms(n, _tau11_raw, x) for x in enumerate_basis(n)}
+    tau11 = {x: _valid_terms(n, (1, 1), _tau11_raw, x) for x in enumerate_basis(n)}
     constraints = []
     provenance = []
     for mu, p_mu in tau11.items():

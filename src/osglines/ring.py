@@ -58,45 +58,44 @@ class _Memo(dict):
 
 
 # A table of N classes codes the term q^d tau[nu] as the int d * N + pos(nu):
-# each (nu, d) has its own code, and times q^dd adds dd * N.  A product
-# tau[lam] * tau[mu], and every expansion M1^i M11^j (tau[lam]), i + 2j = |mu|,
-# of the reference in `suites`, is homogeneous of degree <= 2(4n-3) = 8n-6; its
-# terms q^d tau[nu] have 2nd <= 8n-6 - |nu| < 8n, so d < Q and code < Q * N.
-# The lookups by code hold those Q * N codes: one at or past Q * N is refused
-# as inhomogeneous where it is looked up.
+# each (nu, d) has its own code, and times q^dd adds dd * N.  Every Pieri term
+# has the degree of its product (`pieri._valid_terms` refuses any other), so a
+# product tau[lam] * tau[mu], each entry of a column the recursion fills, and
+# every expansion M1^i M11^j (tau[lam]), i + 2j = |mu|, of the reference in
+# `suites` is homogeneous of degree <= 2(4n-3) = 8n-6; its terms q^d tau[nu]
+# have 2nd <= 8n-6 - |nu| < 8n, so d < Q and code < Q * N.  The lookups by
+# code hold those Q * N codes, and a cache term at q^Q or past is refused.
 Q = 4
 
 
-def _pieri_row(n: int, pos: dict, raw_rule, lam: Index) -> list:
-    """For d = 0..Q-1, the valid terms of `raw_rule` at q^d tau[lam], coded:
-    ((code, k), ...)."""
+def _pieri_row(n: int, pos: dict, special: Index, raw_rule, lam: Index) -> list:
+    """For d = 0..Q-1, the valid terms of `raw_rule`, the rule of
+    tau[special], at q^d tau[lam], coded: ((code, k), ...)."""
     N = len(pos)
-    coded = [(dd * N + pos[nu], k) for nu, k, dd in _valid_terms(n, raw_rule, lam)]
+    coded = [(dd * N + pos[nu], k) for nu, k, dd in _valid_terms(n, special, raw_rule, lam)]
     return [tuple([(code + d * N, k) for code, k in coded]) for d in range(Q)]
 
 
 class _PieriMemo(dict):
     """code -> its coded Pieri terms by `raw_rule`, filled on first lookup
-    for the Q codes of the code's class at once; a code at or past Q * N is
-    refused."""
+    for the Q codes of the code's class at once."""
 
-    def __init__(self, n: int, basis, pos: dict, raw_rule):
-        self._args = (n, pos, raw_rule)
+    def __init__(self, n: int, basis, pos: dict, special: Index, raw_rule):
+        self._args = (n, pos, special, raw_rule)
         self._basis = basis
 
     def __missing__(self, code):
         N = len(self._basis)
-        if code >= Q * N:
-            raise RuntimeError(f"a product has an inhomogeneous term "
-                               f"{self._basis[code % N]}, q^{code // N}")
         p = code % N
-        self.update(zip(range(p, Q * N, N), _pieri_row(*self._args, self._basis[p])))
-        return self[code]
+        row = _pieri_row(*self._args, self._basis[p])
+        self.update(zip(range(p, Q * N, N), row))
+        return row[code // N]
 
 
 def _pieri_codes(n: int, basis, pos: dict) -> dict:
     """special -> [the coded Pieri terms of each code], for every code at once."""
-    return {special: [terms for row in zip(*(_pieri_row(n, pos, raw, lam) for lam in basis))
+    return {special: [terms for row in zip(*(_pieri_row(n, pos, special, raw, lam)
+                                             for lam in basis))
                       for terms in row]
             for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
 
@@ -121,7 +120,7 @@ class MultiplicationTable:
         # the lazy walk's lookups, filled per class or code on first use (the
         # column fill builds its own for every code at once)
         self._rules = _Memo(lambda lam: _rule(n, lam))  # class -> its Rule
-        self._times = {special: _PieriMemo(n, basis, pos, raw)  # special -> {code: terms}
+        self._times = {special: _PieriMemo(n, basis, pos, special, raw)  # special -> {code: terms}
                        for special, raw in (((1, 0), _tau1_raw), ((1, 1), _tau11_raw))}
         N = len(basis)
         self._degrees = _Memo(lambda code: degree(basis[code % N]) + 2 * n * (code // N))
@@ -142,12 +141,6 @@ class MultiplicationTable:
         """Every code's interned key, in code order; fills `_keys`."""
         return [self._keys.setdefault(code, key) for code, key in
                 enumerate((lam, d) for d in range(Q) for lam in self.basis)]
-
-    def _key_rows(self) -> dict:
-        """class -> its interned keys (lam, 0), ..., (lam, Q-1), one for each
-        q-exponent a product's term can have."""
-        keys, N = self._key_list(), len(self.basis)
-        return {lam: tuple(keys[p::N]) for p, lam in enumerate(self.basis)}
 
     def terms(self, lam, mu) -> dict:
         """tau[lam] * tau[mu] as the stored {(nu, d): int}; do not mutate it."""
@@ -238,14 +231,10 @@ class MultiplicationTable:
             upto[degree(x)] = i
         for j, mu in enumerate(basis):
             col = {(0, 0): {j: 1}}
-            try:  # a code at or past Q * N is past every list's end
-                for x, rule in steps[:upto[degree(mu)]]:
-                    self._apply(col, x, rule, times)
-                for lam in basis[:j + 1]:
-                    yield lam, mu, self._checked(lam, mu, col[lam], degrees, keys)
-            except IndexError:
-                raise RuntimeError(f"a product in column {mu} has an inhomogeneous "
-                                   f"term past q^{Q - 1}") from None
+            for x, rule in steps[:upto[degree(mu)]]:
+                self._apply(col, x, rule, times)
+            for lam in basis[:j + 1]:
+                yield lam, mu, self._checked(lam, mu, col[lam], degrees, keys)
 
     def pairs(self):
         """Every unordered (lam, mu) pair once, in canonical order."""
@@ -294,7 +283,7 @@ def _rule(n: int, lam: Index) -> Rule:
         special, pred = (1, 1), (l1 - 2, l2)
     else:
         special, pred = (1, 1), (l1 - 1, l2 - 1)
-    terms = _valid_terms(n, _tau1_raw if special == (1, 0) else _tau11_raw, pred)
+    terms = _valid_terms(n, special, _tau1_raw if special == (1, 0) else _tau11_raw, pred)
     if not is_valid(n, pred) or (lam, 1, 0) not in terms:
         raise GenerationFailure(f"class {lam} (rank {n}) has no unitriangular Pieri rule")
     others = tuple(t for t in terms if t[0] != lam)

@@ -11,7 +11,8 @@ table reads back into one int dict per product, and a certificate's integral
 numbers read back as ints.
 
 Loading validates the document shape and turns every defect into a
-one-line `ValueError`.  Saving writes a temporary file in the target's
+one-line `ValueError`; a table term at q^4 or past, which no product has,
+is one.  Saving writes a temporary file in the target's
 directory and renames it over the target, so a reader never sees a
 half-written file, even in a shared cache directory.
 
@@ -181,7 +182,7 @@ def _table_fragments(table: MultiplicationTable):
 
 
 def table_from_dict(data: dict) -> MultiplicationTable:
-    from .ring import MultiplicationTable
+    from .ring import Q, MultiplicationTable
     if not isinstance(data, dict):
         raise ValueError("table document is not a JSON object")
     version = data.get("version")
@@ -194,7 +195,8 @@ def table_from_dict(data: dict) -> MultiplicationTable:
     if len(basis) != 2 * n * n or basis != enumerate_basis(n):
         raise ValueError("table basis does not match the canonical basis order")
     table = MultiplicationTable(n, basis, {})
-    pos, products, rows = table.pos, table._products, table._key_rows()
+    # q^d tau[nu] is keyed by code d * N + pos(nu); no product has a term past q^(Q-1)
+    pos, products, keys, N = table.pos, table._products, table._key_list(), len(basis)
     for entry in _field(data, "products", "table", list):
         lam = _as_index(_field(entry, "lambda", "product"))
         mu = _as_index(_field(entry, "mu", "product"))
@@ -210,16 +212,17 @@ def table_from_dict(data: dict) -> MultiplicationTable:
                 nu, d, c = t.get("nu"), t.get("d"), t.get("coeff")
                 if (type(nu) is list and len(nu) == 2 and type(nu[0]) is int
                         and type(nu[1]) is int and type(d) is int and type(c) is int):
-                    row = rows.get((nu[0], nu[1]))
-                    if row is not None and 0 <= d < len(row) and row[d] not in acc:
-                        acc[row[d]] = c
+                    p = pos.get((nu[0], nu[1]))
+                    if p is not None and 0 <= d < Q and (key := keys[d * N + p]) not in acc:
+                        acc[key] = c
                         continue
             # anything else (a repeated term too) is checked field by field, one error line each
             nu, d = _as_index(_field(t, "nu", "term")), _as_int(_field(t, "d", "term"))
             if nu not in pos or d < 0:
                 raise ValueError(f"term {nu}, q^{d} is not a rank-{n} class with d >= 0")
-            # a term past q^3, which no product has, keeps a key of its own
-            key = rows[nu][d] if d < len(rows[nu]) else (nu, d)
+            if d >= Q:
+                raise ValueError(f"term {nu}, q^{d} is past q^{Q - 1}, which no product reaches")
+            key = keys[d * N + pos[nu]]
             if key in acc:  # refused, never summed, as a repeated pair is
                 raise ValueError(f"product pair {lam}, {mu} lists the term {nu}, q^{d} twice")
             acc[key] = _as_int(_field(t, "coeff", "term"))

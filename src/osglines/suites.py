@@ -21,7 +21,7 @@ from .algebra import ClassVector, sorted_terms
 from .basis import (SUITES, betti_numbers, classes_in_degrees, degree, enumerate_degree,
                     max_degree, top_class)
 from .pieri import collapse_terms, power_class, shift_terms
-from .ring import (Q, GenerationFailure, MultiplicationTable, _Memo, _pieri_codes, multiply,
+from .ring import (GenerationFailure, MultiplicationTable, _Memo, _pieri_codes, multiply,
                    poincare_pairing)
 
 ASSOC_SAMPLES = 10_000
@@ -30,18 +30,15 @@ ASSOC_SEED = 20240803
 
 def _expansion(times: dict, code: int) -> _Memo:
     """{mon: M1^i(M11^j(the term `code`)) as {code: int}} by the coded Pieri
-    terms `times` = `_pieri_codes(n, basis, pos)`."""
+    terms `times` = `_pieri_codes(n, basis, pos)`; each is homogeneous, as
+    every Pieri term is, so its codes stay within the lists (`ring.Q`)."""
     def expand(mon: tuple[int, int]) -> dict:
         i, j = mon
         terms, prev = (times[(1, 0)], (i - 1, j)) if i else (times[(1, 1)], (0, j - 1))
         acc: dict = {}
-        try:  # a code at or past Q * N is past the lists' end
-            for c0, c in memo[prev].items():
-                for code2, k in terms[c0]:
-                    acc[code2] = acc.get(code2, 0) + c * k
-        except IndexError:
-            raise RuntimeError(f"an expansion {mon} has an inhomogeneous term past "
-                               f"q^{Q - 1}") from None
+        for c0, c in memo[prev].items():
+            for code2, k in terms[c0]:
+                acc[code2] = acc.get(code2, 0) + c * k
         return {key: v for key, v in acc.items() if v}
     memo = _Memo(expand)
     memo[(0, 0)] = {code: 1}
@@ -221,14 +218,12 @@ def check_commutativity(table: MultiplicationTable) -> list:
     basis, pos = table.basis, table.pos
     times = _pieri_codes(table.n, basis, pos)
     scaled = {mu: _scaled(expr) for mu, expr in _generator_expressions(table, times).items()}
-    # the stored keys' codes; a key no code names (q^d, d >= Q) reads as -1,
-    # which no expansion holds
-    codes = {key: code for code, key in enumerate(table._key_list())}
+    codes = {key: code for code, key in enumerate(table._key_list())}  # of every stored key
     bad = []
     for lam in basis:
         expand = _expansion(times, pos[lam])
         for mu in basis[pos[lam]:]:
-            coded = {codes.get(key, -1): c for key, c in table.terms(lam, mu).items()}
+            coded = {codes[key]: c for key, c in table.terms(lam, mu).items()}
             if _differs(scaled[mu], expand, coded):
                 bad.append((lam, mu))
     return bad

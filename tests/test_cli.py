@@ -342,10 +342,15 @@ def _duplicate_pair(doc):
     doc["products"].append(entry)
 
 
+def _term_past_q3(doc):
+    # well formed, but no product has a term at q^4, so it has no key
+    doc["products"][40]["terms"].append({"nu": [0, 0], "d": 4, "coeff": 1})
+
+
 @pytest.mark.parametrize("mutate", [_drop_product_lambda, _drop_term_nu,
                                     _drop_table_n, _drop_spec_mu, _repeat_spec_key,
                                     _fractional_coeff, _boolean_coeff,
-                                    _fractional_d, _duplicate_pair,
+                                    _fractional_d, _duplicate_pair, _term_past_q3,
                                     _long_spec_coefficient, _long_spec_denominator])
 def test_malformed_input_exits_two(capsys, tmp_path, mutate):
     path = tmp_path / "doc.json"
@@ -883,7 +888,7 @@ def test_suites_read_only_products_and_the_term_coding_from_the_ring():
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "ring"
              for alias in node.names}
-    assert names == {"GenerationFailure", "MultiplicationTable", "Q", "_Memo",
+    assert names == {"GenerationFailure", "MultiplicationTable", "_Memo",
                      "_pieri_codes", "multiply", "poincare_pairing"}
     assert not names & {"_apply", "_recurse", "_by_column", "_rule", "_checked",
                         "lazy_table", "build_table"}
@@ -976,23 +981,36 @@ def test_ring_commands_refuse_an_absurd_rank(tmp_path, argv):
     assert not (tmp_path / "t.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-positivity", "--spec", "MISSING"],
-    ["mult", "tau[1,"],
-    ["gw", "--lambda", "99,99", "--mu", "1,0", "--nu", "1,0", "--d", "0"],
-    ["gw", "--lambda", "1,0", "--mu", "1,0", "--nu", "2,0", "--d", "-1"],
-    ["mult", "tau[99,99]"],
+@pytest.mark.parametrize("argv, error", [
+    (["check-positivity", "--spec", "MISSING"], "error: "),
+    (["mult", "tau[1,"], "error: "),
+    (["gw", "--lambda", "99,99", "--mu", "1,0", "--nu", "1,0", "--d", "0"], "error: "),
+    (["gw", "--lambda", "1,0", "--mu", "1,0", "--nu", "2,0", "--d", "-1"], "error: "),
+    (["mult", "tau[99,99]"], "error: "),
+    # an empty PATH is a usage error, never taken as an absent one
+    (["certify", "--emit-certificate", ""], "error: --emit-certificate needs a PATH"),
+    (["certify", "--method", "replay", "--emit-certificate", ""],
+     "error: --emit-certificate needs a PATH"),
+    (["table", "--load", ""], "error: --load needs a PATH"),
+    (["table", "--load", "", "--revalidate"], "error: --load needs a PATH"),
+    (["table", "--out", ""], "error: --out needs a PATH"),
+    (["check-positivity", "--spec", ""], "error: --spec needs a PATH"),
 ], ids=["missing-spec", "bad-expression", "bad-index", "negative-d",
-        "bad-expression-index"])
-def test_usage_errors_exit_before_the_table_is_built(tmp_path, argv):
+        "bad-expression-index", "empty-certificate-path", "empty-certificate-path-replay",
+        "empty-load-path", "empty-load-path-revalidate", "empty-out-path",
+        "empty-spec-path"])
+def test_usage_errors_exit_before_the_table_is_built(tmp_path, monkeypatch, argv, error):
     # n = 48 because the full table there has 10.6 million products, far
     # more than the timeout allows to build, so a command that built it
     # before its usage check would miss the timeout
+    cache = tmp_path / "cache"  # where `table` without a PATH would write
+    monkeypatch.setenv("OSG_CACHE_DIR", str(cache))
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
     proc = _python("-m", "osglines.cli", *argv, "--n", "48", timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(error)
+    assert not cache.exists()
 
 
 def test_gw_at_rank_48_computes_only_what_it_asks_for():

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from osglines import ring, serialize, suites
+from osglines import proof, ring, serialize, suites
 from osglines.algebra import ClassVector
 from osglines.basis import (MAX_RING_RANK, degree, enumerate_basis,
                             enumerate_degree, max_degree)
@@ -529,10 +530,11 @@ def test_products_are_keyed_by_interned_keys_in_a_pinned_order(tmp_path, n):
                 assert key[0] is table.basis[table.pos[nu]]
 
 
-def _with_a_pieri_term_at_q_Q(lam, term=None):
-    """`ring._tau1_raw` with `term`, an (index, coeff, q-exponent) triple,
-    added to tau[1,0] * tau[lam]; by default q^Q tau[lam]."""
-    raw = ring._tau1_raw
+def _with_a_pieri_term_at_q_Q(lam, term=None, raw=None):
+    """The raw Pieri rule `raw` (by default `ring._tau1_raw`) with `term`, an
+    (index, coeff, q-exponent) triple, added to its product with tau[lam]; by
+    default q^Q tau[lam]."""
+    raw = ring._tau1_raw if raw is None else raw
     term = (lam, 1, ring.Q) if term is None else term
 
     def tampered(n, nu):
@@ -549,16 +551,25 @@ def _with_a_pieri_term_at_q_Q(lam, term=None):
 def test_a_pieri_term_at_q_Q_is_refused_not_aliased(tmp_path, monkeypatch, lam, pair):
     path = tmp_path / "t3.json"
     serialize.save_table(build_table(3), path)
-    # q^Q tau[lam] has a code of its own, past the Q * N codes a product can have
+    # q^Q tau[lam] would have a code of its own, past the Q * N codes a product
+    # can have; the one filter of Pieri terms refuses it where the rule is read
     monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q(lam))
-    with pytest.raises(RuntimeError, match="inhomogeneous"):
+    message = re.escape(f"the tau[1,0] Pieri rule at {lam} has the term {lam}, q^4, "
+                        f"inhomogeneous: degree {degree(lam) + 24}, not {degree(lam) + 1}")
+    with pytest.raises(RuntimeError, match=message):
         build_table(3)
-    with pytest.raises(RuntimeError, match="inhomogeneous"):
+    with pytest.raises(RuntimeError, match=message):
         lazy_table(3).terms(*pair)
-    with pytest.raises(RuntimeError, match="inhomogeneous"):
+    with pytest.raises(RuntimeError, match=message):
         serialize.load_table(path, revalidate=True)
-    with pytest.raises(RuntimeError):  # the reference cannot generate the ring
+    with pytest.raises(RuntimeError, match=message):  # the reference reads every rule
         check_commutativity(serialize.load_table(path))
+    # route A reads the tau[1,1] rule itself, not the table's
+    monkeypatch.setattr(proof, "_tau11_raw", _with_a_pieri_term_at_q_Q(lam, raw=proof._tau11_raw))
+    message = re.escape(f"the tau[1,1] Pieri rule at {lam} has the term {lam}, q^4, "
+                        f"inhomogeneous: degree {degree(lam) + 24}, not {degree(lam) + 2}")
+    with pytest.raises(RuntimeError, match=message):
+        proof.build_constraints(lazy_table(3))
 
 
 @pytest.mark.parametrize("lam, pair", [((1, 1), ((1, 0), (1, 1))),
@@ -578,21 +589,42 @@ def test_a_pieri_term_at_a_negative_q_power_is_refused(tmp_path, monkeypatch, la
         check_commutativity(serialize.load_table(path))
 
 
+@pytest.mark.parametrize("lam, term, fault", [
+    # of the product's degree 1 (7 - 2n), so only the sign of q's exponent
+    # tells it from a valid term; its code would be negative
+    ((0, 0), ((5, 2), 1, -1), "a negative q-exponent"),
+    # inhomogeneous at q^0: named as such, not as a negative exponent
+    ((1, 1), ((0, 0), 1, 0), "inhomogeneous: degree 0, not 3"),
+], ids=["homogeneous-at-negative-q-power", "inhomogeneous-at-q0"])
+def test_the_pieri_filter_names_what_is_wrong_with_a_term(monkeypatch, lam, term, fault):
+    monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q(lam, term))
+    message = re.escape(f"the tau[1,0] Pieri rule at {lam} has the term {term[0]}, "
+                        f"q^{term[2]}, {fault}")
+    with pytest.raises(RuntimeError, match=message + "$"):
+        build_table(3)
+    with pytest.raises(RuntimeError, match=message + "$"):
+        lazy_table(3).terms((1, 0), (1, 1))
+
+
 def test_the_lazy_walk_refuses_a_code_past_its_lookups(monkeypatch):
     # q^3 tau[0,0] at (0,0) has a code below Q * N, but its q-shifts do not:
-    # the coded Pieri memo refuses the first one looked up, where filling the
-    # code's class would not store it and the lookup would recurse
+    # the lazy walk refuses the term when it first reads the rule at (0,0),
+    # before any code past its lookups is made
     monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q((0, 0), ((0, 0), 1, 3)))
-    with pytest.raises(RuntimeError, match=r"inhomogeneous term \(1, 0\), q\^4"):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "the tau[1,0] Pieri rule at (0, 0) has the term (0, 0), q^3, "
+            "inhomogeneous: degree 18, not 1")):
         lazy_table(3).terms((3, 0), (5, 1))
 
 
 def test_the_commutativity_reference_refuses_an_expansion_past_q3(monkeypatch, table3):
-    # the table is built before the rule changes, so only the reference's
-    # expansions see q^3 tau[0,0] at (3,2), whose q-shifts are past the lists
+    # the table is built before the rule changes, so only the reference sees
+    # q^3 tau[0,0] at (3,2), whose q-shifts would be past its lists: it
+    # refuses the term when it codes the rules, before any expansion
     monkeypatch.setattr(ring, "_tau1_raw", _with_a_pieri_term_at_q_Q((3, 2), ((0, 0), 1, 3)))
-    with pytest.raises(RuntimeError,
-                       match=r"an expansion \(3, 3\) has an inhomogeneous term past q\^3"):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "the tau[1,0] Pieri rule at (3, 2) has the term (0, 0), q^3, "
+            "inhomogeneous: degree 18, not 6")):
         check_commutativity(table3)
 
 
@@ -620,22 +652,21 @@ def test_term_codes_cannot_alias(tmp_path, n):
                    for terms in table._products.values() for key in terms)
 
 
-def test_a_cache_term_past_q3_keeps_its_key_and_is_refused(tmp_path, table3):
-    # no product reaches q^Q, so a well-formed cache term at q^9 has no code:
-    # it loads under its own key, and both checks report it
+def test_a_cache_term_past_q3_is_refused_on_load(tmp_path, table3):
+    # no product reaches q^Q, so a well-formed cache term there has no code:
+    # the reader refuses it in its own words, before any check runs
     path = tmp_path / "t3.json"
     serialize.save_table(table3, path)
-    data = json.loads(path.read_text())
-    entry = data["products"][40]
-    entry["terms"].append({"nu": [0, 0], "d": 9, "coeff": 1})
-    path.write_text(json.dumps(data))
-    pair = (tuple(entry["lambda"]), tuple(entry["mu"]))
-    loaded = serialize.load_table(path)
-    assert loaded.terms(*pair)[((0, 0), 9)] == 1
-    assert gw_constant(loaded, *pair, (0, 0), 9) == 1
-    assert check_commutativity(loaded) == [pair]
-    with pytest.raises(ValueError, match="disagrees"):
-        serialize.load_table(path, revalidate=True)
+    for d in (ring.Q, 9):
+        data = json.loads(path.read_text())
+        data["products"][40]["terms"].append({"nu": [0, 0], "d": d, "coeff": 1})
+        bad = tmp_path / f"q{d}.json"
+        bad.write_text(json.dumps(data))
+        message = f"term (0, 0), q^{d} is past q^3, which no product reaches"
+        for revalidate in (False, True):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                serialize.load_table(bad, revalidate=revalidate)
+            assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -297,15 +297,17 @@ def test_certificate_with_a_repeated_entry_is_refused(tmp_path, table3, mutate):
                                   {"nu": [2, 1], "d": 5, "coeff": 1}],
                          ids=["writer-shape", "past-q3"])
 def test_table_with_a_repeated_term_is_refused(tmp_path, table3, term):
-    # the fast path for the writer's shape and the field-by-field path both
-    # refuse it; summed, the two would read as coefficient 2
+    # the field-by-field path refuses the second copy, which the fast path for
+    # the writer's shape hands it; summed, the two would read as coefficient 2.
+    # A term past q^3 has no key to repeat: its first copy is refused
     path = tmp_path / "t.json"
     serialize.save_table(table3, path)
     doc = json.loads(path.read_text())
     product = doc["products"][1]
     product["terms"] += [dict(term), dict(term)]
     lam, mu = tuple(product["lambda"]), tuple(product["mu"])
-    message = f"product pair {lam}, {mu} lists the term (2, 1), q^{term['d']} twice"
+    message = (f"product pair {lam}, {mu} lists the term (2, 1), q^0 twice" if term["d"] == 0
+               else "term (2, 1), q^5 is past q^3, which no product reaches")
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         serialize.table_from_dict(doc)
     assert "\n" not in str(info.value)
