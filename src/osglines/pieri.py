@@ -20,6 +20,8 @@ suite of `suites` checks them, and route B (`replay`) displays them.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import ClassVector
 from .basis import Index, check_index, check_rank, degree, is_valid, MIN_RING_RANK
 
@@ -84,16 +86,23 @@ def tau11_case(n: int, lam) -> str:
     return _tau11_raw(n, _require(n, lam))[0]
 
 
+def _vector(n: int, terms: tuple) -> ClassVector:
+    """The vector of the terms `_valid_terms` returns, each a class at q^d,
+    d >= 0, with a positive int coefficient; a term listed twice is summed."""
+    flat: dict = {}
+    for nu, c, d in terms:
+        flat[(nu, d)] = flat.get((nu, d), 0) + c
+    return ClassVector._wrap(n, {key: Fraction(c) for key, c in flat.items()})
+
+
 def pieri_tau1(n: int, lam) -> ClassVector:
     """tau[1,0] * tau[lam], expanded in the basis."""
-    _, terms = _tau1_raw(n, _require(n, lam))
-    return ClassVector.from_terms(n, terms)
+    return _vector(n, _valid_terms(n, (1, 0), _tau1_raw, _require(n, lam)))
 
 
 def pieri_tau11(n: int, lam) -> ClassVector:
     """tau[1,1] * tau[lam], expanded in the basis."""
-    _, terms = _tau11_raw(n, _require(n, lam))
-    return ClassVector.from_terms(n, terms)
+    return _vector(n, _valid_terms(n, (1, 1), _tau11_raw, _require(n, lam)))
 
 
 def power_class(n: int, t: int) -> list:

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from osglines import pieri
 from osglines.algebra import ClassVector
 from osglines.basis import degree, enumerate_basis
 from osglines.pieri import (TAU1_CASES, TAU11_CASES, pieri_tau1, pieri_tau11,
@@ -93,3 +95,23 @@ def test_outputs_nonnegative_integral_homogeneous(n):
                 c = Fraction(c)
                 assert c.denominator == 1 and c > 0
                 assert degree(nu) + 2 * n * d == degree(lam) + shift
+
+
+@pytest.mark.parametrize("special, name, expand", [((1, 0), "_tau1_raw", pieri_tau1),
+                                                   ((1, 1), "_tau11_raw", pieri_tau11)])
+def test_the_expansions_read_each_rule_through_the_term_filter(monkeypatch, special, name,
+                                                               expand):
+    # an extra q^4 tau[0,0] is refused by the public expansion as by the
+    # filter every Pieri term of the ring passes, never returned
+    raw = getattr(pieri, name)
+
+    def tampered(n, lam):
+        case, terms = raw(n, lam)
+        return case, terms + (((0, 0), 1, 4),)
+
+    monkeypatch.setattr(pieri, name, tampered)
+    with pytest.raises(RuntimeError) as filtered:
+        pieri._valid_terms(3, special, tampered, (1, 1))
+    assert "inhomogeneous" in str(filtered.value)
+    with pytest.raises(RuntimeError, match=re.escape(str(filtered.value)) + "$"):
+        expand(3, (1, 1))

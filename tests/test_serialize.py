@@ -401,6 +401,199 @@ def test_table_save_streams(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
+def _traced_peak(load, path):
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _traced_size_of_the_parsed_document(path):
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        doc = json.loads(text)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc  # alive until the size was read
+    return size
+
+
+def test_table_load_streams(tmp_path):
+    # the cache is checked one product at a time: loading never holds the
+    # parsed document, only the text and the table
+    path = tmp_path / "t.json"
+    serialize.save_table(build_table(8), path)
+    assert _traced_peak(serialize.load_table, path) < _traced_size_of_the_parsed_document(path)
+
+
+def test_certificate_load_streams(tmp_path):
+    path = tmp_path / "cert.json"
+    system = build_constraints(build_table(8), MODE_PER_PAIR)
+    serialize.save_certificate(certify_uniqueness(system), system, path)
+    assert _traced_peak(serialize.load_certificate, path) < \
+        _traced_size_of_the_parsed_document(path)
+
+
+def _certified(table3):
+    system = build_constraints(table3, MODE_PER_PAIR)
+    return certify_uniqueness(system), system
+
+
+def _saved_certificate(table3, path):
+    serialize.save_certificate(*_certified(table3), path)
+    return path.read_text()
+
+
+def _json_error(text):
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text)
+    return str(info.value)
+
+
+def test_a_document_cut_inside_its_records_is_not_json(tmp_path, capsys, table3):
+    # the records are read one at a time; a cut among them is a decode error,
+    # in `json.load`'s words, after the records before it passed their checks
+    path = tmp_path / "doc.json"
+    serialize.save_table(table3, path)
+    text = path.read_text()
+    cut = text[:text.index('"lambda"', len(text) // 2) + 20]
+    path.write_text(cut)
+    code = main(["table", "--n", "3", "--load", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not a JSON document: {_json_error(cut)}\n"
+    text = _saved_certificate(table3, path)
+    cut = text[:text.index('"weight"', text.index('"bounds"')) + 5]
+    path.write_text(cut)
+    with pytest.raises(ValueError) as info:
+        serialize.load_certificate(path)
+    assert str(info.value) == f"{path} is not a JSON document: {_json_error(cut)}"
+
+
+@pytest.mark.parametrize("kind", ["table", "certificate"])
+def test_trailing_data_after_a_document_is_refused(tmp_path, capsys, table3, kind):
+    path = tmp_path / "doc.json"
+    if kind == "table":
+        serialize.save_table(table3, path)
+        text = path.read_text()
+    else:
+        text = _saved_certificate(table3, path)
+    path.write_text(text + "{}\n")
+    message = f"{path} is not a JSON document: {_json_error(text + '{}')}"
+    assert "Extra data" in message
+    load = serialize.load_table if kind == "table" else serialize.load_certificate
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == message
+    if kind == "table":
+        assert main(["table", "--n", "3", "--load", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind, key", [("table", "n"), ("table", "products"),
+                                       ("certificate", "bounds"), ("certificate", "stats")])
+def test_a_repeated_top_level_key_is_refused(tmp_path, table3, kind, key):
+    # `json.load` kept the last of two values; a reader that checks records as
+    # it meets them has read the first, so it refuses the document
+    path = tmp_path / "doc.json"
+    if kind == "table":
+        serialize.save_table(table3, path)
+        text = path.read_text()
+    else:
+        text = _saved_certificate(table3, path)
+    doc = json.loads(text)
+    path.write_text(text.rstrip()[:-1] + f', "{key}": ' + json.dumps(doc[key]) + "}\n")
+    load = serialize.load_table if kind == "table" else serialize.load_certificate
+    with pytest.raises(ValueError, match=re.escape(f"{path} repeats the top-level key {key!r}")) \
+            as info:
+        load(path)
+    assert "\n" not in str(info.value)
+
+
+def test_records_before_their_header_load_equal(tmp_path, table3):
+    # the writer puts each header before the records it checks them by; in
+    # the reverse order the records are held until the header is read
+    path = tmp_path / "doc.json"
+
+    def reversed_keys():
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(reversed(doc.items())), indent=2))
+        assert list(json.loads(path.read_text()))[-1] == list(doc)[0]
+        return path
+
+    serialize.save_table(table3, path)
+    table = serialize.load_table(reversed_keys())
+    assert {p: table.terms(*p) for p in table.pairs()} == \
+        {p: table3.terms(*p) for p in table3.pairs()}
+    for system in (build_constraints(table3, MODE_PER_MU), _toy_system()):
+        serialize.save_certificate(certify_uniqueness(system), system, path)
+        original = serialize.load_certificate(path)
+        assert serialize.load_certificate(reversed_keys()) == original
+
+
+def test_a_check_error_stays_a_check_error(tmp_path, table3):
+    # only decoding is turned into "not a JSON document": a record that
+    # decodes but fails its check keeps the check's own words, and a decode
+    # error past it is still found first, as `json.load` found it
+    path = tmp_path / "t.json"
+    serialize.save_table(table3, path)
+    text = path.read_text()
+    bad = text.replace('"mu": [\n        0,\n        0\n      ]',
+                       '"mu": [\n        9,\n        9\n      ]', 1)
+    assert bad != text
+    path.write_text(bad)
+    with pytest.raises(ValueError, match=re.escape(
+            "product pair (0, 0), (9, 9) is not in the rank-3 basis")):
+        serialize.load_table(path)
+    path.write_text(bad.rstrip()[:-1])  # and the closing brace cut
+    with pytest.raises(ValueError) as info:
+        serialize.load_table(path)
+    assert str(info.value) == f"{path} is not a JSON document: {_json_error(bad.rstrip()[:-1])}"
+
+
+@pytest.mark.parametrize("field, value", [("direction", "sideways"), ("conclusion", "Maybe")])
+def test_a_certificate_file_with_an_unknown_word_loads_and_is_rejected(
+        tmp_path, table3, field, value):
+    # the reader takes any string as a bound's direction and as the
+    # conclusion; only the verifier refuses them
+    path = tmp_path / "cert.json"
+    doc = json.loads(_saved_certificate(table3, path))
+    if field == "direction":
+        doc["bounds"][0]["direction"] = value
+    else:
+        doc["conclusion"] = value
+    path.write_text(json.dumps(doc, indent=2))
+    cert, system = serialize.load_certificate(path)
+    assert (cert.bounds[0].direction if field == "direction" else cert.conclusion) == value
+    assert verify_certificate(system, cert) is False
+
+
+def test_the_writers_shapes_are_read_in_place(tmp_path, table3, monkeypatch):
+    # every term of a saved cache and every weight of a saved certificate
+    # takes its reader's fast path; only another shape is read field by field
+    asked = []
+    field = serialize._field
+
+    def recording(obj, key, what, kind=None):
+        asked.append(what)
+        return field(obj, key, what, kind)
+
+    monkeypatch.setattr(serialize, "_field", recording)
+    path = tmp_path / "doc.json"
+    serialize.save_table(table3, path)
+    serialize.load_table(path)
+    assert "product" in asked and "term" not in asked
+    serialize.save_certificate(*_certified(table3), path)
+    asked.clear()
+    serialize.load_certificate(path)
+    assert "bound" in asked and "weight" not in asked
+
+
 def _required_fields(schema, node=None, path=()):
     """(path, key) for every field the schema lists as required, where the path
     leads from the document to the object: a str is a key, None a list item."""
